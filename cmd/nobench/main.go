@@ -809,20 +809,18 @@ func runT6() error {
 
 // runE1 measures concurrent-caller fan-out over loopback TCP: a client
 // that just reached a peer sprays N goroutines × K calls at it (a burst)
-// on the shared multiplexed session, comparing the session writer with
-// batching off against a small BatchWindow (Options.BatchWindow), which
-// lets the writer coalesce bursts of small call frames into one batch
-// frame. Each burst starts from a fresh client so connection
-// establishment is part of the work; "dials" counts the connections the
-// client opened per burst (pool misses, including the one the import's
-// dirty call makes) and should stay at ~1 per peer regardless of fan-out.
+// on the shared multiplexed session. Each burst starts from a fresh client
+// so connection establishment is part of the work; "dials" counts the
+// connections the client opened per burst (pool misses, including the one
+// the import's dirty call makes) and should stay at ~1 per peer regardless
+// of fan-out.
 //
-// (The checkout-vs-mux A/B this experiment originally ran is retired with
-// the checkout discipline itself; its final numbers are frozen in
-// EXPERIMENTS.md.)
+// (The two A/Bs this experiment has run — checkout vs mux, then writer
+// batching on vs off — were retired with the code they compared; their
+// final numbers are frozen in EXPERIMENTS.md.)
 func runE1() error {
 	fmt.Println("E1: concurrent-caller fan-out over loopback TCP (burst of 8 calls/caller)")
-	const burst = 8 // calls per caller per burst; bursty enough to coalesce
+	const burst = 8 // calls per caller per burst
 	rounds := iters(30)
 	payload1k := bytes.Repeat([]byte{'x'}, 1024)
 	type shape struct {
@@ -835,14 +833,13 @@ func runE1() error {
 	}
 	fanouts := []int{1, 8, 64}
 
-	runCell := func(batchWindow time.Duration, s shape, n int) (rate float64, mean time.Duration, dials float64, err error) {
+	runCell := func(s shape, n int) (rate float64, mean time.Duration, dials float64, err error) {
 		tr := netobjects.NewTCP()
 		mk := func(name string, m *netobjects.Metrics) (*netobjects.Space, error) {
 			return netobjects.New(netobjects.Options{
 				Name:         name,
 				Transports:   []netobjects.Transport{tr},
 				PingInterval: time.Hour,
-				BatchWindow:  batchWindow,
 				Metrics:      m,
 			})
 		}
@@ -913,40 +910,17 @@ func runE1() error {
 		return rate, mean, float64(dialSum) / float64(len(samples)), nil
 	}
 
-	fmt.Printf("%-10s %-10s %8s %14s %12s %8s\n",
-		"batching", "payload", "callers", "calls/sec", "mean lat", "dials")
-	at64 := map[string][2]float64{} // shape name -> [off, on] rate at 64 callers
-	for _, mode := range []struct {
-		name   string
-		window time.Duration
-	}{{"off", 0}, {"100µs", 100 * time.Microsecond}} {
-		for _, s := range shapes {
-			for _, n := range fanouts {
-				rate, mean, dials, err := runCell(mode.window, s, n)
-				if err != nil {
-					return err
-				}
-				fmt.Printf("%-10s %-10s %8d %14.0f %12s %8.0f\n",
-					mode.name, s.name, n, rate, mean.Round(time.Microsecond), dials)
-				if n == 64 {
-					v := at64[s.name]
-					if mode.window == 0 {
-						v[0] = rate
-					} else {
-						v[1] = rate
-					}
-					at64[s.name] = v
-				}
-			}
-		}
-	}
+	fmt.Printf("%-10s %8s %14s %12s %8s\n", "payload", "callers", "calls/sec", "mean lat", "dials")
 	for _, s := range shapes {
-		if v := at64[s.name]; v[0] > 0 {
-			fmt.Printf("64-caller batching effect (%s): window on is %.2fx window off\n", s.name, v[1]/v[0])
+		for _, n := range fanouts {
+			rate, mean, dials, err := runCell(s, n)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("%-10s %8d %14.0f %12s %8.0f\n", s.name, n, rate, mean.Round(time.Microsecond), dials)
 		}
 	}
-	fmt.Println("shape check: dials stay at ~1 per peer at every fan-out; batching should help")
-	fmt.Println("(or at worst not hurt) high fan-out small-call bursts, and never help 1 caller.")
+	fmt.Println("shape check: dials stay at ~1 per peer at every fan-out.")
 	return nil
 }
 

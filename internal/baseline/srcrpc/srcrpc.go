@@ -251,12 +251,14 @@ func (cl *Client) Call(endpoint, method string, payload []byte) ([]byte, error) 
 		_ = c.Close()
 		return nil, err
 	}
+	// The response aliases the connection's receive buffer, which the
+	// connection's next user recycles; copy before checking it in.
+	out = append([]byte(nil), out...)
 	cl.checkin(endpoint, c)
 	if !ok {
 		return nil, errors.New(msg)
 	}
-	// The response aliases the connection's receive buffer; copy.
-	return append([]byte(nil), out...), nil
+	return out, nil
 }
 
 // Error formatting helper used by handlers.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"netobjects/internal/wire"
@@ -101,6 +102,47 @@ func TestNullCallLoopAllocFree(t *testing.T) {
 	loop() // warm the pools, the dispatch cache and the intern table
 	if n := testing.AllocsPerRun(200, loop); n != 0 {
 		t.Fatalf("null call loop: %v allocations per run, want 0", n)
+	}
+}
+
+// TestNullCallSessionAllocs pins what a dynamic null call costs over a
+// real inmem session, both spaces and everything between them included:
+// the streams, their channels and the receive timer are the link's own
+// cost, which TestNullCallLoopAllocFree leaves out. The bounds sit above
+// the measured figure (19 allocations, 1.9 KB) and far below what the
+// call cost when every frame crossed a writer goroutine and every stream
+// stranded its last receive buffer (35 allocations, 10.8 KB).
+func TestNullCallSessionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the pin runs in non-race builds")
+	}
+	tn := newTestNet(t)
+	owner := tn.space("owner", nil)
+	client := tn.space("client", nil)
+	ref, err := owner.Export(&nullSvc{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cref := handoff(t, ref, client)
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := cref.Call("Ping"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(1000) // warm the pools and the caches
+	const calls = 10000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(calls)
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / calls
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / calls
+	t.Logf("null call over an inmem session: %.1f allocations, %.0f bytes", allocs, bytes)
+	if allocs > 26 || bytes > 3<<10 {
+		t.Fatalf("null call over an inmem session: %.1f allocations and %.0f bytes per call, want at most 26 and %d",
+			allocs, bytes, 3<<10)
 	}
 }
 

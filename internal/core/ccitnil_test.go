@@ -175,11 +175,13 @@ func TestPingIncarnationMismatch(t *testing.T) {
 	_ = mk("squatter", "inmem:client-addr")
 
 	// Pings reach the squatter, whose id does not match; after
-	// MaxFailures rounds the owner reclaims.
-	for i := 0; i < 5 && owner.Exports().Len() > 0; i++ {
+	// MaxFailures rounds the owner reclaims. Rounds run until then rather
+	// than a fixed number of times: each can be subsumed by the dead
+	// client's session until the owner has seen that session die.
+	if !waitFor(2*time.Second, func() bool {
 		owner.pinger.Poke()
-	}
-	if owner.Exports().Len() != 0 {
+		return owner.Exports().Len() == 0
+	}) {
 		t.Fatal("owner fooled by an endpoint squatter")
 	}
 }

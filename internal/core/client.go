@@ -58,7 +58,9 @@ func (sp *Space) rpc(endpoints []string, req wire.Message, timeout time.Duration
 		return nil, err
 	}
 	sp.metrics.BytesRecv.Add(uint64(len(b)))
-	return wire.Unmarshal(b)
+	msg, err := wire.Unmarshal(b)
+	st.Release() // collector acks carry no byte fields, so msg does not alias b
+	return msg, err
 }
 
 // rpcRetry is rpc with bounded, jittered retry for idempotent collector
@@ -524,6 +526,9 @@ func (sp *Space) callRemoteMux(ctx context.Context, endpoints []string, call *wi
 	if w != nil {
 		cancelled = w.finish()
 	}
+	// The decoders copied what they kept, so the result frame can go back
+	// to the pool.
+	st.Release()
 	_ = st.Close()
 	if cancelled {
 		return ctxCallError(ctx, call.Method+" cancelled in flight")

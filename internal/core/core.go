@@ -174,18 +174,12 @@ type Options struct {
 	// restoring the per-call connection health probe. Ignored when
 	// DisableFlow is set.
 	KeepaliveInterval time.Duration
-	// DisablePipeline turns off promise pipelining, one-way delivery and
-	// call batching for this space: it stops advertising the capability on
-	// its sessions (so peers fall back too) and routes its own PipeCall /
-	// OneWay traffic through sequential round trips. Pipelining also
-	// requires flow-enabled sessions, so DisableFlow implies it.
+	// DisablePipeline turns off promise pipelining and one-way delivery
+	// for this space: it stops advertising the capability on its sessions
+	// (so peers fall back too) and routes its own PipeCall / OneWay
+	// traffic through sequential round trips. Pipelining also requires
+	// flow-enabled sessions, so DisableFlow implies it.
 	DisablePipeline bool
-	// BatchWindow, when positive, lets session writers coalesce bursts of
-	// small call frames into one batch frame, holding the first frame of a
-	// burst up to this long for companions (see transport.SessionOptions).
-	// Zero disables batching; capability is negotiated per session either
-	// way.
-	BatchWindow time.Duration
 	// Variant selects the collector protocol variant: VariantBirrell
 	// (default, correct over unordered channels) or VariantFIFO (the
 	// paper's §5.1 optimisation: per-owner ordered collector traffic and
@@ -365,7 +359,7 @@ func NewSpace(opts Options) (*Space, error) {
 	sp.pool = transport.NewPool(sp.treg)
 	sp.pool.SetObserver(sp.metrics, sp.tracer)
 	sp.pool.SetFlow(sp.flowParams())
-	sp.pool.SetPipeline(opts.DisablePipeline, opts.BatchWindow)
+	sp.pool.SetPipeline(opts.DisablePipeline)
 	sp.pool.SetLocalSpace(sp.id)
 	sp.pool.SetOnKeepalive(sp.keepaliveRenewed)
 

@@ -577,11 +577,13 @@ func TestDeadClientReclaimedByPing(t *testing.T) {
 	if owner.Exports().Len() != 1 {
 		t.Fatal("entry vanished without ping")
 	}
-	// Drive ping rounds until the owner gives up on the client.
-	for i := 0; i < 5 && owner.Exports().Len() > 0; i++ {
+	// Drive ping rounds until the owner gives up on the client. A fixed
+	// number of back-to-back rounds is not enough: each can be subsumed by
+	// the client's session until the owner has seen that session die.
+	if !waitFor(2*time.Second, func() bool {
 		owner.pinger.Poke()
-	}
-	if owner.Exports().Len() != 0 {
+		return owner.Exports().Len() == 0
+	}) {
 		t.Fatal("dead client never reclaimed")
 	}
 	if owner.Stats().ClientsDropped == 0 {

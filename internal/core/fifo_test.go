@@ -74,6 +74,10 @@ func TestFIFOReleaseNeverOvertakesDirty(t *testing.T) {
 	ref, _ := owner.Export(cnt)
 
 	for i := 0; i < 200; i++ {
+		// A wireRep handed over out of band, with no sender pinning the
+		// export, dies when the dirty set empties: let the previous cycle's
+		// clean be served (reclaiming the export) before taking the next.
+		client.cleaner.Drain(time.Second)
 		w, err := ref.WireRep()
 		if err != nil {
 			t.Fatal(err)

@@ -553,6 +553,7 @@ func (p *Promise) resolvePipeCall(ctx context.Context, s *transport.Session, tar
 	if w != nil {
 		cancelled = w.finish()
 	}
+	st.Release()
 	_ = st.Close()
 	sp.metrics.CallLatency.Observe(time.Since(start))
 	if sp.tracer != nil {

@@ -168,7 +168,6 @@ func (sp *Space) serveMux(c transport.Conn, first []byte) {
 		Flow:        sp.flowParams(),
 		Metrics:     sp.metrics,
 		NoPipeline:  sp.opts.DisablePipeline,
-		BatchWindow: sp.opts.BatchWindow,
 		LocalSpace:  sp.id,
 		OnKeepalive: sp.keepaliveRenewed,
 	})

@@ -36,8 +36,9 @@ type sendQ struct {
 // Scheduler is the sender half of a flow-enabled session: it queues
 // large payloads per stream and deals them out as credit-gated, bounded
 // chunks, round-robin across streams so no payload monopolizes the
-// writer. The session's writer goroutine is the only consumer (Next /
-// Finish); any goroutine may enqueue, grant or abort.
+// link. The session's chunk pump — the writer in this package's comments
+// — is the only consumer (Next / Finish); any goroutine may enqueue,
+// grant or abort.
 type Scheduler struct {
 	mu           sync.Mutex
 	chunk        int

@@ -79,7 +79,8 @@ type SessionInfo struct {
 	Dir string
 	// InFlight is the number of exchanges awaiting their response.
 	InFlight int
-	// QueueDepth is the number of frames waiting in the writer queue.
+	// QueueDepth is the number of senders waiting for the session's write
+	// lock; nonzero means the link's write side is the bottleneck.
 	QueueDepth int
 	// BytesSent and BytesRecv count wire bytes through the session.
 	BytesSent uint64
@@ -89,8 +90,8 @@ type SessionInfo struct {
 	// capability hello is pending, "on" against a confirmed flow peer.
 	Flow string
 	// SendWindow is the remaining session-level send credit in bytes and
-	// QueuedBytes the data queued awaiting credit or the writer;
-	// Stalls counts writer stalls for lack of credit. Zero when Flow is
+	// QueuedBytes the data queued awaiting credit or the chunk pump;
+	// Stalls counts pump stalls for lack of credit. Zero when Flow is
 	// "off".
 	SendWindow  int64
 	QueuedBytes int64

@@ -85,8 +85,6 @@ type Metrics struct {
 	PipelineFallbacks *Counter
 	OneWaysSent       *Counter
 	OneWaysServed     *Counter
-	BatchesSent       *Counter
-	BatchFramesSent   *Counter
 
 	// Session flow control and keepalives (internal/flow).
 	FlowChunksSent        *Counter
@@ -191,8 +189,6 @@ func NewMetrics() *Metrics {
 		PipelineFallbacks: r.Counter("netobj_pipeline_fallbacks_total", "Pipelined calls degraded to sequential round trips (legacy peer or non-mux link)."),
 		OneWaysSent:       r.Counter("netobj_oneway_sent_total", "One-way calls issued by this space."),
 		OneWaysServed:     r.Counter("netobj_oneway_served_total", "One-way calls executed by this space."),
-		BatchesSent:       r.Counter("netobj_batches_sent_total", "Coalesced batch frames written by session writers."),
-		BatchFramesSent:   r.Counter("netobj_batch_frames_total", "Frames that rode inside a coalesced batch."),
 
 		FlowChunksSent:        r.Counter("netobj_flow_chunks_sent_total", "Data chunks sent by flow-enabled session writers."),
 		FlowWindowUpdatesSent: r.Counter("netobj_flow_window_updates_sent_total", "Flow-control credit grants sent to peers."),

@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"netobjects/internal/wire"
 )
 
 // Mem is an in-process transport: connections are paired channels and
@@ -151,10 +154,11 @@ func (l *memListener) Close() error {
 
 func (l *memListener) Endpoint() string { return "inmem:" + l.addr }
 
-// memMsg is one in-flight frame: the payload and, when the namespace
-// simulates latency, the instant it becomes deliverable.
+// memMsg is one in-flight frame: the payload, in a pooled buffer the
+// receiver recycles, and, when the namespace simulates latency, the
+// instant it becomes deliverable.
 type memMsg struct {
-	payload []byte
+	payload *[]byte
 	due     time.Time
 }
 
@@ -166,13 +170,18 @@ type memConn struct {
 	peer  *memConn
 	label string
 
-	// held is a frame dequeued but not yet due; only the single reader
-	// touches it (Conn is not safe for concurrent use).
+	// held is a frame dequeued but not yet due and last the buffer behind
+	// the frame the previous Recv returned, recycled by the next one (the
+	// Conn contract ends a frame's life there); only the single reader
+	// touches them (Conn is not safe for concurrent use).
 	held *memMsg
+	last *[]byte
 
-	mu       sync.Mutex
-	deadline time.Time
-	closed   bool
+	// deadline is the I/O deadline in Unix nanoseconds (0 = none).
+	deadline atomic.Int64
+
+	mu     sync.Mutex
+	closed bool
 }
 
 func (c *memConn) isClosed() bool {
@@ -189,7 +198,9 @@ func (c *memConn) Send(payload []byte) error {
 		return ErrClosed
 	}
 	// Copy: the caller may reuse its buffer as soon as Send returns.
-	msg := memMsg{payload: append([]byte(nil), payload...)}
+	bp := wire.GetBuf()
+	*bp = append(*bp, payload...)
+	msg := memMsg{payload: bp}
 	if lat := c.m.Latency; lat > 0 {
 		// Stamp rather than sleep: the sender keeps going, and the frame
 		// becomes deliverable one propagation delay from now.
@@ -197,19 +208,26 @@ func (c *memConn) Send(payload []byte) error {
 	}
 	timeout := c.deadlineTimer()
 	defer stopTimer(timeout)
+	var err error
 	select {
 	case c.out <- msg:
 		return nil
 	case <-c.done:
-		return ErrClosed
+		err = ErrClosed
 	case <-c.peer.done:
-		return ErrClosed
+		err = ErrClosed
 	case <-timerC(timeout):
-		return ErrTimeout
+		err = ErrTimeout
 	}
+	wire.PutBuf(bp)
+	return err
 }
 
 func (c *memConn) Recv(scratch []byte) ([]byte, error) {
+	if c.last != nil {
+		wire.PutBuf(c.last)
+		c.last = nil
+	}
 	if c.isClosed() {
 		return nil, ErrClosed
 	}
@@ -247,28 +265,28 @@ func (c *memConn) Recv(scratch []byte) ([]byte, error) {
 			return nil, ErrTimeout
 		}
 	}
-	msg := c.held.payload
+	c.last = c.held.payload
 	c.held = nil
-	return msg, nil
+	return *c.last, nil
 }
 
 var errPeerClosed = errors.New("transport: peer closed connection")
 
 func (c *memConn) SetDeadline(t time.Time) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.deadline = t
+	if t.IsZero() {
+		c.deadline.Store(0)
+	} else {
+		c.deadline.Store(t.UnixNano())
+	}
 	return nil
 }
 
 func (c *memConn) deadlineTimer() *time.Timer {
-	c.mu.Lock()
-	d := c.deadline
-	c.mu.Unlock()
-	if d.IsZero() {
+	d := c.deadline.Load()
+	if d == 0 {
 		return nil
 	}
-	return time.NewTimer(time.Until(d))
+	return time.NewTimer(time.Until(time.Unix(0, d)))
 }
 
 func timerC(t *time.Timer) <-chan time.Time {

@@ -23,9 +23,6 @@ type Pool struct {
 	tracer  obs.Tracer
 	flow    *flow.Params
 	noPipe  bool
-	// batchWindow is the frame-coalescing window new sessions are created
-	// with (see SessionOptions.BatchWindow).
-	batchWindow time.Duration
 	// localSpace is the space identity new sessions advertise in their
 	// PeerHello (zero: no advertisement).
 	localSpace wire.SpaceID
@@ -75,12 +72,10 @@ func (p *Pool) SetFlow(fp *flow.Params) {
 
 // SetPipeline configures pipelining for new outbound sessions: noPipe
 // suppresses the capability advertisement (peers then treat this side as
-// a legacy, sequential client) and batchWindow sets the writer's
-// frame-coalescing window (zero disables batching).
-func (p *Pool) SetPipeline(noPipe bool, batchWindow time.Duration) {
+// a legacy, sequential client).
+func (p *Pool) SetPipeline(noPipe bool) {
 	p.mu.Lock()
 	p.noPipe = noPipe
-	p.batchWindow = batchWindow
 	p.mu.Unlock()
 }
 
@@ -202,9 +197,9 @@ func (p *Pool) Session(ctx context.Context, endpoints []string) (*Session, strin
 		t.Emit(obs.Event{Kind: obs.EvPoolMiss, Time: time.Now(), Key: ep, Dur: dial})
 	}
 	p.mu.Lock()
-	fp, noPipe, bw, ls, oka := p.flow, p.noPipe, p.batchWindow, p.localSpace, p.onKeepalive
+	fp, noPipe, ls, oka := p.flow, p.noPipe, p.localSpace, p.onKeepalive
 	p.mu.Unlock()
-	slot.s = NewSession(c, SessionOptions{Flow: fp, Metrics: m, NoPipeline: noPipe, BatchWindow: bw, LocalSpace: ls, OnKeepalive: oka})
+	slot.s = NewSession(c, SessionOptions{Flow: fp, Metrics: m, NoPipeline: noPipe, LocalSpace: ls, OnKeepalive: oka})
 	slot.ep = ep
 	return slot.s, ep, nil
 }

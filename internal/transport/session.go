@@ -16,13 +16,13 @@ import (
 // SRC RPC discipline Network Objects inherited. The original runtime
 // checked a connection out of the pool for the duration of one call, so N
 // concurrent calls to a peer cost N connections. A Session instead owns a
-// single Conn and interleaves any number of logical exchanges on it: a
-// writer goroutine serializes outbound frames, a demux-reader goroutine
-// routes inbound frames to waiting streams by the id in their mux
-// envelope (see wire.AppendMuxHeader), and responses complete in whatever
-// order the peer finishes them — no head-of-line blocking on call
-// completion. Head-of-line blocking on frame *transmission* remains, as
-// it must on a byte stream.
+// single Conn and interleaves any number of logical exchanges on it:
+// senders write their own frames under the session's write lock, a
+// demux-reader goroutine routes inbound frames to waiting streams by the
+// id in their mux envelope (see wire.AppendMuxHeader), and responses
+// complete in whatever order the peer finishes them — no head-of-line
+// blocking on call completion. Head-of-line blocking on frame
+// *transmission* remains, as it must on a byte stream.
 //
 // A Stream is one logical exchange on a session and implements Conn, so
 // the runtime's call code (send request, await response, acknowledge) runs
@@ -32,9 +32,6 @@ import (
 // stream on the session is untouched — this is what lets a cancelled call
 // stop waiting without poisoning the link for its neighbours.
 
-// DefaultWriteQueue is the session writer's queue capacity in frames.
-const DefaultWriteQueue = 64
-
 // streamInbox is a stream's inbound frame buffer. Exchanges are short
 // (request, response, maybe an ack), so a small buffer suffices; a peer
 // flooding one id beyond it has its excess dropped like a lossy network.
@@ -42,19 +39,19 @@ const streamInbox = 16
 
 // SessionOptions configures a Session.
 type SessionOptions struct {
-	// Accept, when non-nil, is invoked in a fresh goroutine for every
+	// Accept, when non-nil, is invoked on a handler goroutine for every
 	// stream the peer opens (a frame with an unknown id). Server sessions
 	// set it to their dispatch entry; client sessions leave it nil, which
 	// makes unknown ids late responses to abandoned exchanges, dropped.
+	// The exchange is over when Accept returns: the handler then recycles
+	// the stream's last received frame, so Accept must not leave another
+	// goroutine reading it.
 	Accept func(*Stream)
 	// Preread is a frame already read off the connection before the
 	// session took over — the frame whose mux envelope made the receiver
 	// switch the connection into session mode. It is demultiplexed before
 	// any other inbound frame.
 	Preread []byte
-	// WriteQueue overrides the writer queue capacity (DefaultWriteQueue
-	// when zero).
-	WriteQueue int
 	// Flow, when non-nil, enables credit-based flow control, chunked
 	// large-payload streaming and keepalives for the session (see
 	// internal/flow). Zero fields take the package defaults. A nil Flow
@@ -66,14 +63,9 @@ type SessionOptions struct {
 	Metrics *obs.Metrics
 	// NoPipeline suppresses the PipeHello capability advertisement, making
 	// this endpoint look like a legacy peer: the other side falls back to
-	// sequential round trips and unbatched frames. Used to gate pipelining
-	// off (Options.DisablePipeline) and to exercise the fallback in tests.
+	// sequential round trips. Used to gate pipelining off
+	// (Options.DisablePipeline) and to exercise the fallback in tests.
 	NoPipeline bool
-	// BatchWindow, when positive, lets the session writer coalesce bursts
-	// of small queued frames into one OpBatch frame, holding the first
-	// frame of a burst up to this long for companions. Only effective once
-	// the peer has advertised CapBatch; zero disables batching.
-	BatchWindow time.Duration
 	// LocalSpace, when nonzero, is the space identity this endpoint
 	// advertises on stream 0 (wire.PeerHello). A peer that has identified
 	// itself lets the collector treat this session's health as proof of
@@ -89,9 +81,9 @@ type SessionOptions struct {
 }
 
 // Session multiplexes logical streams over one Conn. It assumes exclusive
-// ownership of the connection: exactly one goroutine (the writer) sends
-// and exactly one (the demux reader) receives, which is the concurrency
-// contract every Conn implementation supports.
+// ownership of the connection: sends are serialized by the write lock and
+// exactly one goroutine (the demux reader) receives, which is the
+// concurrency contract every Conn implementation supports.
 type Session struct {
 	c      Conn
 	accept func(*Stream)
@@ -100,22 +92,39 @@ type Session struct {
 	// session_flow.go.
 	flow *flowState
 
-	writeCh chan writeReq
-	done    chan struct{}
+	// wlock is the write lock: whoever has a token in this one-slot
+	// channel may call c.Send. A channel rather than a mutex so that a
+	// waiting sender can also select on its stream closing, the session
+	// dying and its deadline, and because blocked channel senders are
+	// served first come first served — a sender that arrives during a
+	// chunk write goes out before the pump's next chunk. wwait counts the
+	// senders waiting for it.
+	wlock chan struct{}
+	wwait atomic.Int32
+
+	// hellos are the session's first frames, left for the first holder of
+	// the write lock to send. wdog bounds a sender's physical write by its
+	// stream's deadline: it fails the session when it fires, the only thing
+	// that unblocks a write on a stalled link. Both belong to the holder.
+	hellos []*[]byte
+	wdog   *time.Timer
+
+	done chan struct{}
 
 	mu      sync.Mutex
 	streams map[uint64]*Stream
 	closed  bool
 	cause   error
 
+	// work hands a stream the peer opened to a parked handler goroutine;
+	// it is unbuffered, so a send succeeds only while one is parked.
+	work chan *Stream
+
 	loops    sync.WaitGroup
 	handlers sync.WaitGroup
 
 	bytesSent atomic.Uint64
 	bytesRecv atomic.Uint64
-
-	// batchWindow is the writer's coalescing window (0 = batching off).
-	batchWindow time.Duration
 
 	// promiseIDs allocates session-scoped promise ids for pipelined calls
 	// and onewaySeq numbers this session's outbound one-way calls; both
@@ -139,7 +148,8 @@ type SessionStats struct {
 	// InFlight is the number of open streams (exchanges awaiting their
 	// response).
 	InFlight int
-	// QueueDepth is the number of frames waiting in the writer queue.
+	// QueueDepth is the number of senders waiting for the write lock —
+	// nonzero when the link's write side is the bottleneck.
 	QueueDepth int
 	// BytesSent and BytesRecv count wire bytes through the session,
 	// envelopes included.
@@ -151,63 +161,63 @@ type SessionStats struct {
 	FlowEnabled bool
 	PeerFlow    bool
 	// SendWindow is the remaining session-level send credit in bytes and
-	// FlowQueued the data bytes queued awaiting credit or the writer;
-	// FlowStalls counts times the writer found data queued but nothing
+	// FlowQueued the data bytes queued awaiting credit or the chunk pump;
+	// FlowStalls counts times the pump found data queued but nothing
 	// sendable for lack of credit. All zero on non-flow sessions.
 	SendWindow int64
 	FlowQueued int64
 	FlowStalls uint64
 }
 
-// NewSession wraps c in a session and starts its writer and demux-reader
-// goroutines. The session owns c from here on: closing the session closes
-// the connection, and a connection error tears the session down.
+// NewSession wraps c in a session and starts its demux-reader goroutine
+// (plus the chunk pump and the keepalive loop on a flow-enabled session).
+// It does no I/O itself. The session owns c from here on: closing the
+// session closes the connection, and a connection error tears the session
+// down.
 func NewSession(c Conn, opts SessionOptions) *Session {
-	q := opts.WriteQueue
-	if q <= 0 {
-		q = DefaultWriteQueue
-	}
 	s := &Session{
 		c:           c,
 		accept:      opts.Accept,
-		writeCh:     make(chan writeReq, q),
+		wlock:       make(chan struct{}, 1),
 		done:        make(chan struct{}),
 		streams:     make(map[uint64]*Stream),
+		work:        make(chan *Stream),
 		onKeepalive: opts.OnKeepalive,
 	}
+	// Whoever first holds the write lock (on a flow session the pump, at
+	// once) sends the hellos ahead of its own frame, so they are the first
+	// frames: a receiving server switches into session mode on the first
+	// and a flow-enabled peer learns our capability as early as possible.
 	if opts.Flow != nil {
 		s.flow = newFlowState(opts.Flow.WithDefaults(), opts.Metrics)
-		// Advertise our receive windows before anything else can be
-		// queued: the hello must be the session's first frame, so a
-		// receiving server switches into session mode on it and a
-		// flow-enabled peer learns our capability as early as possible.
-		s.writeCh <- writeReq{bp: s.flow.helloFrame(), ack: make(chan error, 1)}
+		s.hellos = append(s.hellos, s.flow.helloFrame())
 		if !opts.NoPipeline {
 			// Pipelining rides the same stream-0 hello mechanism; a
 			// separate message rather than new SessHello fields because
 			// the decoder rejects trailing bytes. Legacy peers ignore it.
-			caps := uint64(wire.CapPipeline | wire.CapBatch)
-			s.writeCh <- writeReq{bp: s.flow.pipeHelloFrame(caps), ack: make(chan error, 1)}
+			s.hellos = append(s.hellos, s.flow.pipeHelloFrame(wire.CapPipeline|wire.CapBatch))
 		}
-		s.batchWindow = opts.BatchWindow
+		s.flow.wake()
 	}
 	if opts.LocalSpace != 0 {
 		// Identify ourselves on stream 0 so the peer's collector can fold
 		// its liveness traffic for us onto this session's keepalives. Sent
 		// even on flowless sessions: identity is orthogonal to flow, and
 		// like the other hellos it is discarded harmlessly by old peers.
-		s.writeCh <- writeReq{bp: peerHelloFrame(opts.LocalSpace), ack: make(chan error, 1)}
+		s.hellos = append(s.hellos, peerHelloFrame(opts.LocalSpace))
 	}
-	loops := 2
-	if s.flow != nil && s.flow.ka != nil {
-		loops++
+	if s.flow != nil {
+		s.loops.Add(1)
+		go s.pumpLoop()
+		if s.flow.ka != nil {
+			s.loops.Add(1)
+			go s.keepaliveLoop()
+		}
 	}
-	s.loops.Add(loops)
-	go s.writeLoop()
+	// The reader starts last: a go statement can cost its caller a thread
+	// start, and a server wants the session on its books before it serves.
+	s.loops.Add(1)
 	go s.readLoop(opts.Preread)
-	if s.flow != nil && s.flow.ka != nil {
-		go s.keepaliveLoop()
-	}
 	return s
 }
 
@@ -309,9 +319,6 @@ func (s *Session) OpenID(id uint64) (*Stream, error) {
 
 func (s *Session) newStreamLocked(id uint64) *Stream {
 	st := &Stream{s: s, id: id, in: make(chan inMsg, streamInbox), done: make(chan struct{})}
-	if s.flow != nil {
-		st.ledger = flow.NewRecvLedger(s.flow.params.StreamWindow)
-	}
 	s.streams[id] = st
 	return st
 }
@@ -427,7 +434,7 @@ func (s *Session) Stats() SessionStats {
 	s.mu.Unlock()
 	st := SessionStats{
 		InFlight:   inflight,
-		QueueDepth: len(s.writeCh),
+		QueueDepth: int(s.wwait.Load()),
 		BytesSent:  s.bytesSent.Load(),
 		BytesRecv:  s.bytesRecv.Load(),
 	}
@@ -441,170 +448,140 @@ func (s *Session) Stats() SessionStats {
 	return st
 }
 
-// writeReq is one queued frame plus the channel that reports its
-// physical write back to the Stream.Send that queued it.
-type writeReq struct {
-	bp  *[]byte
-	ack chan error // buffered(1); receives exactly one result
+// lockWrite takes the write lock on behalf of st, waiting no longer than
+// the stream stays open, the session stays up and the stream's deadline
+// allows. The deadline goes on bounding the write the lock is taken for,
+// through the watchdog: the holder cannot be called back from c.Send.
+func (s *Session) lockWrite(st *Stream) error {
+	select {
+	case <-s.done:
+		return s.closeErr()
+	default:
+	}
+	left, err := st.left()
+	if err != nil {
+		return err
+	}
+	select {
+	case s.wlock <- struct{}{}:
+	default:
+		if left, err = s.awaitWrite(st, left); err != nil {
+			return err
+		}
+	}
+	if left > 0 {
+		if s.wdog == nil {
+			s.wdog = time.AfterFunc(left, func() { s.fail(errWriteStalled) })
+		} else {
+			s.wdog.Reset(left)
+		}
+	}
+	return nil
 }
 
-// writeLoop drains the writer queue onto the connection. Frames from all
-// streams are serialized here — queue depth, not connection count, is
-// what concurrency costs.
-//
-// With flow control enabled the loop becomes a strict priority
-// scheduler: pending protocol frames (pongs, window grants, resets,
-// pings) first, then every queued writeCh frame — small calls,
-// responses, cancels, collector RPCs — and only with both lanes empty
-// one credit-gated data chunk. A cancel therefore overtakes any queued
-// bulk payload and waits at most one chunk write.
-func (s *Session) writeLoop() {
-	defer s.loops.Done()
-	var ctrlKick, dataKick <-chan struct{}
+// awaitWrite is lockWrite's slow path: the lock is taken, so wait for it.
+// It returns what is left of the deadline afterwards.
+func (s *Session) awaitWrite(st *Stream, left time.Duration) (time.Duration, error) {
+	var tc <-chan time.Time
+	if left > 0 {
+		t := time.NewTimer(left)
+		defer t.Stop()
+		tc = t.C
+	}
+	s.wwait.Add(1)
+	defer s.wwait.Add(-1)
+	select {
+	case s.wlock <- struct{}{}:
+	case <-st.done:
+		return 0, ErrClosed
+	case <-s.done:
+		return 0, s.closeErr()
+	case <-tc:
+		return 0, ErrTimeout
+	}
+	left, err := st.left()
+	if err != nil {
+		<-s.wlock
+	}
+	return left, err
+}
+
+func (s *Session) unlockWrite() {
+	if s.wdog != nil {
+		s.wdog.Stop()
+	}
+	<-s.wlock
+}
+
+// errWriteStalled is the cause of a session failed under a write that
+// outlasted its stream's deadline, or its stream's Close by writeStallGrace.
+var errWriteStalled = errors.New("transport: write stalled on the link")
+
+const writeStallGrace = time.Second
+
+// write sends one frame on the connection; the caller holds the write
+// lock. A failed write fails the session.
+func (s *Session) write(frame []byte) error {
+	if err := s.c.Send(frame); err != nil {
+		s.fail(err)
+		return s.closeErr()
+	}
+	s.bytesSent.Add(uint64(len(frame)))
+	return nil
+}
+
+// writePending sends what rides ahead of the lock holder's own frame: the
+// hellos on a new session, then the flow layer's pending protocol frames.
+func (s *Session) writePending() error {
+	for len(s.hellos) > 0 {
+		bp := s.hellos[0]
+		s.hellos = s.hellos[1:]
+		err := s.write(*bp)
+		wire.PutBuf(bp)
+		if err != nil {
+			return err
+		}
+	}
 	if s.flow != nil {
-		ctrlKick = s.flow.kick
-		dataKick = s.flow.sched.Kick()
+		return s.flow.writeControl(s)
 	}
+	return nil
+}
+
+// pumpLoop writes what has no sender to carry it: credit-gated data
+// chunks, and protocol frames (pongs, window grants, resets, pings) when
+// no sender comes by to take them along. It takes the write lock per
+// frame like any sender, so the order on the wire is protocol frames
+// first, then every small frame already waiting for the lock — calls,
+// responses, cancels, collector RPCs — and only then one more data
+// chunk: a cancel overtakes any queued bulk payload and waits at most one
+// chunk write.
+func (s *Session) pumpLoop() {
+	defer s.loops.Done()
+	f := s.flow
 	for {
-		if s.flow != nil {
-			if err := s.flow.writeControl(s); err != nil {
-				s.fail(err)
-				return
-			}
-		}
 		select {
+		case <-f.kick:
+		case <-f.sched.Kick():
 		case <-s.done:
 			return
-		case req := <-s.writeCh:
-			if !s.writeQueued(req) {
+		}
+		for wrote := true; wrote; {
+			select {
+			case s.wlock <- struct{}{}:
+			case <-s.done:
 				return
 			}
-			continue
-		default:
-		}
-		if s.flow != nil {
-			wrote, err := s.flow.writeData(s)
+			err := s.writePending()
+			if err == nil {
+				wrote, err = f.writeData(s)
+			}
+			s.unlockWrite()
 			if err != nil {
-				s.fail(err)
 				return
 			}
-			if wrote {
-				continue
-			}
-		}
-		// Both lanes empty: block until there is work.
-		select {
-		case req := <-s.writeCh:
-			if !s.writeQueued(req) {
-				return
-			}
-		case <-ctrlKick:
-		case <-dataKick:
-		case <-s.done:
-			return
 		}
 	}
-}
-
-// Batching bounds: only frames up to batchMaxFrame ride in a batch (a
-// large frame flushes the batch and goes out alone), and a batch closes
-// once it holds batchMaxBytes regardless of the flush window.
-const (
-	batchMaxFrame = 2 << 10
-	batchMaxBytes = 16 << 10
-)
-
-// writeQueued writes one queued frame, coalescing a burst of small
-// companions into a single OpBatch frame when batching is enabled and the
-// peer advertised CapBatch. The first frame of a burst waits at most the
-// flush window; everything already queued behind it ships immediately.
-func (s *Session) writeQueued(req writeReq) bool {
-	if s.batchWindow <= 0 || s.flow == nil ||
-		s.flow.peerCaps.Load()&wire.CapBatch == 0 || len(*req.bp) > batchMaxFrame {
-		return s.writeOne(req)
-	}
-	batch := []writeReq{req}
-	total := len(*req.bp)
-	flush := time.NewTimer(s.batchWindow)
-	defer flush.Stop()
-collect:
-	for total < batchMaxBytes {
-		select {
-		case r2 := <-s.writeCh:
-			if len(*r2.bp) > batchMaxFrame {
-				// Too big to batch: flush what we have, then send it
-				// alone, preserving queue order.
-				if !s.writeBatch(batch) {
-					err := s.closeErr()
-					wire.PutBuf(r2.bp)
-					r2.ack <- err
-					return false
-				}
-				return s.writeOne(r2)
-			}
-			batch = append(batch, r2)
-			total += len(*r2.bp)
-		case <-flush.C:
-			break collect
-		case <-s.done:
-			err := s.closeErr()
-			for _, r := range batch {
-				wire.PutBuf(r.bp)
-				r.ack <- err
-			}
-			return false
-		}
-	}
-	return s.writeBatch(batch)
-}
-
-// writeBatch sends the collected frames — alone when the burst never
-// materialized, as one OpBatch frame otherwise — and acks every waiting
-// Stream.Send.
-func (s *Session) writeBatch(batch []writeReq) bool {
-	if len(batch) == 1 {
-		return s.writeOne(batch[0])
-	}
-	bp := wire.GetBuf()
-	buf := wire.AppendBatchHeader((*bp)[:0])
-	for _, r := range batch {
-		buf = wire.AppendBatchFrame(buf, *r.bp)
-	}
-	*bp = buf
-	err := s.c.Send(*bp)
-	if err == nil {
-		s.bytesSent.Add(uint64(len(*bp)))
-		if f := s.flow; f != nil {
-			f.mBatches.Inc()
-			f.mBatchFrames.Add(uint64(len(batch)))
-		}
-	}
-	wire.PutBuf(bp)
-	for _, r := range batch {
-		wire.PutBuf(r.bp)
-		r.ack <- err
-	}
-	if err != nil {
-		s.fail(err)
-		return false
-	}
-	return true
-}
-
-// writeOne sends one queued frame, acking the Stream.Send that queued it.
-// It reports false when the write failed and the session is down.
-func (s *Session) writeOne(req writeReq) bool {
-	err := s.c.Send(*req.bp)
-	if err == nil {
-		s.bytesSent.Add(uint64(len(*req.bp)))
-	}
-	wire.PutBuf(req.bp)
-	req.ack <- err
-	if err != nil {
-		s.fail(err)
-		return false
-	}
-	return true
 }
 
 // readLoop demultiplexes inbound frames to their streams by envelope id.
@@ -728,7 +705,7 @@ func (s *Session) readFlowFrame(frame []byte) bool {
 }
 
 // dispatch routes one inbound payload to its stream, creating the stream
-// (and spawning its accept handler) when the peer opened it.
+// (and handing it to a handler) when the peer opened it.
 func (s *Session) dispatch(id uint64, payload []byte) {
 	s.mu.Lock()
 	st, known := s.streams[id]
@@ -751,17 +728,49 @@ func (s *Session) dispatch(id uint64, payload []byte) {
 		wire.PutBuf(bp)
 	}
 	if fresh {
+		s.serve(st)
+	}
+}
+
+// handlerIdle is how long a handler goroutine stays parked without a
+// stream before it retires.
+const handlerIdle = time.Second
+
+// serve runs the accept function on a stream the peer opened: on a parked
+// handler goroutine when there is one, on a new one otherwise — never
+// queued behind a busy handler, so a blocked exchange delays no other.
+// Reusing handlers spares each served call a goroutine start and the
+// regrowth of its stack.
+func (s *Session) serve(st *Stream) {
+	select {
+	case s.work <- st:
+	default:
 		s.handlers.Add(1)
-		go func() {
-			defer s.handlers.Done()
-			s.accept(st)
-		}()
+		go s.handlerLoop(st)
+	}
+}
+
+func (s *Session) handlerLoop(st *Stream) {
+	defer s.handlers.Done()
+	idle := time.NewTimer(handlerIdle)
+	defer idle.Stop()
+	for {
+		s.accept(st)
+		st.Release()
+		idle.Reset(handlerIdle)
+		select {
+		case st = <-s.work:
+		case <-idle.C:
+			return
+		case <-s.done:
+			return
+		}
 	}
 }
 
 // Stream is one logical exchange on a session. It implements Conn: Send
-// wraps the payload in the stream's mux envelope and queues it for the
-// session writer; Recv awaits the next inbound frame routed to this id.
+// wraps the payload in the stream's mux envelope and writes it under the
+// session's write lock; Recv awaits the next inbound frame routed to this id.
 // Per the Conn contract a stream is used by one exchange at a time, with
 // Close safe concurrently (a cancellation watcher closes the stream to
 // abandon the exchange without touching the shared link).
@@ -773,19 +782,22 @@ type Stream struct {
 	once sync.Once
 
 	// deadline is the exchange deadline in Unix nanoseconds (0 = none).
-	// It bounds the local waits — queue admission and response arrival —
-	// the way a connection deadline bounds socket I/O.
+	// It bounds the local waits — for the write lock and for the response
+	// — the way a connection deadline bounds socket I/O.
 	deadline atomic.Int64
+	// writing is set while Send is inside the physical write, for Close.
+	writing atomic.Bool
 
 	// last is the pooled buffer returned by the previous Recv, recycled
 	// on the next one (the Conn contract makes a Recv result valid only
-	// until the next Recv). Touched only by the Recv caller.
+	// until the next Recv) or by Release. Touched only by the Recv caller.
 	last *[]byte
 
 	// asm accumulates an in-progress chunked message; touched only by the
 	// session's read loop. ledger is the receive side of this stream's
-	// flow-control window (nil on non-flow sessions); the read loop
-	// charges it as chunks arrive and Recv as messages are consumed.
+	// flow-control window, made by the read loop on the stream's first
+	// data chunk (unchunked frames are never charged); Recv sees it
+	// through the inbox channel, which carries the chunked message.
 	asm    *[]byte
 	ledger *flow.RecvLedger
 }
@@ -813,85 +825,74 @@ func (st *Stream) isClosed() bool {
 	}
 }
 
+// left reports how long the stream's deadline leaves: zero when none is
+// set, ErrTimeout when it already passed.
+func (st *Stream) left() (time.Duration, error) {
+	d := st.deadline.Load()
+	if d == 0 {
+		return 0, nil
+	}
+	if wait := time.Until(time.Unix(0, d)); wait > 0 {
+		return wait, nil
+	}
+	return 0, ErrTimeout
+}
+
 // timer materializes the stream deadline, returning a nil channel when no
 // deadline is set and ErrTimeout when it already passed.
 func (st *Stream) timer() (*time.Timer, <-chan time.Time, error) {
-	d := st.deadline.Load()
-	if d == 0 {
-		return nil, nil, nil
-	}
-	wait := time.Until(time.Unix(0, d))
-	if wait <= 0 {
-		return nil, nil, ErrTimeout
+	wait, err := st.left()
+	if wait == 0 {
+		return nil, nil, err
 	}
 	t := time.NewTimer(wait)
 	return t, t.C, nil
 }
 
-// Send wraps payload in the stream's mux envelope, queues it for the
-// session writer, and waits until the frame has actually been written to
-// the connection (or the write failed). Returning only after the
-// physical write matters for graceful drain: the runtime decrements its
+// Send wraps payload in the stream's mux envelope and writes it to the
+// connection itself, under the session's write lock, along with any
+// protocol frames pending at that moment. It returns after the physical
+// write, which graceful drain relies on: the runtime decrements its
 // in-flight accounting when a dispatch's response Send returns, and
-// shutdown hard-closes connections once that count reaches zero — an
-// enqueue-and-return Send would let a response die unsent in the queue.
+// shutdown hard-closes connections once that count reaches zero. The
+// wait for the lock ends with the stream, the session or the deadline; so
+// does the write, which only failing the session can cut short.
 func (st *Stream) Send(payload []byte) error {
 	if st.isClosed() {
 		return ErrClosed
 	}
-	if f := st.s.flow; f != nil && len(payload) > f.chunkThreshold() && f.waitPeer(st) {
+	s := st.s
+	if f := s.flow; f != nil && len(payload) > f.chunkThreshold() && f.waitPeer(st) {
 		// Large payload to a flow-capable peer: stream it as bounded,
-		// credit-gated chunks instead of one writer-monopolizing frame.
+		// credit-gated chunks instead of one link-monopolizing frame.
 		return st.sendChunked(payload)
 	}
 	bp := wire.GetBuf()
-	buf := wire.AppendMuxHeader((*bp)[:0], st.id)
-	*bp = append(buf, payload...)
-	t, tc, err := st.timer()
+	defer wire.PutBuf(bp)
+	*bp = append(wire.AppendMuxHeader((*bp)[:0], st.id), payload...)
+	if err := s.lockWrite(st); err != nil {
+		return err
+	}
+	defer s.unlockWrite()
+	st.writing.Store(true)
+	defer st.writing.Store(false)
+	err := s.writePending()
+	if err == nil {
+		err = s.write(*bp)
+	}
 	if err != nil {
-		wire.PutBuf(bp)
-		return err
+		if _, late := st.left(); late != nil {
+			return late // the watchdog cut the write short at our deadline
+		}
 	}
-	if t != nil {
-		defer t.Stop()
-	}
-	ack := make(chan error, 1)
-	select {
-	case st.s.writeCh <- writeReq{bp: bp, ack: ack}:
-	case <-st.done:
-		wire.PutBuf(bp)
-		return ErrClosed
-	case <-st.s.done:
-		wire.PutBuf(bp)
-		return st.s.closeErr()
-	case <-tc:
-		wire.PutBuf(bp)
-		return ErrTimeout
-	}
-	// Queued: the writer owns the buffer now and will signal ack exactly
-	// once. The early returns below abandon the exchange, not the frame —
-	// it may still reach the wire, which is harmless (a response the
-	// caller stopped waiting for behaves like a late response).
-	select {
-	case err := <-ack:
-		return err
-	case <-st.done:
-		return ErrClosed
-	case <-st.s.done:
-		return st.s.closeErr()
-	case <-tc:
-		return ErrTimeout
-	}
+	return err
 }
 
 // Recv returns the next inbound frame routed to this stream. The scratch
 // argument is ignored; the session's demux already copied the payload
-// into a pooled buffer, which Recv recycles on the following call.
+// into a pooled buffer, which the following Recv or Release recycles.
 func (st *Stream) Recv(scratch []byte) ([]byte, error) {
-	if st.last != nil {
-		wire.PutBuf(st.last)
-		st.last = nil
-	}
+	st.Release()
 	// Deliver a frame that arrived before teardown even if the stream or
 	// session has since closed, matching the drain behaviour of real
 	// connections.
@@ -926,12 +927,24 @@ func (st *Stream) Recv(scratch []byte) ([]byte, error) {
 // credit its bytes held frozen while it sat in the inbox.
 func (st *Stream) take(m inMsg) []byte {
 	st.last = m.bp
-	if m.charged > 0 && st.ledger != nil {
+	if m.charged > 0 {
 		if g := st.ledger.Delivered(m.charged); g > 0 {
 			st.s.flow.queueGrant(st.id, g)
 		}
 	}
 	return *m.bp
+}
+
+// Release recycles the buffer behind the last received frame. The owner
+// of the exchange calls it on the way out, once it has decoded the final
+// frame — without it every stream would strand one pooled buffer. It is
+// not part of Close because Close may come from another goroutine (a
+// cancellation watcher) while the owner is still reading those bytes.
+func (st *Stream) Release() {
+	if st.last != nil {
+		wire.PutBuf(st.last)
+		st.last = nil
+	}
 }
 
 // SetDeadline bounds subsequent Send and Recv waits; the zero time
@@ -954,6 +967,15 @@ func (st *Stream) Close() error {
 	st.once.Do(func() {
 		close(st.done)
 		st.s.removeStream(st.id)
+		if st.writing.Load() {
+			// Our own Send is inside the write: a healthy link finishes it
+			// at once, a stalled one has to be failed to get it back.
+			time.AfterFunc(writeStallGrace, func() {
+				if st.writing.Load() {
+					st.s.fail(errWriteStalled)
+				}
+			})
+		}
 		if f := st.s.flow; f != nil {
 			// Withdraw any queued chunked sends; a partially-sent message
 			// poisons the peer's assembly, so a reset follows it.

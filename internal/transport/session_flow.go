@@ -12,8 +12,8 @@ import (
 )
 
 // This file is the session half of the flow-control subsystem
-// (internal/flow): chunked sends, credit accounting, the writer's
-// priority lanes, and keepalives. A flow-enabled session advertises its
+// (internal/flow): chunked sends, credit accounting, the protocol frames
+// that ride along with senders, and keepalives. A flow-enabled session advertises its
 // receive windows in a SessHello wrapped in the mux envelope on reserved
 // stream id 0 — a frame legacy peers discard harmlessly — and sends
 // naked flow frames (OpData, OpWindowUpdate, OpFlowPing/Pong) only after
@@ -21,12 +21,13 @@ import (
 // than the chunk size travel unchunked exactly as before, so two
 // flow-enabled peers, two legacy peers, or one of each all interoperate.
 //
-// The writer's priority order is strict: pending protocol frames (pongs,
-// window grants, resets, pings) first, then queued writeCh frames (small
-// calls, responses, cancels, collector RPCs), and only when both lanes
-// are empty one data chunk. A cancel therefore waits at most one chunk
-// write — the fairness property PR 4 lost when it folded every exchange
-// onto one connection.
+// Whoever holds the session's write lock — a sender or the chunk pump —
+// first drains the pending protocol frames (pongs, window grants, resets,
+// pings). The pump then writes one data chunk and gives the lock up, and
+// every small frame that waited meanwhile (calls, responses, cancels,
+// collector RPCs) goes out before its next chunk. A cancel therefore
+// waits at most one chunk write — the fairness property PR 4 lost when it
+// folded every exchange onto one connection.
 
 // flowHelloGrace bounds how long a large send waits for the peer's hello
 // before concluding the peer predates flow control and falling back to a
@@ -49,8 +50,8 @@ type flowState struct {
 	// right after SessHello; peerCaps holds the peer's advertised bits and
 	// pipeCh closes when they arrive. noPipe is the sticky grace-expired
 	// verdict, mirroring noFlow: a peer that never says PipeHello is
-	// treated as legacy (sequential round trips, no batches) for the
-	// session's lifetime.
+	// treated as legacy (sequential round trips) for the session's
+	// lifetime.
 	pipeCh   chan struct{}
 	pipeOnce sync.Once
 	peerCaps atomic.Uint64
@@ -58,28 +59,26 @@ type flowState struct {
 
 	sessLedger *flow.RecvLedger // receive side of the session-level window
 
-	// Pending protocol frames, materialized by the writer at send time so
-	// the reader never blocks queueing them (a reader blocked on its own
-	// writer is one half of a classic distributed deadlock).
+	// Pending protocol frames, materialized under the write lock at send
+	// time so the reader never blocks queueing them (a reader blocked on
+	// its own write side is one half of a classic distributed deadlock).
 	gmu    sync.Mutex
 	grants map[uint64]int64 // stream id -> coalesced credit; id 0 = session
 	pongs  []uint64
 	pings  []uint64
 	resets []uint64
-	kick   chan struct{} // wakes the writer for control work
+	kick   chan struct{} // wakes the pump for control work
 
-	seenStalls uint64 // scheduler stalls already mirrored to the metric (writer-only)
+	seenStalls uint64 // scheduler stalls already mirrored to the metric (pump-only)
 
-	mChunks      *obs.Counter
-	mGrantsSent  *obs.Counter
-	mGrantsRecv  *obs.Counter
-	mStalls      *obs.Counter
-	mFallbacks   *obs.Counter
-	mPings       *obs.Counter
-	mPongs       *obs.Counter
-	mKaFail      *obs.Counter
-	mBatches     *obs.Counter
-	mBatchFrames *obs.Counter
+	mChunks     *obs.Counter
+	mGrantsSent *obs.Counter
+	mGrantsRecv *obs.Counter
+	mStalls     *obs.Counter
+	mFallbacks  *obs.Counter
+	mPings      *obs.Counter
+	mPongs      *obs.Counter
+	mKaFail     *obs.Counter
 }
 
 func newFlowState(p flow.Params, m *obs.Metrics) *flowState {
@@ -104,8 +103,6 @@ func newFlowState(p flow.Params, m *obs.Metrics) *flowState {
 		f.mPings = m.KeepalivePingsSent
 		f.mPongs = m.KeepalivePongsRecv
 		f.mKaFail = m.KeepaliveFailures
-		f.mBatches = m.BatchesSent
-		f.mBatchFrames = m.BatchFramesSent
 	}
 	return f
 }
@@ -248,7 +245,7 @@ func (f *flowState) waitCaps(cancel <-chan struct{}, sessDone <-chan struct{}) u
 }
 
 // queueGrant coalesces a window update for stream id (0 = session) to be
-// sent by the writer's priority lane.
+// sent ahead of the next frame.
 func (f *flowState) queueGrant(id uint64, n int64) {
 	f.gmu.Lock()
 	f.grants[id] += n
@@ -256,23 +253,13 @@ func (f *flowState) queueGrant(id uint64, n int64) {
 	f.wake()
 }
 
-func (f *flowState) queuePong(token uint64) {
-	f.gmu.Lock()
-	f.pongs = append(f.pongs, token)
-	f.gmu.Unlock()
-	f.wake()
-}
+func (f *flowState) queuePong(token uint64) { f.queueToken(&f.pongs, token) }
+func (f *flowState) queuePing(token uint64) { f.queueToken(&f.pings, token) }
+func (f *flowState) queueReset(id uint64)   { f.queueToken(&f.resets, id) }
 
-func (f *flowState) queuePing(token uint64) {
+func (f *flowState) queueToken(q *[]uint64, v uint64) {
 	f.gmu.Lock()
-	f.pings = append(f.pings, token)
-	f.gmu.Unlock()
-	f.wake()
-}
-
-func (f *flowState) queueReset(id uint64) {
-	f.gmu.Lock()
-	f.resets = append(f.resets, id)
+	*q = append(*q, v)
 	f.gmu.Unlock()
 	f.wake()
 }
@@ -310,26 +297,26 @@ func (f *flowState) popControl(bp *[]byte) bool {
 }
 
 // writeControl drains every pending protocol frame onto the connection.
+// The caller holds the write lock.
 func (f *flowState) writeControl(s *Session) error {
-	for {
-		bp := wire.GetBuf()
-		if !f.popControl(bp) {
-			wire.PutBuf(bp)
-			return nil
-		}
-		err := s.c.Send(*bp)
-		if err == nil {
-			s.bytesSent.Add(uint64(len(*bp)))
-		}
-		wire.PutBuf(bp)
-		if err != nil {
+	f.gmu.Lock()
+	idle := len(f.pongs)+len(f.grants)+len(f.resets)+len(f.pings) == 0
+	f.gmu.Unlock()
+	if idle {
+		return nil // the common case: spare the sender a buffer
+	}
+	bp := wire.GetBuf()
+	defer wire.PutBuf(bp)
+	for f.popControl(bp) {
+		if err := s.write(*bp); err != nil {
 			return err
 		}
 	}
+	return nil
 }
 
 // writeData sends at most one credit-gated data chunk, reporting whether
-// it wrote anything.
+// it wrote anything. Only the pump calls it, holding the write lock.
 func (f *flowState) writeData(s *Session) (bool, error) {
 	it, chunk, last, ok := f.sched.Next()
 	if !ok {
@@ -346,13 +333,11 @@ func (f *flowState) writeData(s *Session) (bool, error) {
 	}
 	bp := wire.GetBuf()
 	*bp = append(wire.AppendDataHeader((*bp)[:0], it.ID(), flags), chunk...)
-	err := s.c.Send(*bp)
-	n := len(*bp)
+	err := s.write(*bp)
 	wire.PutBuf(bp)
 	if err != nil {
 		return false, err
 	}
-	s.bytesSent.Add(uint64(n))
 	f.mChunks.Inc()
 	if last {
 		f.sched.Finish(it, nil)
@@ -397,37 +382,30 @@ func (s *Session) onData(id, flags uint64, chunk []byte) {
 		st.asm = bp
 	}
 	*st.asm = append(*st.asm, chunk...)
-	if st.ledger != nil {
-		if g := st.ledger.Chunk(len(chunk)); g > 0 {
-			f.queueGrant(id, g)
-		}
+	if st.ledger == nil {
+		st.ledger = flow.NewRecvLedger(f.params.StreamWindow)
+	}
+	if g := st.ledger.Chunk(len(chunk)); g > 0 {
+		f.queueGrant(id, g)
 	}
 	if flags&wire.DataFlagLast != 0 {
 		bp := st.asm
 		st.asm = nil
 		n := len(*bp)
-		if st.ledger != nil {
-			st.ledger.Complete(n)
-		}
+		st.ledger.Complete(n)
 		select {
 		case st.in <- inMsg{bp: bp, charged: n}:
 		default:
 			// Inbox overflow: drop like a lossy link, but count the bytes
 			// consumed so the sender's window is not wedged forever.
 			wire.PutBuf(bp)
-			if st.ledger != nil {
-				if g := st.ledger.Delivered(n); g > 0 {
-					f.queueGrant(id, g)
-				}
+			if g := st.ledger.Delivered(n); g > 0 {
+				f.queueGrant(id, g)
 			}
 		}
 	}
 	if fresh {
-		s.handlers.Add(1)
-		go func() {
-			defer s.handlers.Done()
-			s.accept(st)
-		}()
+		s.serve(st)
 	}
 }
 
@@ -462,8 +440,8 @@ func (st *Stream) sendChunked(payload []byte) error {
 }
 
 // abortChunked withdraws a queued item; if chunks already reached the
-// wire the receiver's assembly is poisoned, so a reset follows in the
-// priority lane.
+// wire the receiver's assembly is poisoned, so a reset follows with the
+// protocol frames.
 func (st *Stream) abortChunked(it *flow.Item, cause error) {
 	f := st.s.flow
 	if f.sched.Abort(it, cause) {

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"netobjects/internal/flow"
 	"netobjects/internal/obs"
 )
 
@@ -576,4 +579,321 @@ func TestSessionSendWaitsForWrite(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Send never returned after the write completed")
 	}
+}
+
+// stalledConn parks every Send until released or closed, like a link
+// whose peer stopped reading; entered reports each sender that got inside.
+type stalledConn struct {
+	Conn
+	entered chan struct{}
+	release chan struct{}
+	closed  chan struct{}
+	once    sync.Once
+}
+
+func stall(c Conn) *stalledConn {
+	return &stalledConn{Conn: c, entered: make(chan struct{}, 8), release: make(chan struct{}), closed: make(chan struct{})}
+}
+
+func (c *stalledConn) Send(p []byte) error {
+	c.entered <- struct{}{}
+	select {
+	case <-c.release:
+		return c.Conn.Send(p)
+	case <-c.closed:
+		return errors.New("stalled conn closed under the write")
+	}
+}
+
+func (c *stalledConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// stalledSession is a session over a link that accepts no writes.
+func stalledSession(t *testing.T, opts SessionOptions) (*Session, *stalledConn) {
+	t.Helper()
+	mem := NewMem()
+	l, err := mem.Listen("peer")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go func() { _, _ = l.Accept() }()
+	cc, err := mem.Dial("peer")
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	sc := stall(cc)
+	made := make(chan *Session, 1)
+	go func() { made <- NewSession(sc, opts) }()
+	select {
+	case s := <-made:
+		t.Cleanup(func() { s.Close() })
+		return s, sc
+	case <-time.After(5 * time.Second):
+		t.Fatal("NewSession blocked on a link that accepts no writes")
+		return nil, nil
+	}
+}
+
+// TestSessionWriteLockWait pins how a sender waits for the write lock
+// while another is blocked inside the connection's Send: no longer than
+// its own deadline, its own stream or the session lasts. The stalled
+// writer has set itself no bound, so it stays until the session fails.
+func TestSessionWriteLockWait(t *testing.T) {
+	s, sc := stalledSession(t, SessionOptions{})
+
+	send := func(st *Stream) chan error {
+		errc := make(chan error, 1)
+		go func() { errc <- st.Send([]byte("frame")) }()
+		return errc
+	}
+	open := func() *Stream {
+		st, err := s.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	wait := func(what string, errc chan error, want error) {
+		t.Helper()
+		select {
+		case err := <-errc:
+			if !errors.Is(err, want) {
+				t.Fatalf("%s: Send returned %v, want %v", what, err, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: Send still waiting for the write lock", what)
+		}
+	}
+
+	holder := send(open())
+	<-sc.entered // the holder is inside c.Send, write lock held
+
+	timed := open()
+	_ = timed.SetDeadline(time.Now().Add(30 * time.Millisecond))
+	wait("deadline", send(timed), ErrTimeout)
+
+	closed := open()
+	closedErr := send(closed)
+	eventually(t, "a sender waiting for the write lock", func() bool { return s.Stats().QueueDepth == 1 })
+	closed.Close()
+	wait("stream close", closedErr, ErrClosed)
+
+	cause := errors.New("link condemned")
+	failedErr := send(open())
+	eventually(t, "a sender waiting for the write lock", func() bool { return s.Stats().QueueDepth == 1 })
+	select {
+	case err := <-holder:
+		t.Fatalf("stalled writer returned (%v) with the session still up", err)
+	default:
+	}
+	s.fail(cause)
+	for what, errc := range map[string]chan error{"waiting sender": failedErr, "stalled writer": holder} {
+		select {
+		case err := <-errc:
+			if !errors.Is(err, ErrClosed) || !strings.Contains(err.Error(), cause.Error()) {
+				t.Fatalf("session failure: %s's Send returned %v, want ErrClosed naming %q", what, err, cause)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("session failure: %s's Send never returned", what)
+		}
+	}
+}
+
+// TestSessionStalledWriteBounded pins that the sender inside the physical
+// write is bounded like the ones waiting behind it: its stream's deadline,
+// or a grace after its stream's Close, fails the session to get it back.
+func TestSessionStalledWriteBounded(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		bound func(*Stream)
+		want  error
+		limit time.Duration
+	}{
+		{"deadline", func(st *Stream) { _ = st.SetDeadline(time.Now().Add(50 * time.Millisecond)) },
+			ErrTimeout, time.Second},
+		{"close", func(st *Stream) { time.AfterFunc(50*time.Millisecond, func() { st.Close() }) },
+			ErrClosed, writeStallGrace + time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, sc := stalledSession(t, SessionOptions{})
+			st, err := s.Open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.bound(st)
+			start := time.Now()
+			errc := make(chan error, 1)
+			go func() { errc <- st.Send([]byte("frame")) }()
+			<-sc.entered
+			select {
+			case err := <-errc:
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("stalled Send returned %v, want %v", err, tc.want)
+				}
+				if d := time.Since(start); d > tc.limit {
+					t.Fatalf("stalled Send took %v, want under %v", d, tc.limit)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("stalled Send never returned")
+			}
+			select {
+			case <-s.Done():
+			default:
+				t.Fatal("the stalled link's session survived")
+			}
+		})
+	}
+}
+
+// TestNewSessionWritesNothing pins that the constructor does no I/O, so
+// two endpoints can be built over a link with no buffering at all: the
+// hellos go out with the first holder of the write lock — the pump on a
+// flow session, the first sender on a flowless one.
+func TestNewSessionWritesNothing(t *testing.T) {
+	_, sc := stalledSession(t, SessionOptions{Flow: &flow.Params{}, LocalSpace: 7})
+	select {
+	case <-sc.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the pump never took the hellos to an idle link")
+	}
+
+	s, sc := stalledSession(t, SessionOptions{LocalSpace: 7})
+	select {
+	case <-sc.entered:
+		t.Fatal("a flowless session wrote before its first exchange")
+	case <-time.After(20 * time.Millisecond):
+	}
+	st, err := s.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	go st.Send([]byte("frame"))
+	select {
+	case <-sc.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first sender never wrote")
+	}
+}
+
+// goroutineID names the calling goroutine, from its stack header.
+func goroutineID() string {
+	b := make([]byte, 64)
+	return strings.Fields(string(b[:runtime.Stack(b, false)]))[1]
+}
+
+// TestSessionHandlerReuse pins that served streams are handed to parked
+// handler goroutines rather than each starting its own: a sequential
+// caller is served by at most two (the second covers a handler still on
+// its way back to the parking spot).
+func TestSessionHandlerReuse(t *testing.T) {
+	var mu sync.Mutex
+	handlers := map[string]int{}
+	client, _ := sessionPair(t, func(st *Stream) {
+		defer st.Close()
+		mu.Lock()
+		handlers[goroutineID()]++
+		mu.Unlock()
+		if frame, err := st.Recv(nil); err == nil {
+			_ = st.Send(frame)
+		}
+	})
+	const streams = 1000
+	for i := 0; i < streams; i++ {
+		st, err := client.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = st.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := st.Send([]byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Recv(nil); err != nil {
+			t.Fatal(err)
+		}
+		st.Release()
+		st.Close()
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	served := 0
+	for _, n := range handlers {
+		served += n
+	}
+	if served != streams || len(handlers) > 2 {
+		t.Fatalf("%d streams served by %d handler goroutines (%v), want %d by at most 2", served, len(handlers), handlers, streams)
+	}
+}
+
+// TestSessionHandlersUncapped pins the other half of handler reuse:
+// handlers are never queued behind busy ones, so any number of exchanges
+// can block at once; idle handlers retire while the session lives; and a
+// closed session leaves no goroutine behind.
+func TestSessionHandlersUncapped(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	const blocked = 64
+	started := make(chan struct{}, blocked)
+	release := make(chan struct{})
+	client, server := sessionPair(t, func(st *Stream) {
+		defer st.Close()
+		frame, err := st.Recv(nil)
+		if err != nil {
+			return
+		}
+		started <- struct{}{}
+		<-release
+		_ = st.Send(frame)
+	})
+	quiet := runtime.NumGoroutine()
+
+	streams := make([]*Stream, blocked)
+	for i := range streams {
+		st, err := client.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		_ = st.SetDeadline(time.Now().Add(10 * time.Second))
+		if err := st.Send([]byte("hold")); err != nil {
+			t.Fatal(err)
+		}
+		streams[i] = st
+	}
+	for i := 0; i < blocked; i++ {
+		select {
+		case <-started:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d blocking handlers are running", i, blocked)
+		}
+	}
+	close(release)
+	for _, st := range streams {
+		if _, err := st.Recv(nil); err != nil {
+			t.Fatalf("recv after release: %v", err)
+		}
+		st.Release()
+	}
+
+	eventually(t, "idle handlers to retire", func() bool { return runtime.NumGoroutine() <= quiet })
+
+	// Leave one handler parked, then close: it must not outlive the session.
+	st, err := client.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Send([]byte("once more")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Recv(nil); err != nil {
+		t.Fatal(err)
+	}
+	st.Release()
+	st.Close()
+	client.Close()
+	server.Close()
+	client.Wait()
+	server.Wait()
+	eventually(t, "session goroutines to exit", func() bool { return runtime.NumGoroutine() <= baseline })
 }
