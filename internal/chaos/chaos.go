@@ -17,6 +17,14 @@
 // calls or reset only pings. Each wrapper injects on its own outbound
 // side only; an asymmetric partition is one wrapper blocking a link, a
 // full partition is both sides blocking it.
+//
+// The schedule applies to a session's hello like any other frame. A
+// swallowed hello does not degrade the link: the peer sees something else
+// first and fails the session, which to the sender is a reset — the next
+// call redials, and collector traffic takes its retry path. A duplicate
+// travels on a connection of its own and so leads with a hello of its own
+// (see replay), or the receiver would refuse it before the collector saw
+// it.
 package chaos
 
 import (

@@ -7,13 +7,16 @@ import (
 	"testing"
 	"time"
 
+	"netobjects/internal/core"
 	"netobjects/internal/obs"
+	"netobjects/internal/pickle"
 	"netobjects/internal/transport"
 	"netobjects/internal/wire"
 )
 
 // collectServer accepts connections on l and records every frame it
 // receives, answering each with a CleanAck so duplicate replays complete.
+// It is not a session: the hello a replay opens with is skipped.
 type collectServer struct {
 	mu     sync.Mutex
 	frames [][]byte
@@ -34,6 +37,9 @@ func serveCollect(t *testing.T, l transport.Listener) *collectServer {
 					f, err := c.Recv(nil)
 					if err != nil {
 						return
+					}
+					if wire.PeekOp(f) == wire.OpHello {
+						continue
 					}
 					s.mu.Lock()
 					s.frames = append(s.frames, append([]byte(nil), f...))
@@ -464,5 +470,60 @@ func TestMuxEnvelopeClassification(t *testing.T) {
 	}
 	if op := wire.PeekOp(srv.frames[0]); op != wire.OpDirty {
 		t.Fatalf("delivered frame classifies as %v, want dirty", op)
+	}
+}
+
+// TestDuplicateReachesCollector drives the duplication fault through the
+// real stack: every collector message the client sends is replayed once
+// on a fresh connection, and the replay must get past the owner's
+// handshake to handleDirty / handleClean — otherwise the fault that
+// exists to test the sequence-number defences tests nothing.
+func TestDuplicateReachesCollector(t *testing.T) {
+	inner := transport.NewMem()
+	ct := New(inner, "client", 7)
+	ct.SetRules(Rules{Duplicate: 1})
+	mk := func(name string, tr transport.Transport) *core.Space {
+		sp, err := core.NewSpace(core.Options{
+			Name:            name,
+			Transports:      []transport.Transport{tr},
+			ListenEndpoints: []string{wire.JoinEndpoint(tr.Proto(), name)},
+			Registry:        pickle.NewRegistry(),
+			CallTimeout:     2 * time.Second,
+			PingInterval:    time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = sp.Close() })
+		return sp
+	}
+	owner := mk("owner", inner)
+	client := mk("client", ct)
+
+	ref, err := owner.Export(&soakCounter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _ := ref.WireRep()
+	cref, err := client.Import(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cref.Release()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		o, c := owner.Stats(), client.Stats()
+		if c.DirtySent > 0 && c.CleanSent > 0 && o.DirtyServed > c.DirtySent && o.CleanServed > c.CleanSent {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("owner served %d dirty / %d clean for %d / %d sent: the duplicates never reached the collector (%d injected)",
+				o.DirtyServed, o.CleanServed, c.DirtySent, c.CleanSent, ct.Stats().Duplicates)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if owner.Exports().HoldsDirty(w.Index, client.ID()) {
+		t.Fatal("a replayed dirty outlived the clean that followed it")
 	}
 }

@@ -52,7 +52,7 @@ func TestKeepaliveSubsumedLiveness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The round trip guarantees the owner processed the client's PeerHello.
+	// The round trip guarantees the owner processed the client's hello.
 	if _, err := cref.Call("Incr", int64(1)); err != nil {
 		t.Fatal(err)
 	}

@@ -17,11 +17,11 @@ import (
 // envelope, the form they actually take on a session — so per-op rules
 // can target, say, only promise resolutions. None of them may ever be
 // replayed: a duplicated PipeCall or OneWay re-runs an application
-// method, and a duplicated PromiseResolve could resolve a reused
-// promise id with stale results.
+// method, a duplicated PromiseResolve could resolve a reused promise id
+// with stale results, and a second hello fails the session.
 func TestPipeOpsClassified(t *testing.T) {
 	frames := map[wire.Op][]byte{
-		wire.OpPipeHello:      wire.Marshal(nil, &wire.PipeHello{Caps: wire.CapPipeline}),
+		wire.OpHello:          wire.Marshal(nil, &wire.Hello{Version: wire.Version, Space: 1}),
 		wire.OpPipeCall:       wire.Marshal(nil, &wire.PipeCall{Obj: 1, Method: "M", Promise: 2}),
 		wire.OpPromiseResolve: wire.Marshal(nil, &wire.PromiseResolve{Promise: 2, Status: wire.StatusOK}),
 		wire.OpOneWay:         wire.Marshal(nil, &wire.OneWay{Obj: 1, Method: "Log", Seq: 3}),
@@ -44,16 +44,6 @@ func TestPipeOpsClassified(t *testing.T) {
 		if duplicable(op) {
 			t.Fatalf("%v is duplicable; pipelined ops must never be replayed", op)
 		}
-	}
-	// A batch frame travels naked at the session's top level and
-	// classifies as itself; it is never replayable either.
-	batch := wire.AppendBatchFrame(wire.AppendBatchHeader(nil),
-		append(wire.AppendMuxHeader(nil, 7), frames[wire.OpOneWay]...))
-	if got := wire.PeekOp(batch); got != wire.OpBatch {
-		t.Fatalf("batch frame classifies as %v", got)
-	}
-	if duplicable(wire.OpBatch) {
-		t.Fatal("OpBatch is duplicable")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"netobjects/internal/flow"
 	"netobjects/internal/obs"
 	"netobjects/internal/transport"
 	"netobjects/internal/wire"
@@ -358,8 +359,7 @@ func (t *Transport) emitFault(kind string, op wire.Op, addr string) {
 // fault exists to test. The pipelined invocation ops are likewise
 // excluded: a replayed PipeCall or OneWay would re-run an application
 // method, a replayed PromiseResolve could resolve a reused promise id
-// with stale results, and a replayed PipeHello or Batch belongs to a
-// session handshake or framing layer that is never retried.
+// with stale results, and a hello is said once per session.
 func duplicable(op wire.Op) bool {
 	switch op {
 	case wire.OpDirty, wire.OpClean, wire.OpCleanBatch, wire.OpPing, wire.OpLease:
@@ -370,8 +370,9 @@ func duplicable(op wire.Op) bool {
 
 // replay delivers a copy of payload to addr on a fresh inner connection,
 // reading and discarding the reply, as a network that duplicated a
-// datagram would. It bypasses the fault schedule so a duplicate cannot
-// recursively duplicate.
+// datagram would. The connection opens with an anonymous hello, as the
+// receiving session demands of any peer. It bypasses the fault schedule so
+// a duplicate cannot recursively duplicate.
 func (t *Transport) replay(addr string, payload []byte) {
 	go func() {
 		ic, err := t.inner.Dial(addr)
@@ -380,8 +381,14 @@ func (t *Transport) replay(addr string, payload []byte) {
 		}
 		defer ic.Close()
 		_ = ic.SetDeadline(time.Now().Add(2 * time.Second))
-		if ic.Send(payload) == nil {
-			_, _ = ic.Recv(nil)
+		if ic.Send(transport.HelloFrame(0, flow.Params{})) != nil || ic.Send(payload) != nil {
+			return
+		}
+		// The receiver's own hello, then its reply.
+		for i := 0; i < 2; i++ {
+			if _, err := ic.Recv(nil); err != nil {
+				return
+			}
 		}
 	}()
 }

@@ -158,28 +158,10 @@ type Options struct {
 	// live objects under many concurrent callers, more shards mean less
 	// lock contention on the call fast path.
 	TableShards int
-	// DisableFlow turns off credit-based flow control, chunked
-	// large-payload streaming and session keepalives on mux links (see
-	// internal/flow). With flow on — the default — payloads larger than
-	// the chunk size stream as bounded chunks interleaved fairly across
-	// streams, cancels and collector RPCs jump queued data in a priority
-	// lane, and keepalives detect dead peers between calls. Flow sessions
-	// interoperate with DisableFlow (and pre-flow) peers automatically:
-	// capability is advertised per session and large frames fall back to
-	// single unchunked writes against a legacy peer.
-	DisableFlow bool
-	// KeepaliveInterval paces session keepalive probes on flow-enabled
-	// mux links; a peer silent for two intervals fails the session.
-	// Zero selects the default (10s); negative disables keepalives,
-	// restoring the per-call connection health probe. Ignored when
-	// DisableFlow is set.
+	// KeepaliveInterval paces session keepalive probes on mux links; a
+	// peer silent for two intervals fails the session. Zero selects the
+	// default (10s); negative disables keepalives.
 	KeepaliveInterval time.Duration
-	// DisablePipeline turns off promise pipelining and one-way delivery
-	// for this space: it stops advertising the capability on its sessions
-	// (so peers fall back too) and routes its own PipeCall / OneWay
-	// traffic through sequential round trips. Pipelining also requires
-	// flow-enabled sessions, so DisableFlow implies it.
-	DisablePipeline bool
 	// Variant selects the collector protocol variant: VariantBirrell
 	// (default, correct over unordered channels) or VariantFIFO (the
 	// paper's §5.1 optimisation: per-owner ordered collector traffic and
@@ -359,7 +341,6 @@ func NewSpace(opts Options) (*Space, error) {
 	sp.pool = transport.NewPool(sp.treg)
 	sp.pool.SetObserver(sp.metrics, sp.tracer)
 	sp.pool.SetFlow(sp.flowParams())
-	sp.pool.SetPipeline(opts.DisablePipeline)
 	sp.pool.SetLocalSpace(sp.id)
 	sp.pool.SetOnKeepalive(sp.keepaliveRenewed)
 
@@ -616,7 +597,7 @@ func (sp *Space) muxSessionsSnapshot() []obs.SessionInfo {
 			QueueDepth:  st.QueueDepth,
 			BytesSent:   st.BytesSent,
 			BytesRecv:   st.BytesRecv,
-			Flow:        obs.FlowLabel(st.FlowEnabled, st.PeerFlow),
+			Hello:       st.Hello,
 			SendWindow:  st.SendWindow,
 			QueuedBytes: st.FlowQueued,
 			Stalls:      st.FlowStalls,
@@ -627,11 +608,8 @@ func (sp *Space) muxSessionsSnapshot() []obs.SessionInfo {
 }
 
 // flowParams resolves the flow-control parameters mux sessions (outbound
-// and inbound) are created with, nil when DisableFlow is set.
+// and inbound) are created with.
 func (sp *Space) flowParams() *flow.Params {
-	if sp.opts.DisableFlow {
-		return nil
-	}
 	return &flow.Params{KeepaliveInterval: sp.opts.KeepaliveInterval}
 }
 
@@ -758,7 +736,7 @@ func (sp *Space) dropClient(id wire.SpaceID) {
 // dialed for this) or inbound (being served). Only sessions with an
 // active keepalive currently confirming the peer count: the keepalive is
 // what makes "the session is up" equivalent to "the peer is alive", and
-// the PeerHello identity is what stops an endpoint reused by a new
+// the identity in its hello is what stops an endpoint reused by a new
 // incarnation from impersonating the old space.
 func (sp *Space) sessionAlive(id wire.SpaceID, endpoints []string) bool {
 	if s := sp.pool.Cached(endpoints); s != nil && s.PeerSpace() == id && s.KeepaliveHealthy() {

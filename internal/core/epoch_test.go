@@ -99,12 +99,17 @@ func TestStaleDirtyRefused(t *testing.T) {
 		t.Fatalf("stale dirty err %q does not name the incarnation mismatch", ack.Err)
 	}
 
-	// Addressed and unaddressed (legacy zero) dirties are accepted.
+	// An addressed dirty is accepted; an unaddressed one is refused like
+	// any other mismatch, since every sender addresses its messages.
 	if ack := owner.handleDirty(&wire.Dirty{Obj: w.Index, Client: 7, Seq: 2, Owner: owner.ID()}); ack.Status != wire.StatusOK {
 		t.Fatalf("addressed dirty ack: %v (%s)", ack.Status, ack.Err)
 	}
-	if ack := owner.handleDirty(&wire.Dirty{Obj: w.Index, Client: 8, Seq: 1}); ack.Status != wire.StatusOK {
-		t.Fatalf("unaddressed dirty ack: %v (%s)", ack.Status, ack.Err)
+	before := owner.metrics.StaleRejected.Load()
+	if ack := owner.handleDirty(&wire.Dirty{Obj: w.Index, Client: 8, Seq: 1}); ack.Status != wire.StatusNoSuchObject {
+		t.Fatalf("unaddressed dirty ack: %v, want NoSuchObject", ack.Status)
+	}
+	if got := owner.metrics.StaleRejected.Load(); got != before+1 {
+		t.Fatalf("unaddressed dirty counted %d stale rejections, want 1", got-before)
 	}
 }
 

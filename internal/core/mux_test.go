@@ -3,12 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"netobjects/internal/pickle"
 	"netobjects/internal/transport"
+	"netobjects/internal/wire"
 )
 
 // tcpPair builds an owner/client pair connected over real loopback TCP.
@@ -148,5 +151,56 @@ func TestMuxCancelSharedLink(t *testing.T) {
 	}
 	if n := client.metrics.PoolMisses.Load(); n != 1 {
 		t.Fatalf("client dials = %d, want 1 (cancel must not redial)", n)
+	}
+}
+
+// TestRejectedHelloSurfacesToCaller: a peer of another protocol version
+// costs the caller an error that says so — on the first call and on the
+// redial after it — not a bare closed-session error.
+func TestRejectedHelloSurfacesToCaller(t *testing.T) {
+	tn := newTestNet(t)
+	l, err := tn.mem.Listen("other-version")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	hello := append(wire.AppendMuxHeader(nil, 0), wire.Marshal(nil, &wire.Hello{Version: wire.Version + 1})...)
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				if c.Send(hello) != nil {
+					return
+				}
+				for {
+					if _, err := c.Recv(nil); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+
+	client := tn.space("client", nil)
+	for attempt := 1; attempt <= 2; attempt++ {
+		_, err := client.CallEndpoint(l.Endpoint(), wire.AgentIndex, "Null")
+		if !errors.Is(err, transport.ErrClosed) {
+			t.Fatalf("call %d: %v, want a failed session", attempt, err)
+		}
+		for _, want := range []string{fmt.Sprint("version ", wire.Version), fmt.Sprint("version ", wire.Version+1)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("call %d failed with %q, which does not name %s", attempt, err, want)
+			}
+		}
+		if got := client.metrics.SessionHelloRejected.Load(); got != uint64(attempt) {
+			t.Fatalf("after call %d netobj_session_hello_rejected_total = %d", attempt, got)
+		}
+		if got := client.metrics.PoolMisses.Load(); got != uint64(attempt) {
+			t.Fatalf("after call %d the pool had dialed %d times", attempt, got)
+		}
 	}
 }

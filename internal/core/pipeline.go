@@ -22,10 +22,9 @@ import (
 // calls name the promise (as receiver or argument) instead of awaiting
 // it, so a K-deep dependent chain costs one round trip: every PipeCall
 // frame travels together and the owner chains them locally against its
-// per-session completion table. Against a peer that never advertised
-// wire.CapPipeline the same API degrades to sequential round trips — each
-// dependent call awaits its dependency before going to the wire — so
-// callers need not care which kind of peer they talk to.
+// per-session completion table. A promise with no session behind it — an
+// owner-local receiver's, or a FailedPromise — chains by resolve-then-call
+// instead: the dependent call awaits it before going anywhere.
 
 // Promise is the client's handle on the result of a pipelined call. It
 // resolves when the owner's PromiseResolve frame arrives, when the chain
@@ -38,7 +37,7 @@ type Promise struct {
 	method string
 
 	// sess and id place the promise on one mux session; both are zero for
-	// fallback promises, which resolve through an ordinary sequential call.
+	// a promise that never went to the wire (local receiver, FailedPromise).
 	sess      *transport.Session
 	endpoints []string
 	id        uint64
@@ -150,7 +149,7 @@ func (p *Promise) firstVal() (any, error) {
 }
 
 // firstRef returns the promise's first result as a network reference, for
-// chaining a dependent call through the sequential fallback.
+// chaining a dependent call on a session-less promise.
 func (p *Promise) firstRef() (*Ref, error) {
 	v, err := p.firstVal()
 	if err != nil {
@@ -219,24 +218,6 @@ func (sp *Space) pipePending() int {
 // heals and in-flight chains settle, it must return to zero.
 func (sp *Space) PromisesPending() int { return sp.pipePending() }
 
-// pipeSession resolves the session and capability verdict for a pipelined
-// call to endpoints. ok is false when the call must take the sequential
-// fallback: pipelining disabled locally, or a peer that never advertised
-// the capability.
-func (sp *Space) pipeSession(ctx context.Context, endpoints []string) (s *transport.Session, ok bool, err error) {
-	if sp.opts.DisablePipeline {
-		return nil, false, nil
-	}
-	s, _, err = sp.pool.Session(ctx, endpoints)
-	if err != nil {
-		return nil, false, err
-	}
-	if s.PeerCaps(ctx.Done())&wire.CapPipeline == 0 {
-		return nil, false, nil
-	}
-	return s, true, nil
-}
-
 // pipeTarget names a pipelined call's receiver: an export-table index, or
 // the promise whose resolved value is the receiver.
 type pipeTarget struct {
@@ -249,9 +230,8 @@ type pipeTarget struct {
 // Promises from earlier pipelined calls on the same session — they travel
 // as promise ids and the owner substitutes the resolved values; a Promise
 // from another session (a third space) is awaited first and its value
-// substituted here, the resolve-then-call fallback. Issuing the call may
-// block briefly on first contact with a peer (dial and capability
-// exchange), never for a full call round trip.
+// substituted here. Issuing the call may block briefly on first contact
+// with a peer (the dial), never for a round trip.
 func (r *Ref) PipeCall(ctx context.Context, method string, args ...any) *Promise {
 	sp := r.sp
 	p := newPromise(sp, method, nil)
@@ -266,13 +246,9 @@ func (r *Ref) PipeCall(ctx context.Context, method string, args ...any) *Promise
 		p.resolve(nil, nil, err)
 		return p
 	}
-	s, ok, err := sp.pipeSession(ctx, r.endpoints)
+	s, _, err := sp.pool.Session(ctx, r.endpoints)
 	if err != nil {
 		p.resolve(nil, nil, err)
-		return p
-	}
-	if !ok {
-		sp.pipeFallback(ctx, p, nil, r, method, args)
 		return p
 	}
 	sp.startPipeCall(ctx, p, s, r.endpoints, pipeTarget{obj: r.key.Index}, 0, args, nil)
@@ -280,15 +256,15 @@ func (r *Ref) PipeCall(ctx context.Context, method string, args ...any) *Promise
 }
 
 // PipeCall issues a dependent pipelined call whose receiver is this
-// promise's (possibly still unresolved) result. On a pipelined session
-// the call ships immediately, naming the promise id; through the
-// sequential fallback it awaits the parent and calls the resulting
+// promise's (possibly still unresolved) result. The call ships
+// immediately on the promise's session, naming the promise id; on a
+// session-less promise it awaits the parent and calls the resulting
 // reference.
 func (p *Promise) PipeCall(ctx context.Context, method string, args ...any) *Promise {
 	sp := p.sp
 	child := newPromise(sp, method, nil)
 	if p.sess == nil {
-		sp.pipeFallback(ctx, child, p, nil, method, args)
+		sp.chainResolved(ctx, child, p, method, args)
 		return child
 	}
 	sp.startPipeCall(ctx, child, p.sess, p.endpoints, pipeTarget{targetPromise: p.id}, 0, args, nil)
@@ -313,17 +289,9 @@ func (r *Ref) InvokeTypedPipe(ctx context.Context, method string, fingerprint ui
 		p.resolve(nil, nil, err)
 		return p
 	}
-	s, ok, err := sp.pipeSession(ctx, r.endpoints)
+	s, _, err := sp.pool.Session(ctx, r.endpoints)
 	if err != nil {
 		p.resolve(nil, nil, err)
-		return p
-	}
-	if !ok {
-		sp.metrics.PipelineFallbacks.Inc()
-		go func() {
-			vals, err := r.InvokeTypedCtx(ctx, method, fingerprint, args, resultTypes)
-			p.resolve(nil, vals, err)
-		}()
 		return p
 	}
 	sp.startPipeCall(ctx, p, s, r.endpoints, pipeTarget{obj: r.key.Index}, fingerprint, nil, args)
@@ -371,22 +339,17 @@ func awaitLocalArgs(ctx context.Context, args []any) []any {
 	return out
 }
 
-// pipeFallback resolves a promise through sequential round trips: await
-// the parent promise (if any) and every promise argument, then perform an
-// ordinary dynamic call. Used against legacy peers and for chains whose
-// parent already took the fallback.
-func (sp *Space) pipeFallback(ctx context.Context, p *Promise, parent *Promise, target *Ref, method string, args []any) {
+// chainResolved chains a dynamic call on a promise that has no session
+// for the owner to chain against: await the parent and every promise
+// argument, then call the reference the parent resolved to.
+func (sp *Space) chainResolved(ctx context.Context, p *Promise, parent *Promise, method string, args []any) {
 	sp.metrics.PipelineFallbacks.Inc()
 	go func() {
-		ref := target
-		if parent != nil {
-			<-parent.done
-			r, err := parent.firstRef()
-			if err != nil {
-				p.resolve(nil, nil, brokenError("dependency of "+method+" failed", err))
-				return
-			}
-			ref = r
+		<-parent.done
+		ref, err := parent.firstRef()
+		if err != nil {
+			p.resolve(nil, nil, brokenError("dependency of "+method+" failed", err))
+			return
 		}
 		resolved := make([]any, len(args))
 		for i, a := range args {
@@ -640,9 +603,7 @@ func (p *Promise) exchangePipe(st *transport.Stream, call *wire.PipeCall, sessio
 // acknowledgement — it returns once the frame is on the wire. One-way
 // calls to one peer execute in issue order relative to each other, and a
 // pipelined call issued afterwards observes their effects (its Barrier
-// fences on them); delivery is best-effort beyond that. Against a peer
-// without the pipeline capability it degrades to an ordinary call whose
-// result is discarded.
+// fences on them); delivery is best-effort beyond that.
 func (r *Ref) OneWay(method string, args ...any) error {
 	return r.OneWayCtx(context.Background(), method, args...)
 }
@@ -659,13 +620,8 @@ func (r *Ref) OneWayCtx(ctx context.Context, method string, args ...any) error {
 	if _, err := sp.imports.Use(r.key); err != nil {
 		return err
 	}
-	s, ok, err := sp.pipeSession(ctx, r.endpoints)
+	s, _, err := sp.pool.Session(ctx, r.endpoints)
 	if err != nil {
-		return err
-	}
-	if !ok {
-		sp.metrics.PipelineFallbacks.Inc()
-		_, err := sp.dynamicCall(ctx, r.endpoints, r.key.Index, method, args)
 		return err
 	}
 	session := sp.getCallSession()

@@ -346,54 +346,41 @@ func TestOneWayThenTwoWayOrdering(t *testing.T) {
 	}
 }
 
-func TestPipeFallbackLegacyPeer(t *testing.T) {
-	// The owner runs with pipelining disabled (a stand-in for a legacy
-	// build): the client's pipelined API degrades to sequential round
-	// trips with identical results.
+// TestPipeChainOnSessionlessPromise pins the one place resolve-then-call
+// survives: a promise that never went to the wire — an owner-local
+// receiver's, or a FailedPromise — has no session for an owner to chain
+// against, so a call chained on it awaits it and calls what it resolved to.
+func TestPipeChainOnSessionlessPromise(t *testing.T) {
 	tn := newTestNet(t)
-	owner := tn.space("owner", func(o *Options) { o.DisablePipeline = true })
-	client := tn.space("client", nil)
+	back := tn.space("back", nil)
+	front := tn.space("front", nil)
 
-	ref, _ := owner.Export(&counter{})
-	cref := handoff(t, ref, client)
+	tail, err := back.Export(&chainNode{name: "tail"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := front.Export(&chainNode{name: "head", next: handoff(t, tail, front)})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	ctx := context.Background()
-	vals, err := cref.PipeCall(ctx, "Incr", int64(3)).Await(ctx)
+	vals, err := head.PipeCall(ctx, "Next").PipeCall(ctx, "Name").Await(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vals[0].(int64) != 3 {
-		t.Fatalf("fallback pipelined call = %v", vals)
+	if vals[0].(string) != "tail" {
+		t.Fatalf("chain on a local promise resolved to %v", vals)
 	}
-	if got := client.metrics.PipelineFallbacks.Load(); got == 0 {
-		t.Fatal("fallback not counted")
+	if got := front.metrics.PipelineFallbacks.Load(); got != 1 {
+		t.Fatalf("netobj_pipeline_fallbacks_total = %d, want the one chained call", got)
 	}
 
-	// Chains degrade too: the parent is awaited, then the child called.
-	const k = 3
-	root := buildChain(t, owner, client, k)
-	p := root.PipeCall(ctx, "Next")
-	for i := 1; i < k; i++ {
-		p = p.PipeCall(ctx, "Next")
-	}
-	nv, err := p.PipeCall(ctx, "Name").Await(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nv[0].(string) != fmt.Sprintf("node%d", k) {
-		t.Fatalf("fallback chain resolved to %v", nv)
-	}
-
-	// One-way degrades to a discarded ordinary call.
-	if err := cref.OneWay("Incr", int64(1)); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cref.Call("Value")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].(int64) != 4 {
-		t.Fatalf("counter after fallback one-way = %v", got)
+	boom := errors.New("lookup failed")
+	_, err = front.FailedPromise("Lookup", boom).PipeCall(ctx, "Name").Await(ctx)
+	var ce *CallError
+	if !errors.As(err, &ce) || ce.Status != wire.StatusPromiseBroken || !errors.Is(err, boom) {
+		t.Fatalf("chain on a failed promise: %v, want a broken promise wrapping the cause", err)
 	}
 }
 

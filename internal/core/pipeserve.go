@@ -27,7 +27,7 @@ type pipeInbound struct {
 
 // pipeInboundFor returns the session's serve-side pipelining state,
 // creating it on first use. Creation is lazy because a pipelined frame
-// can be dispatched before serveMux finishes registering the session.
+// can be dispatched before serveConn finishes registering the session.
 func (sp *Space) pipeInboundFor(s *transport.Session) *pipeInbound {
 	sp.pipeMu.Lock()
 	defer sp.pipeMu.Unlock()

@@ -62,119 +62,29 @@ func (sp *Space) acceptLoop(l transport.Listener) {
 	}
 }
 
-// serveConn handles one inbound connection. It starts in the legacy
-// lock-step mode — one request/response exchange at a time — and switches
-// the connection permanently into multiplexed session mode on the first
-// frame carrying a mux envelope. The envelope is self-identifying, so no
-// handshake or version negotiation is needed and pre-mux peers keep
-// working. Inbound connections are watched so Close can unblock their
-// reads.
+// serveConn runs one inbound connection as a multiplexed session: every
+// stream the peer opens is dispatched concurrently by serveStream, and
+// responses leave in completion order — a slow method blocks neither the
+// collector traffic nor faster calls sharing the link. It returns once the
+// session has died, or the space has closed, and every dispatch has
+// finished.
 func (sp *Space) serveConn(c transport.Conn) {
 	defer sp.wg.Done()
-	defer c.Close()
-
-	// Unblock the read when the space closes.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-sp.closedCh:
-			_ = c.Close()
-		case <-stop:
-		}
-	}()
-
-	var buf []byte
-	for {
-		frame, err := c.Recv(buf)
-		if err != nil {
-			return
-		}
-		buf = frame
-		if wire.IsMux(frame) {
-			// The peer runs sessions on this connection; hand it over.
-			// serveMux blocks until the session dies, keeping the
-			// close-watcher above on duty for the whole session life.
-			sp.serveMux(c, frame)
-			return
-		}
-		sp.metrics.BytesRecv.Add(uint64(len(frame)))
-		if wire.PeekOp(frame) == wire.OpCall {
-			// The hot path decodes into a pooled frame instead of letting
-			// Unmarshal allocate a fresh one per call.
-			call := callPool.Get().(*wire.Call)
-			err := wire.UnmarshalInto(frame, call)
-			if err != nil {
-				sp.log.Debug("protocol error on inbound connection", "peer", c.RemoteLabel(), "err", err)
-				putCall(call)
-				return
-			}
-			ok := sp.handleCall(c, call)
-			putCall(call)
-			if !ok {
-				return
-			}
-			continue
-		}
-		msg, err := wire.Unmarshal(frame)
-		if err != nil {
-			sp.log.Debug("protocol error on inbound connection", "peer", c.RemoteLabel(), "err", err)
-			return
-		}
-		var reply wire.Message
-		switch m := msg.(type) {
-		case *wire.Dirty:
-			reply = sp.handleDirty(m)
-		case *wire.Clean:
-			reply = sp.handleClean(m)
-		case *wire.CleanBatch:
-			reply = sp.handleCleanBatch(m)
-		case *wire.Ping:
-			sp.metrics.PingsServed.Inc()
-			if sp.tracer != nil {
-				sp.tracer.Emit(obs.Event{Kind: obs.EvPingRecv, Time: time.Now(), Peer: m.From.String()})
-			}
-			reply = &wire.PingAck{From: sp.id}
-		case *wire.Lease:
-			reply = sp.handleLease(m)
-		case *wire.CycleQuery:
-			reply = sp.handleCycleQuery(m)
-		case *wire.CycleCollect:
-			reply = sp.handleCycleCollect(m)
-		case *wire.CancelCall:
-			reply = sp.handleCancel(m)
-		default:
-			sp.log.Debug("unexpected message", "op", msg.Op().String(), "peer", c.RemoteLabel())
-			return
-		}
-		if err := sp.sendReply(c, reply); err != nil {
-			return
-		}
-	}
-}
-
-// serveMux runs one inbound connection as a multiplexed session: every
-// stream the peer opens is dispatched concurrently by serveStream, and
-// responses leave in completion order — a slow method no longer blocks
-// the collector traffic or faster calls sharing the link. It returns once
-// the session dies and every dispatch has finished.
-func (sp *Space) serveMux(c transport.Conn, first []byte) {
-	// The first frame aliases serveConn's receive buffer; copy it so the
-	// session owns its preread input outright.
-	preread := append([]byte(nil), first...)
 	s := transport.NewSession(c, transport.SessionOptions{
-		Preread:     preread,
 		Accept:      sp.serveStream,
 		Flow:        sp.flowParams(),
 		Metrics:     sp.metrics,
-		NoPipeline:  sp.opts.DisablePipeline,
 		LocalSpace:  sp.id,
 		OnKeepalive: sp.keepaliveRenewed,
 	})
 	sp.mu.Lock()
 	sp.muxServers[s] = struct{}{}
 	sp.mu.Unlock()
-	<-s.Done()
+	select {
+	case <-s.Done():
+	case <-sp.closedCh:
+		_ = s.Close()
+	}
 	s.Wait()
 	sp.mu.Lock()
 	delete(sp.muxServers, s)
@@ -261,7 +171,9 @@ func (sp *Space) handleDirty(m *wire.Dirty) *wire.DirtyAck {
 	// was meant for an earlier incarnation at this endpoint. Refusing it
 	// here is what keeps a delayed or retried registration from attaching
 	// a client to whatever unrelated object now occupies the same index.
-	if m.Owner != 0 && m.Owner != sp.id {
+	// Every sender addresses its collector messages, so zero is refused
+	// like any other mismatch.
+	if m.Owner != sp.id {
 		sp.metrics.StaleRejected.Inc()
 		return &wire.DirtyAck{Status: wire.StatusNoSuchObject,
 			Err: fmt.Sprintf("dirty call addressed to space %v; this endpoint now serves %v", m.Owner, sp.id)}
@@ -284,7 +196,7 @@ func (sp *Space) handleLease(m *wire.Lease) *wire.LeaseAck {
 	// A renewal addressed to a dead incarnation must fail: this space
 	// holds none of the client's dirty entries, and an OK here would let
 	// the client believe its (vanished) registrations stay covered.
-	if m.Owner != 0 && m.Owner != sp.id {
+	if m.Owner != sp.id {
 		sp.metrics.StaleRejected.Inc()
 		return &wire.LeaseAck{Status: wire.StatusNoSuchObject}
 	}
@@ -312,7 +224,7 @@ func (sp *Space) handleClean(m *wire.Clean) *wire.CleanAck {
 	// larger Seq and cancel a live registration at the same index. The
 	// addressee's dirty sets died with it, so the clean is acknowledged
 	// as done — exactly like a clean for an absent entry.
-	if m.Owner != 0 && m.Owner != sp.id {
+	if m.Owner != sp.id {
 		sp.metrics.StaleRejected.Inc()
 		return &wire.CleanAck{Status: wire.StatusOK}
 	}
@@ -333,7 +245,7 @@ func (sp *Space) handleCleanBatch(m *wire.CleanBatch) *wire.CleanAck {
 		}
 	}
 	// Same incarnation check as handleClean, applied to the whole batch.
-	if m.Owner != 0 && m.Owner != sp.id {
+	if m.Owner != sp.id {
 		sp.metrics.StaleRejected.Inc()
 		return &wire.CleanAck{Status: wire.StatusOK}
 	}
@@ -378,9 +290,8 @@ func (sp *Space) callContext(call *wire.Call) (context.Context, context.CancelFu
 
 // handleCall dispatches one remote invocation and sends its Result. When
 // the result carries network references it waits for the caller's
-// ResultAck before releasing the transient dirty entries. It reports
-// whether the connection is still usable.
-func (sp *Space) handleCall(c transport.Conn, call *wire.Call) bool {
+// ResultAck before releasing the transient dirty entries.
+func (sp *Space) handleCall(c transport.Conn, call *wire.Call) {
 	sp.metrics.CallsServed.Inc()
 	start := time.Now()
 	if sp.tracer != nil {
@@ -444,10 +355,10 @@ func (sp *Space) handleCall(c transport.Conn, call *wire.Call) bool {
 	session.waitPending()
 	if err := sp.sendReply(c, res); err != nil {
 		session.unpinAll()
-		return false
+		return
 	}
 	if !res.NeedAck {
-		return true
+		return
 	}
 	// Wait for the caller to confirm it has registered the returned
 	// references; bound the wait so a dead caller cannot pin the entries
@@ -455,16 +366,11 @@ func (sp *Space) handleCall(c transport.Conn, call *wire.Call) bool {
 	// made during unmarshaling, or were never created).
 	sp.metrics.ResultAcksWaited.Inc()
 	_ = c.SetDeadline(time.Now().Add(sp.opts.CallTimeout))
-	ok := false
 	if frame, err := c.Recv(nil); err == nil {
 		sp.metrics.BytesRecv.Add(uint64(len(frame)))
-		if msg, err := wire.Unmarshal(frame); err == nil {
-			_, ok = msg.(*wire.ResultAck)
-		}
 	}
 	_ = c.SetDeadline(time.Time{})
 	session.unpinAll()
-	return ok
 }
 
 // cancelResult renders an alerted or expired serving context into res.

@@ -25,7 +25,7 @@ func TestSessionSubsumesPings(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The call's round trip guarantees the owner has processed the
-	// client's PeerHello on the inbound session.
+	// client's hello on the inbound session.
 	if _, err := cref.Call("Incr", int64(1)); err != nil {
 		t.Fatal(err)
 	}

@@ -85,14 +85,12 @@ type SessionInfo struct {
 	// BytesSent and BytesRecv count wire bytes through the session.
 	BytesSent uint64
 	BytesRecv uint64
-	// Flow summarizes the session's flow-control state: "off" when the
-	// session predates or disabled flow control, "wait" while the peer's
-	// capability hello is pending, "on" against a confirmed flow peer.
-	Flow string
+	// Hello is the peer's side of the handshake: "pending" until its hello
+	// arrives, then its protocol version and space id.
+	Hello string
 	// SendWindow is the remaining session-level send credit in bytes and
 	// QueuedBytes the data queued awaiting credit or the chunk pump;
-	// Stalls counts pump stalls for lack of credit. Zero when Flow is
-	// "off".
+	// Stalls counts pump stalls for lack of credit.
 	SendWindow  int64
 	QueuedBytes int64
 	Stalls      uint64
@@ -100,18 +98,6 @@ type SessionInfo struct {
 	// session: outstanding client-side promises for outbound sessions,
 	// unresolved completion-table entries for inbound ones.
 	Promises int
-}
-
-// FlowLabel renders a session's flow-control state for the debug page.
-func FlowLabel(enabled, peer bool) string {
-	switch {
-	case !enabled:
-		return "off"
-	case !peer:
-		return "wait"
-	default:
-		return "on"
-	}
 }
 
 // Observability bundles everything one space exposes to operators: its

@@ -123,12 +123,12 @@ func (o *Observability) serveDebug(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "<h2>peer sessions (%d links)</h2>\n", len(d.Sessions))
 	fmt.Fprint(w, "<table><tr><th>peer</th><th>dir</th><th>in-flight</th>"+
 		"<th>queue</th><th>bytes sent</th><th>bytes recv</th>"+
-		"<th>flow</th><th>send window</th><th>queued</th><th>stalls</th></tr>\n")
+		"<th>hello</th><th>send window</th><th>queued</th><th>stalls</th></tr>\n")
 	for _, s := range d.Sessions {
 		fmt.Fprintf(w, "<tr><td>%s</td><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td>"+
 			"<td>%s</td><td>%d</td><td>%d</td><td>%d</td></tr>\n",
 			esc(s.Endpoint), esc(s.Dir), s.InFlight, s.QueueDepth, s.BytesSent, s.BytesRecv,
-			esc(s.Flow), s.SendWindow, s.QueuedBytes, s.Stalls)
+			esc(s.Hello), s.SendWindow, s.QueuedBytes, s.Stalls)
 	}
 	fmt.Fprint(w, "</table>\n")
 

@@ -269,7 +269,7 @@ func TestHandlerEndpoints(t *testing.T) {
 				}},
 				Imports: []ImportInfo{{Owner: "cafe", Index: 9, State: "OK", Pins: 0}},
 				Sessions: []SessionInfo{{
-					Endpoint: "tcp:127.0.0.1:2", Dir: "out", InFlight: 1, Flow: "on",
+					Endpoint: "tcp:127.0.0.1:2", Dir: "out", InFlight: 1, Hello: "v1 cafe",
 				}},
 			}
 		},
@@ -310,7 +310,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	debug := get("/debug/netobj")
 	for _, want := range []string{
 		"testspace", "export table", "import table", "dirty set",
-		"cafe (seq 3", "peer sessions", "agent", "3 names bound",
+		"cafe (seq 3", "peer sessions", "<th>hello</th>", "v1 cafe", "agent", "3 names bound",
 		"recent events", "dirty.recv", "metrics digest",
 		"&lt;script&gt;", // HTML-escaped type name
 	} {

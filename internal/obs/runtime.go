@@ -82,7 +82,7 @@ type Metrics struct {
 	PipelineResolved  *Counter
 	PipelineBroken    *Counter
 	PipelineChained   *Counter
-	PipelineFallbacks *Counter
+	PipelineFallbacks *Counter // retained for bench; removed with core.fallbacks by a benchmark issue
 	OneWaysSent       *Counter
 	OneWaysServed     *Counter
 
@@ -91,7 +91,8 @@ type Metrics struct {
 	FlowWindowUpdatesSent *Counter
 	FlowWindowUpdatesRecv *Counter
 	FlowWriterStalls      *Counter
-	FlowFallbacks         *Counter
+	FlowFallbacks         *Counter // retained for bench; removed with core.fallbacks by a benchmark issue
+	SessionHelloRejected  *Counter
 	KeepalivePingsSent    *Counter
 	KeepalivePongsRecv    *Counter
 	KeepaliveFailures     *Counter
@@ -186,7 +187,7 @@ func NewMetrics() *Metrics {
 		PipelineResolved:  r.Counter("netobj_pipeline_resolved_total", "Promises resolved successfully."),
 		PipelineBroken:    r.Counter("netobj_pipeline_broken_total", "Promises broken: a dependency failed or the session died."),
 		PipelineChained:   r.Counter("netobj_pipeline_chained_total", "Pipelined calls served whose receiver or arguments were unresolved promises."),
-		PipelineFallbacks: r.Counter("netobj_pipeline_fallbacks_total", "Pipelined calls degraded to sequential round trips (legacy peer or non-mux link)."),
+		PipelineFallbacks: r.Counter("netobj_pipeline_fallbacks_total", "Calls chained on a promise that has no session (an owner-local receiver or a failed promise): resolved, then called."),
 		OneWaysSent:       r.Counter("netobj_oneway_sent_total", "One-way calls issued by this space."),
 		OneWaysServed:     r.Counter("netobj_oneway_served_total", "One-way calls executed by this space."),
 
@@ -194,7 +195,8 @@ func NewMetrics() *Metrics {
 		FlowWindowUpdatesSent: r.Counter("netobj_flow_window_updates_sent_total", "Flow-control credit grants sent to peers."),
 		FlowWindowUpdatesRecv: r.Counter("netobj_flow_window_updates_recv_total", "Flow-control credit grants received from peers."),
 		FlowWriterStalls:      r.Counter("netobj_flow_writer_stalls_total", "Times a session writer had data queued but no credit to send it."),
-		FlowFallbacks:         r.Counter("netobj_flow_fallbacks_total", "Large sends that fell back to a single unchunked frame because the peer never advertised flow support."),
+		FlowFallbacks:         r.Counter("netobj_flow_fallbacks_total", "Never incremented: the unchunked fallback is gone. Retained for bench."),
+		SessionHelloRejected:  r.Counter("netobj_session_hello_rejected_total", "Sessions failed because the peer's first frame was not a hello of our protocol version."),
 		KeepalivePingsSent:    r.Counter("netobj_keepalive_pings_sent_total", "Session keepalive probes sent."),
 		KeepalivePongsRecv:    r.Counter("netobj_keepalive_pongs_recv_total", "Session keepalive probe answers received."),
 		KeepaliveFailures:     r.Counter("netobj_keepalive_failures_total", "Sessions failed because the peer went silent past the keepalive allowance."),

@@ -51,11 +51,11 @@ func eventually(t *testing.T, what string, cond func() bool) {
 
 // TestPeerHelloIdentity pins the self-identification mechanism the
 // collector's session-subsumed liveness rests on: each side advertises
-// its space id in a stream-0 PeerHello, the other end reports it through
-// PeerSpace, and KeepaliveHealthy turns true once the peer's capability
-// hello confirms an answering keepalive. Space.sessionAlive requires
-// both — identity is what stops a reborn process at the same endpoint
-// from standing in for the space it replaced.
+// its space id in its hello (Hello.Space), the other end reports it
+// through PeerSpace, and KeepaliveHealthy turns true once that hello has
+// arrived on a session with keepalives running. Space.sessionAlive
+// requires both — identity is what stops a reborn process at the same
+// endpoint from standing in for the space it replaced.
 func TestPeerHelloIdentity(t *testing.T) {
 	client, server := identityPair(t, wire.SpaceID(7), wire.SpaceID(9))
 	eventually(t, "identities to propagate", func() bool {

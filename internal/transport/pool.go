@@ -22,9 +22,8 @@ type Pool struct {
 	metrics *obs.Metrics
 	tracer  obs.Tracer
 	flow    *flow.Params
-	noPipe  bool
 	// localSpace is the space identity new sessions advertise in their
-	// PeerHello (zero: no advertisement).
+	// hello (zero: anonymous).
 	localSpace wire.SpaceID
 	// onKeepalive is handed to new sessions (see
 	// SessionOptions.OnKeepalive).
@@ -62,25 +61,15 @@ func (p *Pool) SetObserver(m *obs.Metrics, t obs.Tracer) {
 }
 
 // SetFlow installs the flow-control parameters new outbound sessions are
-// created with. Nil (the default) disables flow control: sessions behave
-// exactly as before the subsystem existed.
+// created with. Nil (the default) means the package defaults.
 func (p *Pool) SetFlow(fp *flow.Params) {
 	p.mu.Lock()
 	p.flow = fp
 	p.mu.Unlock()
 }
 
-// SetPipeline configures pipelining for new outbound sessions: noPipe
-// suppresses the capability advertisement (peers then treat this side as
-// a legacy, sequential client).
-func (p *Pool) SetPipeline(noPipe bool) {
-	p.mu.Lock()
-	p.noPipe = noPipe
-	p.mu.Unlock()
-}
-
 // SetLocalSpace installs the space identity new outbound sessions
-// advertise on stream 0, letting peers fold their collector liveness
+// advertise in their hello, letting peers fold their collector liveness
 // traffic for this space onto the session keepalives.
 func (p *Pool) SetLocalSpace(id wire.SpaceID) {
 	p.mu.Lock()
@@ -197,9 +186,9 @@ func (p *Pool) Session(ctx context.Context, endpoints []string) (*Session, strin
 		t.Emit(obs.Event{Kind: obs.EvPoolMiss, Time: time.Now(), Key: ep, Dur: dial})
 	}
 	p.mu.Lock()
-	fp, noPipe, ls, oka := p.flow, p.noPipe, p.localSpace, p.onKeepalive
+	fp, ls, oka := p.flow, p.localSpace, p.onKeepalive
 	p.mu.Unlock()
-	slot.s = NewSession(c, SessionOptions{Flow: fp, Metrics: m, NoPipeline: noPipe, LocalSpace: ls, OnKeepalive: oka})
+	slot.s = NewSession(c, SessionOptions{Flow: fp, Metrics: m, LocalSpace: ls, OnKeepalive: oka})
 	slot.ep = ep
 	return slot.s, ep, nil
 }
@@ -273,7 +262,7 @@ func (p *Pool) SessionsSnapshot(promises func(*Session) int) []obs.SessionInfo {
 			QueueDepth:  st.QueueDepth,
 			BytesSent:   st.BytesSent,
 			BytesRecv:   st.BytesRecv,
-			Flow:        obs.FlowLabel(st.FlowEnabled, st.PeerFlow),
+			Hello:       st.Hello,
 			SendWindow:  st.SendWindow,
 			QueuedBytes: st.FlowQueued,
 			Stalls:      st.FlowStalls,

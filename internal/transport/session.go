@@ -47,29 +47,17 @@ type SessionOptions struct {
 	// the stream's last received frame, so Accept must not leave another
 	// goroutine reading it.
 	Accept func(*Stream)
-	// Preread is a frame already read off the connection before the
-	// session took over — the frame whose mux envelope made the receiver
-	// switch the connection into session mode. It is demultiplexed before
-	// any other inbound frame.
-	Preread []byte
-	// Flow, when non-nil, enables credit-based flow control, chunked
-	// large-payload streaming and keepalives for the session (see
-	// internal/flow). Zero fields take the package defaults. A nil Flow
-	// keeps the legacy mux-only behaviour; the two interoperate — flow
-	// frames are only sent to peers that advertised the capability.
+	// Flow sets the session's receive windows, chunk size and keepalive
+	// interval (see internal/flow). Zero fields, and a nil Flow, take the
+	// package defaults.
 	Flow *flow.Params
-	// Metrics, when non-nil, receives the session's flow-control and
-	// keepalive counters.
+	// Metrics, when non-nil, receives the session's handshake,
+	// flow-control and keepalive counters.
 	Metrics *obs.Metrics
-	// NoPipeline suppresses the PipeHello capability advertisement, making
-	// this endpoint look like a legacy peer: the other side falls back to
-	// sequential round trips. Used to gate pipelining off
-	// (Options.DisablePipeline) and to exercise the fallback in tests.
-	NoPipeline bool
-	// LocalSpace, when nonzero, is the space identity this endpoint
-	// advertises on stream 0 (wire.PeerHello). A peer that has identified
+	// LocalSpace is the space identity this endpoint advertises in its
+	// hello; zero is an anonymous endpoint. A peer that has identified
 	// itself lets the collector treat this session's health as proof of
-	// that space's liveness; legacy peers discard the hello harmlessly.
+	// that space's liveness.
 	LocalSpace wire.SpaceID
 	// OnKeepalive, when non-nil, is invoked with the peer's advertised
 	// space id on every keepalive exchange (inbound ping or pong) from an
@@ -88,8 +76,7 @@ type Session struct {
 	c      Conn
 	accept func(*Stream)
 
-	// flow is the session's flow-control state, nil when disabled. See
-	// session_flow.go.
+	// flow is the session's flow-control state. See session_flow.go.
 	flow *flowState
 
 	// wlock is the write lock: whoever has a token in this one-slot
@@ -102,12 +89,21 @@ type Session struct {
 	wlock chan struct{}
 	wwait atomic.Int32
 
-	// hellos are the session's first frames, left for the first holder of
-	// the write lock to send. wdog bounds a sender's physical write by its
-	// stream's deadline: it fails the session when it fires, the only thing
-	// that unblocks a write on a stalled link. Both belong to the holder.
-	hellos []*[]byte
-	wdog   *time.Timer
+	// hello is the session's first frame, left for the first holder of
+	// the write lock to send (nil once sent). wdog bounds a sender's
+	// physical write by its stream's deadline: it fails the session when it
+	// fires, the only thing that unblocks a write on a stalled link. Both
+	// belong to the holder.
+	hello []byte
+	wdog  *time.Timer
+
+	// version is the protocol version this endpoint speaks and demands:
+	// wire.Version outside the handshake tests. peer is the hello the peer
+	// opened with, nil until it arrives; helloCh closes when it does.
+	version   uint64
+	peer      atomic.Pointer[wire.Hello]
+	helloCh   chan struct{}
+	mRejected *obs.Counter
 
 	done chan struct{}
 
@@ -133,10 +129,6 @@ type Session struct {
 	promiseIDs atomic.Uint64
 	onewaySeq  atomic.Uint64
 
-	// peerSpace is the space id the peer advertised in its PeerHello
-	// (zero until it arrives; forever zero against legacy peers).
-	peerSpace atomic.Uint64
-
 	// onKeepalive, when non-nil, fires on keepalive exchanges with an
 	// identified peer (see SessionOptions.OnKeepalive).
 	onKeepalive func(wire.SpaceID)
@@ -155,123 +147,144 @@ type SessionStats struct {
 	// envelopes included.
 	BytesSent uint64
 	BytesRecv uint64
-	// FlowEnabled reports that the session was created with flow control;
-	// PeerFlow that the peer advertised the capability too (until then —
-	// or forever, against a legacy peer — large frames travel unchunked).
-	FlowEnabled bool
-	PeerFlow    bool
+	// Hello renders the peer's side of the handshake: "pending" until its
+	// hello arrives, then its protocol version and space id.
+	Hello string
 	// SendWindow is the remaining session-level send credit in bytes and
 	// FlowQueued the data bytes queued awaiting credit or the chunk pump;
 	// FlowStalls counts times the pump found data queued but nothing
-	// sendable for lack of credit. All zero on non-flow sessions.
+	// sendable for lack of credit.
 	SendWindow int64
 	FlowQueued int64
 	FlowStalls uint64
 }
 
-// NewSession wraps c in a session and starts its demux-reader goroutine
-// (plus the chunk pump and the keepalive loop on a flow-enabled session).
-// It does no I/O itself. The session owns c from here on: closing the
-// session closes the connection, and a connection error tears the session
-// down.
+// NewSession wraps c in a session and starts its demux reader, chunk pump
+// and keepalive loop. It does no I/O itself. The session owns c from here
+// on: closing the session closes the connection, and a connection error
+// tears the session down.
 func NewSession(c Conn, opts SessionOptions) *Session {
+	return newSession(c, opts, wire.Version)
+}
+
+func newSession(c Conn, opts SessionOptions, version uint64) *Session {
+	var p flow.Params
+	if opts.Flow != nil {
+		p = *opts.Flow
+	}
+	p = p.WithDefaults()
 	s := &Session{
 		c:           c,
 		accept:      opts.Accept,
+		flow:        newFlowState(p, opts.Metrics),
 		wlock:       make(chan struct{}, 1),
+		hello:       helloFrame(version, opts.LocalSpace, p),
+		version:     version,
+		helloCh:     make(chan struct{}),
 		done:        make(chan struct{}),
 		streams:     make(map[uint64]*Stream),
 		work:        make(chan *Stream),
 		onKeepalive: opts.OnKeepalive,
 	}
-	// Whoever first holds the write lock (on a flow session the pump, at
-	// once) sends the hellos ahead of its own frame, so they are the first
-	// frames: a receiving server switches into session mode on the first
-	// and a flow-enabled peer learns our capability as early as possible.
-	if opts.Flow != nil {
-		s.flow = newFlowState(opts.Flow.WithDefaults(), opts.Metrics)
-		s.hellos = append(s.hellos, s.flow.helloFrame())
-		if !opts.NoPipeline {
-			// Pipelining rides the same stream-0 hello mechanism; a
-			// separate message rather than new SessHello fields because
-			// the decoder rejects trailing bytes. Legacy peers ignore it.
-			s.hellos = append(s.hellos, s.flow.pipeHelloFrame(wire.CapPipeline|wire.CapBatch))
-		}
-		s.flow.wake()
+	if opts.Metrics != nil {
+		s.mRejected = opts.Metrics.SessionHelloRejected
 	}
-	if opts.LocalSpace != 0 {
-		// Identify ourselves on stream 0 so the peer's collector can fold
-		// its liveness traffic for us onto this session's keepalives. Sent
-		// even on flowless sessions: identity is orthogonal to flow, and
-		// like the other hellos it is discarded harmlessly by old peers.
-		s.hellos = append(s.hellos, peerHelloFrame(opts.LocalSpace))
-	}
-	if s.flow != nil {
+	// Whoever first holds the write lock — the pump, woken at once — sends
+	// the hello ahead of its own frame, so it is the first frame the peer
+	// sees, as the peer demands.
+	s.flow.wake()
+	s.loops.Add(1)
+	go s.pumpLoop()
+	if s.flow.ka != nil {
 		s.loops.Add(1)
-		go s.pumpLoop()
-		if s.flow.ka != nil {
-			s.loops.Add(1)
-			go s.keepaliveLoop()
-		}
+		go s.keepaliveLoop()
 	}
 	// The reader starts last: a go statement can cost its caller a thread
 	// start, and a server wants the session on its books before it serves.
 	s.loops.Add(1)
-	go s.readLoop(opts.Preread)
+	go s.readLoop()
 	return s
 }
 
-// peerHelloFrame builds the space-identity advertisement, mux-wrapped on
-// stream 0 like the capability hellos.
-func peerHelloFrame(id wire.SpaceID) *[]byte {
-	inner := wire.Marshal(nil, &wire.PeerHello{Space: id})
-	bp := wire.GetBuf()
-	*bp = append(wire.AppendMuxHeader((*bp)[:0], 0), inner...)
-	return bp
+// HelloFrame builds the frame that opens a session, for an endpoint of
+// the given space (zero: anonymous) receiving under p: a wire.Hello of
+// this tree's protocol version, mux-wrapped on stream 0.
+func HelloFrame(space wire.SpaceID, p flow.Params) []byte {
+	return helloFrame(wire.Version, space, p.WithDefaults())
 }
 
-// onStream0 handles one stream-0 control message: the peer-identity
-// hello lands in the session itself, everything else belongs to the flow
-// state. Unknown future control messages are ignored, not failed — that
-// forward-compatibility rule is what lets the hello set grow at all.
-func (s *Session) onStream0(payload []byte) {
-	if wire.PeekOp(payload) == wire.OpPeerHello {
-		if msg, err := wire.Unmarshal(payload); err == nil {
-			if ph, ok := msg.(*wire.PeerHello); ok {
-				s.peerSpace.Store(uint64(ph.Space))
-			}
-		}
-		return
+func helloFrame(version uint64, space wire.SpaceID, p flow.Params) []byte {
+	return append(wire.AppendMuxHeader(nil, 0), wire.Marshal(nil, &wire.Hello{
+		Version:       version,
+		Space:         space,
+		StreamWindow:  uint64(p.StreamWindow),
+		SessionWindow: uint64(p.SessionWindow),
+		ChunkSize:     uint64(p.ChunkSize),
+	})...)
+}
+
+// onHello checks the first inbound frame, which must be a hello of our
+// version, and adopts the peer's identity and windows.
+func (s *Session) onHello(frame []byte) error {
+	var h wire.Hello
+	id, payload, err := wire.SplitMux(frame)
+	if err == nil && id == 0 {
+		err = wire.UnmarshalInto(payload, &h)
 	}
-	if s.flow != nil {
-		s.flow.onHello(payload)
+	if err != nil || id != 0 {
+		return fmt.Errorf("transport: first frame (%v) is not a version %d hello", wire.PeekOp(frame), s.version)
 	}
+	if h.Version != s.version {
+		return fmt.Errorf("transport: peer speaks protocol version %d, this endpoint speaks version %d", h.Version, s.version)
+	}
+	s.flow.adopt(&h)
+	s.peer.Store(&h)
+	close(s.helloCh)
+	return nil
+}
+
+// rejectHello fails the session over the peer's first frame. Our own
+// hello goes out first if no sender has taken it along yet, so that the
+// peer can name the mismatch too instead of seeing the link drop.
+func (s *Session) rejectHello(cause error) {
+	s.mRejected.Inc()
+	t := time.NewTimer(writeStallGrace)
+	defer t.Stop()
+	select {
+	case s.wlock <- struct{}{}:
+		_ = s.writePending()
+		s.unlockWrite()
+	case <-t.C: // the holder is stuck on a stalled link
+	case <-s.done:
+	}
+	s.fail(cause)
 }
 
 // PeerSpace reports the space id the peer advertised on this session,
-// or zero when the peer has not (yet) identified itself.
+// or zero when the peer is anonymous or has not said hello yet.
 func (s *Session) PeerSpace() wire.SpaceID {
-	return wire.SpaceID(s.peerSpace.Load())
+	if h := s.peer.Load(); h != nil {
+		return h.Space
+	}
+	return 0
 }
 
 // KeepaliveHealthy reports whether an active session keepalive is
-// currently confirming the peer: flow is on, the keepalive is running,
-// and the peer has answered within its miss budget. This is the strong
+// currently confirming the peer: the keepalive is running, the peer has
+// said hello and has answered within its miss budget. This is the strong
 // liveness signal collector traffic may be subsumed by — Healthy() alone
-// falls back to a connection probe, which cannot distinguish a hung peer
-// process from a live one.
+// cannot distinguish a hung peer process from a live one.
 func (s *Session) KeepaliveHealthy() bool {
 	select {
 	case <-s.done:
 		return false
 	default:
 	}
-	f := s.flow
-	return f != nil && f.ka != nil && f.peerOK.Load()
+	return s.flow.ka != nil && s.peer.Load() != nil
 }
 
 // notifyKeepalive fires the OnKeepalive callback for an identified peer.
-// Unidentified (legacy) peers have no space id to stamp a lease for.
+// Anonymous peers have no space id to stamp a lease for.
 func (s *Session) notifyKeepalive() {
 	if s.onKeepalive == nil {
 		return
@@ -281,7 +294,7 @@ func (s *Session) notifyKeepalive() {
 	}
 }
 
-// PokeKeepalive nudges an immediate keepalive probe onto a healthy flow
+// PokeKeepalive nudges an immediate keepalive probe onto a healthy
 // session, off the regular tick schedule, and reports whether one was
 // queued. The lease renewer uses it to fold a renewal into the keepalive
 // exchange: the pong's arrival stamps the peer's lease table without a
@@ -341,9 +354,7 @@ func (s *Session) fail(cause error) {
 	s.cause = cause
 	s.mu.Unlock()
 	close(s.done)
-	if s.flow != nil {
-		s.flow.sched.Fail(s.closeErr())
-	}
+	s.flow.sched.Fail(s.closeErr())
 	_ = s.c.Close()
 }
 
@@ -381,20 +392,16 @@ func (s *Session) closeErr() error {
 }
 
 // Healthy reports whether the session can still carry traffic, so a
-// session cache can decide between reuse and redial. On a flow-enabled
-// link with a confirmed flow peer, the session keepalive owns liveness —
-// a dead peer fails the session within two intervals — so the per-call
-// connection probe is retired; against a legacy peer it still runs.
+// session cache can decide between reuse and redial: it has not failed,
+// and its connection does not already know the peer is gone — which the
+// reader may be a moment from finding out.
 func (s *Session) Healthy() bool {
 	select {
 	case <-s.done:
 		return false
 	default:
+		return Healthy(s.c)
 	}
-	if f := s.flow; f != nil && f.ka != nil && f.peerOK.Load() {
-		return true
-	}
-	return Healthy(s.c)
 }
 
 // Label describes the session's peer for logs and the debug page.
@@ -414,38 +421,26 @@ func (s *Session) NextOneWaySeq() uint64 { return s.onewaySeq.Add(1) }
 // them.
 func (s *Session) OneWaysSent() uint64 { return s.onewaySeq.Load() }
 
-// PeerCaps reports the peer's advertised pipelining capability bits
-// (wire.CapPipeline, wire.CapBatch), blocking up to the hello grace on
-// first use when the verdict is not yet in. Returns 0 — sequential
-// fallback — on legacy peers, non-flow sessions, and dead sessions; the
-// grace expiry is sticky, so later calls decide instantly. cancel, when
-// non-nil, aborts the wait early (also reporting 0).
-func (s *Session) PeerCaps(cancel <-chan struct{}) uint64 {
-	if s.flow == nil {
-		return 0
-	}
-	return s.flow.waitCaps(cancel, s.done)
-}
-
 // Stats snapshots the session's load.
 func (s *Session) Stats() SessionStats {
 	s.mu.Lock()
 	inflight := len(s.streams)
 	s.mu.Unlock()
-	st := SessionStats{
+	hello := "pending"
+	if h := s.peer.Load(); h != nil {
+		hello = fmt.Sprintf("v%d %v", h.Version, h.Space)
+	}
+	f := s.flow
+	return SessionStats{
 		InFlight:   inflight,
 		QueueDepth: int(s.wwait.Load()),
 		BytesSent:  s.bytesSent.Load(),
 		BytesRecv:  s.bytesRecv.Load(),
+		Hello:      hello,
+		SendWindow: f.sched.SessAvail(),
+		FlowQueued: f.sched.QueuedBytes(),
+		FlowStalls: f.sched.Stalls(),
 	}
-	if f := s.flow; f != nil {
-		st.FlowEnabled = true
-		st.PeerFlow = f.peerOK.Load()
-		st.SendWindow = f.sched.SessAvail()
-		st.FlowQueued = f.sched.QueuedBytes()
-		st.FlowStalls = f.sched.Stalls()
-	}
-	return st
 }
 
 // lockWrite takes the write lock on behalf of st, waiting no longer than
@@ -531,21 +526,15 @@ func (s *Session) write(frame []byte) error {
 }
 
 // writePending sends what rides ahead of the lock holder's own frame: the
-// hellos on a new session, then the flow layer's pending protocol frames.
+// hello on a new session, then the flow layer's pending protocol frames.
 func (s *Session) writePending() error {
-	for len(s.hellos) > 0 {
-		bp := s.hellos[0]
-		s.hellos = s.hellos[1:]
-		err := s.write(*bp)
-		wire.PutBuf(bp)
-		if err != nil {
+	if frame := s.hello; frame != nil {
+		s.hello = nil
+		if err := s.write(frame); err != nil {
 			return err
 		}
 	}
-	if s.flow != nil {
-		return s.flow.writeControl(s)
-	}
-	return nil
+	return s.flow.writeControl(s)
 }
 
 // pumpLoop writes what has no sender to carry it: credit-gated data
@@ -585,26 +574,30 @@ func (s *Session) pumpLoop() {
 }
 
 // readLoop demultiplexes inbound frames to their streams by envelope id.
-// A frame for an unknown id either opens a server-side stream (Accept
-// installed) or is a late response to an abandoned exchange, dropped.
-func (s *Session) readLoop(preread []byte) {
+// The first frame must be the peer's hello. After it, a frame for an
+// unknown id either opens a server-side stream (Accept installed) or is a
+// late response to an abandoned exchange, dropped.
+func (s *Session) readLoop() {
 	defer s.loops.Done()
 	var scratch []byte
-	frame := preread
 	for {
-		if frame == nil {
-			var err error
-			frame, err = s.c.Recv(scratch)
-			if err != nil {
-				s.fail(err)
+		frame, err := s.c.Recv(scratch)
+		if err != nil {
+			s.fail(err)
+			return
+		}
+		scratch = frame
+		s.bytesRecv.Add(uint64(len(frame)))
+		if ka := s.flow.ka; ka != nil {
+			// Any inbound frame proves the peer alive.
+			ka.Touch(time.Now())
+		}
+		if s.peer.Load() == nil {
+			if err := s.onHello(frame); err != nil {
+				s.rejectHello(err)
 				return
 			}
-			scratch = frame
-		}
-		s.bytesRecv.Add(uint64(len(frame)))
-		if f := s.flow; f != nil && f.ka != nil {
-			// Any inbound frame proves the peer alive.
-			f.ka.Touch(time.Now())
+			continue
 		}
 		if wire.IsMux(frame) {
 			id, payload, err := wire.SplitMux(frame)
@@ -613,60 +606,24 @@ func (s *Session) readLoop(preread []byte) {
 				return
 			}
 			if id == 0 {
-				// Reserved session-control stream: the peer's identity or
-				// capability hello (or a future control message, ignored).
-				// Flow hellos are dropped when flow is disabled locally —
-				// the peer's grace fallback then treats us as a legacy
-				// link.
-				s.onStream0(payload)
-			} else {
-				s.dispatch(id, payload)
-			}
-			frame = nil
-			continue
-		}
-		if s.flow != nil && s.readFlowFrame(frame) {
-			frame = nil
-			continue
-		}
-		if wire.PeekOp(frame) == wire.OpBatch {
-			// A coalesced burst: process the sub-frames exactly as if
-			// they had arrived separately. Each is an ordinary mux frame
-			// (hellos and flow frames never ride the batched lane).
-			subs, err := wire.SplitBatch(frame)
-			if err != nil {
-				s.fail(fmt.Errorf("transport: bad batch frame on session: %w", err))
+				// Stream 0 carries the hello and nothing else.
+				s.fail(fmt.Errorf("transport: %v on stream 0 after the hello", wire.PeekOp(frame)))
 				return
 			}
-			for _, sub := range subs {
-				if !wire.IsMux(sub) {
-					s.fail(fmt.Errorf("transport: non-mux frame in batch (op %v)", wire.PeekOp(sub)))
-					return
-				}
-				id, payload, err := wire.SplitMux(sub)
-				if err != nil {
-					s.fail(fmt.Errorf("transport: bad mux frame in batch: %w", err))
-					return
-				}
-				if id == 0 {
-					s.onStream0(payload)
-				} else {
-					s.dispatch(id, payload)
-				}
-			}
-			frame = nil
+			s.dispatch(id, payload)
 			continue
 		}
-		// A bare frame on a multiplexed connection means the peer lost
-		// track of the protocol; nothing on this link can be trusted.
-		s.fail(fmt.Errorf("transport: unexpected frame on session (op %v)", wire.PeekOp(frame)))
-		return
+		if !s.readFlowFrame(frame) {
+			// A bare frame on a multiplexed connection means the peer lost
+			// track of the protocol; nothing on this link can be trusted.
+			s.fail(fmt.Errorf("transport: unexpected frame on session (op %v)", wire.PeekOp(frame)))
+			return
+		}
 	}
 }
 
 // readFlowFrame handles one naked flow frame, reporting whether the frame
-// was one. The peer only sends these after receiving our hello, so their
-// presence on a flow-enabled session is always legitimate.
+// was one.
 func (s *Session) readFlowFrame(frame []byte) bool {
 	f := s.flow
 	switch wire.PeekOp(frame) {
@@ -862,9 +819,13 @@ func (st *Stream) Send(payload []byte) error {
 		return ErrClosed
 	}
 	s := st.s
-	if f := s.flow; f != nil && len(payload) > f.chunkThreshold() && f.waitPeer(st) {
-		// Large payload to a flow-capable peer: stream it as bounded,
-		// credit-gated chunks instead of one link-monopolizing frame.
+	if len(payload) > s.flow.chunkThreshold() {
+		// Large payload: stream it as bounded, credit-gated chunks instead
+		// of one link-monopolizing frame, against the windows in the peer's
+		// hello.
+		if err := s.awaitHello(st); err != nil {
+			return err
+		}
 		return st.sendChunked(payload)
 	}
 	bp := wire.GetBuf()
@@ -976,12 +937,10 @@ func (st *Stream) Close() error {
 				}
 			})
 		}
-		if f := st.s.flow; f != nil {
-			// Withdraw any queued chunked sends; a partially-sent message
-			// poisons the peer's assembly, so a reset follows it.
-			if f.sched.CloseStream(st.id, ErrClosed) {
-				f.queueReset(st.id)
-			}
+		// Withdraw any queued chunked sends; a partially-sent message
+		// poisons the peer's assembly, so a reset follows it.
+		if f := st.s.flow; f.sched.CloseStream(st.id, ErrClosed) {
+			f.queueReset(st.id)
 		}
 	})
 	return nil

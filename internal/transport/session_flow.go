@@ -13,13 +13,10 @@ import (
 
 // This file is the session half of the flow-control subsystem
 // (internal/flow): chunked sends, credit accounting, the protocol frames
-// that ride along with senders, and keepalives. A flow-enabled session advertises its
-// receive windows in a SessHello wrapped in the mux envelope on reserved
-// stream id 0 — a frame legacy peers discard harmlessly — and sends
-// naked flow frames (OpData, OpWindowUpdate, OpFlowPing/Pong) only after
-// the peer's own hello proves it understands them. Payloads no larger
-// than the chunk size travel unchunked exactly as before, so two
-// flow-enabled peers, two legacy peers, or one of each all interoperate.
+// that ride along with senders, and keepalives. A session advertises its
+// receive windows in its hello; a payload larger than the chunk size
+// waits for the peer's hello and then travels as credit-gated OpData
+// chunks, and nothing else ever waits for it.
 //
 // Whoever holds the session's write lock — a sender or the chunk pump —
 // first drains the pending protocol frames (pongs, window grants, resets,
@@ -29,33 +26,13 @@ import (
 // waits at most one chunk write — the fairness property PR 4 lost when it
 // folded every exchange onto one connection.
 
-// flowHelloGrace bounds how long a large send waits for the peer's hello
-// before concluding the peer predates flow control and falling back to a
-// single unchunked frame — sticky, so the wait is paid at most once.
-const flowHelloGrace = 500 * time.Millisecond
-
 // flowState carries one session's flow-control machinery.
 type flowState struct {
 	params flow.Params     // local (receive-side) parameters, resolved
 	sched  *flow.Scheduler // sender side: queued items, credit, round-robin
 	ka     *flow.Keepalive // nil when keepalives are disabled
 
-	helloCh   chan struct{} // closed when the peer's hello arrives
-	helloOnce sync.Once
-	peerOK    atomic.Bool  // peer confirmed flow-capable
-	noFlow    atomic.Bool  // sticky: hello grace expired, peer is legacy
-	sendChunk atomic.Int64 // chunk size for sends: min(local, peer), set on hello
-
-	// Promise-pipelining capability exchange. PipeHello rides stream 0
-	// right after SessHello; peerCaps holds the peer's advertised bits and
-	// pipeCh closes when they arrive. noPipe is the sticky grace-expired
-	// verdict, mirroring noFlow: a peer that never says PipeHello is
-	// treated as legacy (sequential round trips) for the session's
-	// lifetime.
-	pipeCh   chan struct{}
-	pipeOnce sync.Once
-	peerCaps atomic.Uint64
-	noPipe   atomic.Bool
+	sendChunk atomic.Int64 // chunk size for sends: ours, then min(ours, peer's) on its hello
 
 	sessLedger *flow.RecvLedger // receive side of the session-level window
 
@@ -75,7 +52,6 @@ type flowState struct {
 	mGrantsSent *obs.Counter
 	mGrantsRecv *obs.Counter
 	mStalls     *obs.Counter
-	mFallbacks  *obs.Counter
 	mPings      *obs.Counter
 	mPongs      *obs.Counter
 	mKaFail     *obs.Counter
@@ -85,12 +61,11 @@ func newFlowState(p flow.Params, m *obs.Metrics) *flowState {
 	f := &flowState{
 		params:     p,
 		sched:      flow.NewScheduler(p.ChunkSize, p.StreamWindow, p.SessionWindow),
-		helloCh:    make(chan struct{}),
-		pipeCh:     make(chan struct{}),
 		sessLedger: flow.NewRecvLedger(p.SessionWindow),
 		grants:     make(map[uint64]int64),
 		kick:       make(chan struct{}, 1),
 	}
+	f.sendChunk.Store(int64(p.ChunkSize))
 	if p.KeepaliveInterval > 0 {
 		f.ka = flow.NewKeepalive(p.KeepaliveInterval, time.Now())
 	}
@@ -99,7 +74,6 @@ func newFlowState(p flow.Params, m *obs.Metrics) *flowState {
 		f.mGrantsSent = m.FlowWindowUpdatesSent
 		f.mGrantsRecv = m.FlowWindowUpdatesRecv
 		f.mStalls = m.FlowWriterStalls
-		f.mFallbacks = m.FlowFallbacks
 		f.mPings = m.KeepalivePingsSent
 		f.mPongs = m.KeepalivePongsRecv
 		f.mKaFail = m.KeepaliveFailures
@@ -114,133 +88,47 @@ func (f *flowState) wake() {
 	}
 }
 
-// helloFrame builds the capability advertisement: the local receive
-// windows, mux-wrapped on stream 0.
-func (f *flowState) helloFrame() *[]byte {
-	inner := wire.Marshal(nil, &wire.SessHello{
-		StreamWindow:  uint64(f.params.StreamWindow),
-		SessionWindow: uint64(f.params.SessionWindow),
-		ChunkSize:     uint64(f.params.ChunkSize),
-	})
-	bp := wire.GetBuf()
-	*bp = append(wire.AppendMuxHeader((*bp)[:0], 0), inner...)
-	return bp
-}
-
-// pipeHelloFrame builds the pipelining capability advertisement,
-// mux-wrapped on stream 0 like the flow hello it follows.
-func (f *flowState) pipeHelloFrame(caps uint64) *[]byte {
-	inner := wire.Marshal(nil, &wire.PipeHello{Caps: caps})
-	bp := wire.GetBuf()
-	*bp = append(wire.AppendMuxHeader((*bp)[:0], 0), inner...)
-	return bp
-}
-
-// onHello handles a stream-0 control message from the peer.
-func (f *flowState) onHello(payload []byte) {
-	msg, err := wire.Unmarshal(payload)
-	if err != nil {
-		return // unknown future control message: ignore, don't fail the link
+// adopt takes the chunk size and windows to send against from the peer's
+// hello. Zero fields mean the package defaults.
+func (f *flowState) adopt(h *wire.Hello) {
+	chunk := f.params.ChunkSize
+	if h.ChunkSize > 0 && int(h.ChunkSize) < chunk {
+		chunk = int(h.ChunkSize)
 	}
-	if ph, ok := msg.(*wire.PipeHello); ok {
-		f.pipeOnce.Do(func() {
-			f.peerCaps.Store(ph.Caps)
-			close(f.pipeCh)
-		})
-		return
+	sw, xw := int64(h.StreamWindow), int64(h.SessionWindow)
+	if sw <= 0 {
+		sw = flow.DefaultStreamWindow
 	}
-	h, ok := msg.(*wire.SessHello)
-	if !ok {
-		return
+	if xw <= 0 {
+		xw = flow.DefaultSessionWindow
 	}
-	f.helloOnce.Do(func() {
-		chunk := f.params.ChunkSize
-		if h.ChunkSize > 0 && int(h.ChunkSize) < chunk {
-			chunk = int(h.ChunkSize)
-		}
-		sw, xw := int64(h.StreamWindow), int64(h.SessionWindow)
-		if sw <= 0 {
-			sw = flow.DefaultStreamWindow
-		}
-		if xw <= 0 {
-			xw = flow.DefaultSessionWindow
-		}
-		f.sched.Configure(chunk, sw, xw)
-		f.sendChunk.Store(int64(chunk))
-		f.peerOK.Store(true)
-		close(f.helloCh)
-	})
+	f.sched.Configure(chunk, sw, xw)
+	f.sendChunk.Store(int64(chunk))
 }
 
 // chunkThreshold is the size above which a payload is chunked.
-func (f *flowState) chunkThreshold() int {
-	if c := f.sendChunk.Load(); c > 0 {
-		return int(c)
-	}
-	return f.params.ChunkSize
-}
+func (f *flowState) chunkThreshold() int { return int(f.sendChunk.Load()) }
 
-// waitPeer blocks a large send until the peer's flow capability is
-// known: true means chunk, false means fall back to one unchunked frame.
-// The grace wait is paid at most once — its expiry marks the peer legacy
-// for the session's lifetime.
-func (f *flowState) waitPeer(st *Stream) bool {
-	if f.peerOK.Load() {
-		return true
-	}
-	if f.noFlow.Load() {
-		return false
-	}
-	grace := time.NewTimer(flowHelloGrace)
-	defer grace.Stop()
+// awaitHello blocks a chunked send until the peer's hello has set the
+// windows to send against. Only the stream's deadline, its Close and the
+// session's death cut the wait short.
+func (s *Session) awaitHello(st *Stream) error {
 	t, tc, err := st.timer()
 	if err != nil {
-		return false // deadline already passed; the fallback path reports it
+		return err
 	}
 	if t != nil {
 		defer t.Stop()
 	}
 	select {
-	case <-f.helloCh:
-		return true
-	case <-grace.C:
-		f.noFlow.Store(true)
-		f.mFallbacks.Inc()
-		return false
+	case <-s.helloCh:
+		return nil
 	case <-tc:
-		return false
+		return ErrTimeout
 	case <-st.done:
-		return false
-	case <-st.s.done:
-		return false
-	}
-}
-
-// waitCaps blocks until the peer's pipelining capability is known,
-// returning the advertised bits (0 for a legacy peer). Like waitPeer the
-// grace wait is paid at most once — expiry marks the peer legacy for the
-// session's lifetime, so subsequent calls decide instantly.
-func (f *flowState) waitCaps(cancel <-chan struct{}, sessDone <-chan struct{}) uint64 {
-	select {
-	case <-f.pipeCh:
-		return f.peerCaps.Load()
-	default:
-	}
-	if f.noPipe.Load() {
-		return 0
-	}
-	grace := time.NewTimer(flowHelloGrace)
-	defer grace.Stop()
-	select {
-	case <-f.pipeCh:
-		return f.peerCaps.Load()
-	case <-grace.C:
-		f.noPipe.Store(true)
-		return 0
-	case <-cancel:
-		return 0
-	case <-sessDone:
-		return 0
+		return ErrClosed
+	case <-s.done:
+		return s.closeErr()
 	}
 }
 
@@ -450,8 +338,7 @@ func (st *Stream) abortChunked(it *flow.Item, cause error) {
 }
 
 // keepaliveLoop probes the peer and fails the session when it goes
-// silent. Only confirmed flow peers are probed — a legacy peer cannot
-// pong, so its liveness stays with the per-call connection probe.
+// silent, its hello included.
 func (s *Session) keepaliveLoop() {
 	defer s.loops.Done()
 	f := s.flow
@@ -460,9 +347,6 @@ func (s *Session) keepaliveLoop() {
 	for {
 		select {
 		case now := <-t.C:
-			if !f.peerOK.Load() {
-				continue
-			}
 			dead, ping, token := f.ka.Tick(now)
 			if dead {
 				f.mKaFail.Inc()

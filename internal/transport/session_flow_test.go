@@ -120,9 +120,8 @@ func TestFlowChunkedRoundTrip(t *testing.T) {
 		t.Fatalf("frame of %d bytes on the wire, want ≤ chunk %d + header", max, p.ChunkSize)
 	}
 
-	stats := client.Stats()
-	if !stats.FlowEnabled || !stats.PeerFlow {
-		t.Fatalf("stats report flow=%v peer=%v, want both true", stats.FlowEnabled, stats.PeerFlow)
+	if got, want := client.Stats().Hello, "v1 "+wire.SpaceID(0).String(); got != want {
+		t.Fatalf("stats report the peer's hello as %q, want %q", got, want)
 	}
 }
 
@@ -355,90 +354,6 @@ func TestFlowSlowConsumerBackpressuresOneStream(t *testing.T) {
 	}
 	// Unblock and let the wedged sender finish or die with the session
 	// teardown; either way it must not stay stuck past cleanup.
-}
-
-// TestFlowInteropWithLegacyPeer pins backward compatibility: a
-// flow-enabled session talking to a plain PR-4 session falls back to
-// unchunked frames after the hello grace and both directions keep
-// working. The legacy side must also survive the stream-0 hello frame.
-func TestFlowInteropWithLegacyPeer(t *testing.T) {
-	mem := NewMem()
-	l, err := mem.Listen("peer")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer l.Close()
-	accepted := make(chan Conn, 1)
-	go func() {
-		c, err := l.Accept()
-		if err == nil {
-			accepted <- c
-		}
-	}()
-	cc, err := mem.Dial("peer")
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	p := flow.Params{ChunkSize: 4 << 10, StreamWindow: 8 << 10, SessionWindow: 32 << 10, KeepaliveInterval: -1}
-	client := NewSession(cc, SessionOptions{Flow: &p})
-	defer client.Close()
-	// Legacy peer: no Flow at all.
-	server := NewSession(<-accepted, SessionOptions{Accept: func(st *Stream) {
-		defer st.Close()
-		frame, err := st.Recv(nil)
-		if err != nil {
-			return
-		}
-		_ = st.Send(frame)
-	}})
-	defer server.Close()
-
-	// A payload above the chunk size: waits out the hello grace, then
-	// falls back to one unchunked frame the legacy peer understands.
-	want := pattern(32 << 10)
-	st, err := client.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	_ = st.SetDeadline(time.Now().Add(10 * time.Second))
-	start := time.Now()
-	if err := st.Send(want); err != nil {
-		t.Fatalf("large send to legacy peer: %v", err)
-	}
-	got, err := st.Recv(nil)
-	if err != nil {
-		t.Fatalf("recv from legacy peer: %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("legacy echo corrupted (%d vs %d bytes)", len(got), len(want))
-	}
-	if time.Since(start) < flowHelloGrace {
-		t.Fatalf("large send returned in %v, expected it to wait out the %v hello grace", time.Since(start), flowHelloGrace)
-	}
-
-	// The fallback is sticky: the next large send pays no grace.
-	st2, err := client.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	_ = st2.SetDeadline(time.Now().Add(10 * time.Second))
-	start = time.Now()
-	if err := st2.Send(want); err != nil {
-		t.Fatalf("second large send: %v", err)
-	}
-	if _, err := st2.Recv(nil); err != nil {
-		t.Fatalf("second recv: %v", err)
-	}
-	if time.Since(start) > flowHelloGrace {
-		t.Fatalf("second large send took %v, fallback should be sticky", time.Since(start))
-	}
-
-	stats := client.Stats()
-	if !stats.FlowEnabled || stats.PeerFlow {
-		t.Fatalf("stats report flow=%v peer=%v, want enabled but peer legacy", stats.FlowEnabled, stats.PeerFlow)
-	}
 }
 
 // deadConn lets frames out until cut, then swallows everything silently

@@ -7,10 +7,10 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"netobjects/internal/flow"
 	"netobjects/internal/obs"
 )
 
@@ -583,8 +583,10 @@ func TestSessionSendWaitsForWrite(t *testing.T) {
 
 // stalledConn parks every Send until released or closed, like a link
 // whose peer stopped reading; entered reports each sender that got inside.
+// The first pass frames go through first.
 type stalledConn struct {
 	Conn
+	pass    atomic.Int32
 	entered chan struct{}
 	release chan struct{}
 	closed  chan struct{}
@@ -596,6 +598,9 @@ func stall(c Conn) *stalledConn {
 }
 
 func (c *stalledConn) Send(p []byte) error {
+	if c.pass.Add(-1) >= 0 {
+		return c.Conn.Send(p)
+	}
 	c.entered <- struct{}{}
 	select {
 	case <-c.release:
@@ -610,8 +615,9 @@ func (c *stalledConn) Close() error {
 	return c.Conn.Close()
 }
 
-// stalledSession is a session over a link that accepts no writes.
-func stalledSession(t *testing.T, opts SessionOptions) (*Session, *stalledConn) {
+// stalledSession is a session over a link that accepts no writes, or none
+// after the session's hello.
+func stalledSession(t *testing.T, opts SessionOptions, helloPasses bool) (*Session, *stalledConn) {
 	t.Helper()
 	mem := NewMem()
 	l, err := mem.Listen("peer")
@@ -625,11 +631,17 @@ func stalledSession(t *testing.T, opts SessionOptions) (*Session, *stalledConn) 
 		t.Fatalf("dial: %v", err)
 	}
 	sc := stall(cc)
+	if helloPasses {
+		sc.pass.Store(1)
+	}
 	made := make(chan *Session, 1)
 	go func() { made <- NewSession(sc, opts) }()
 	select {
 	case s := <-made:
 		t.Cleanup(func() { s.Close() })
+		if helloPasses {
+			eventually(t, "the pump to send the hello", func() bool { return s.Stats().BytesSent > 0 })
+		}
 		return s, sc
 	case <-time.After(5 * time.Second):
 		t.Fatal("NewSession blocked on a link that accepts no writes")
@@ -642,7 +654,7 @@ func stalledSession(t *testing.T, opts SessionOptions) (*Session, *stalledConn) 
 // its own deadline, its own stream or the session lasts. The stalled
 // writer has set itself no bound, so it stays until the session fails.
 func TestSessionWriteLockWait(t *testing.T) {
-	s, sc := stalledSession(t, SessionOptions{})
+	s, sc := stalledSession(t, SessionOptions{}, true)
 
 	send := func(st *Stream) chan error {
 		errc := make(chan error, 1)
@@ -718,7 +730,7 @@ func TestSessionStalledWriteBounded(t *testing.T) {
 			ErrClosed, writeStallGrace + time.Second},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, sc := stalledSession(t, SessionOptions{})
+			s, sc := stalledSession(t, SessionOptions{}, true)
 			st, err := s.Open()
 			if err != nil {
 				t.Fatal(err)
@@ -750,31 +762,13 @@ func TestSessionStalledWriteBounded(t *testing.T) {
 
 // TestNewSessionWritesNothing pins that the constructor does no I/O, so
 // two endpoints can be built over a link with no buffering at all: the
-// hellos go out with the first holder of the write lock — the pump on a
-// flow session, the first sender on a flowless one.
+// hello goes out with the first holder of the write lock, the pump.
 func TestNewSessionWritesNothing(t *testing.T) {
-	_, sc := stalledSession(t, SessionOptions{Flow: &flow.Params{}, LocalSpace: 7})
+	_, sc := stalledSession(t, SessionOptions{LocalSpace: 7}, false)
 	select {
 	case <-sc.entered:
 	case <-time.After(5 * time.Second):
-		t.Fatal("the pump never took the hellos to an idle link")
-	}
-
-	s, sc := stalledSession(t, SessionOptions{LocalSpace: 7})
-	select {
-	case <-sc.entered:
-		t.Fatal("a flowless session wrote before its first exchange")
-	case <-time.After(20 * time.Millisecond):
-	}
-	st, err := s.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	go st.Send([]byte("frame"))
-	select {
-	case <-sc.entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the first sender never wrote")
+		t.Fatal("the pump never took the hello to an idle link")
 	}
 }
 

@@ -1,26 +1,7 @@
 package wire
 
-// This file defines the messages behind the scalable-collector work:
-// session peer identification (which lets a healthy mux session subsume
-// the owner's liveness probes for that peer) and the cross-space cycle
-// detector's query/collect exchange.
-
-// PeerHello advertises the sending endpoint's space identity on a mux
-// session. It rides reserved stream id 0 after SessHello and PipeHello;
-// legacy peers discard it harmlessly. A session whose peer has identified
-// itself can stand in for collector liveness traffic: the keepalives
-// already flowing prove that *that specific space* — not merely some
-// process at the endpoint — is alive.
-type PeerHello struct {
-	// Space is the sender's space id.
-	Space SpaceID
-}
-
-// Op returns OpPeerHello.
-func (*PeerHello) Op() Op { return OpPeerHello }
-
-func (m *PeerHello) encode(e *Encoder) { e.Uint(uint64(m.Space)) }
-func (m *PeerHello) decode(d *Decoder) { m.Space = SpaceID(d.Uint()) }
+// This file defines the cross-space cycle detector's query/collect
+// exchange.
 
 // maxCycleKeys bounds the keys one cycle query or collect may carry, so a
 // malformed length prefix cannot balloon the decoder.

@@ -6,8 +6,8 @@ import (
 	"fmt"
 )
 
-// This file defines the session flow-control frames, in the HTTP/2 style.
-// A flow-enabled session splits any muxed payload larger than the chunk
+// This file defines the session handshake and flow-control frames, in the
+// HTTP/2 style. A session splits any muxed payload larger than the chunk
 // size into bounded OpData frames
 //
 //	[OpData uvarint][stream id uvarint][flags uvarint][chunk bytes]
@@ -25,10 +25,9 @@ import (
 // hot path and the others are tiny fixed-shape control frames, so all
 // four are built with append-style helpers that allocate nothing.
 //
-// Capability is advertised by the SessHello message, which is an ordinary
-// Message wrapped in the mux envelope on reserved stream id 0 so that
-// peers without flow support discard it harmlessly. Naked flow frames are
-// only sent after the peer's hello arrives.
+// The windows a sender chunks against come from the peer's Hello, an
+// ordinary Message wrapped in the mux envelope on reserved stream id 0:
+// the first frame each side sends.
 
 // Data frame flags.
 const (
@@ -44,10 +43,24 @@ const (
 // ErrNotFlow reports a frame that does not carry the expected flow op.
 var ErrNotFlow = errors.New("wire: frame is not a flow frame")
 
-// SessHello advertises a session endpoint's flow-control capability and
-// receive windows. Each direction is independent: a sender chunks using
-// the windows the receiver advertised.
-type SessHello struct {
+// Version is the one protocol version this tree speaks. A Hello carrying
+// any other fails the session.
+const Version = 1
+
+// Hello is the first frame each endpoint of a session sends. It settles
+// compatibility once, as the type fingerprint does at bind time, and
+// carries what the peer needs before it can send freely: who we are and
+// the windows to chunk against. Each direction is independent: a sender
+// chunks using the windows the receiver advertised.
+type Hello struct {
+	// Version is the sender's protocol version.
+	Version uint64
+	// Space is the sender's space id, zero for an anonymous endpoint. The
+	// identity lets the collector's liveness daemons treat a healthy
+	// session as proof that this space is alive, without mistaking an
+	// endpoint reused by a new incarnation for the space that used to
+	// answer there.
+	Space SpaceID
 	// StreamWindow is the sender's per-stream receive window in bytes:
 	// how many data bytes a peer may have in flight on one stream before
 	// waiting for window updates.
@@ -60,16 +73,20 @@ type SessHello struct {
 	ChunkSize uint64
 }
 
-// Op returns OpSessHello.
-func (*SessHello) Op() Op { return OpSessHello }
+// Op returns OpHello.
+func (*Hello) Op() Op { return OpHello }
 
-func (m *SessHello) encode(e *Encoder) {
+func (m *Hello) encode(e *Encoder) {
+	e.Uint(m.Version)
+	e.Uint(uint64(m.Space))
 	e.Uint(m.StreamWindow)
 	e.Uint(m.SessionWindow)
 	e.Uint(m.ChunkSize)
 }
 
-func (m *SessHello) decode(d *Decoder) {
+func (m *Hello) decode(d *Decoder) {
+	m.Version = d.Uint()
+	m.Space = SpaceID(d.Uint())
 	m.StreamWindow = d.Uint()
 	m.SessionWindow = d.Uint()
 	m.ChunkSize = d.Uint()

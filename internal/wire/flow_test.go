@@ -64,18 +64,18 @@ func TestFlowPingRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPeekOpSessHello: the capability hello classifies as OpSessHello both
+// TestPeekOpHello: the session hello classifies as OpHello both
 // naked and wrapped in the mux envelope on stream 0 — the wrapped form is
 // how it actually travels, and the chaos transport's per-op rules must see
 // through the envelope.
-func TestPeekOpSessHello(t *testing.T) {
-	hello := Marshal(nil, &SessHello{StreamWindow: 1, SessionWindow: 2, ChunkSize: 3})
-	if PeekOp(hello) != OpSessHello {
+func TestPeekOpHello(t *testing.T) {
+	hello := Marshal(nil, &Hello{Version: Version, Space: 9, StreamWindow: 1, SessionWindow: 2, ChunkSize: 3})
+	if PeekOp(hello) != OpHello {
 		t.Fatalf("naked hello: PeekOp = %v", PeekOp(hello))
 	}
 	wrapped := AppendMuxHeader(nil, 0)
 	wrapped = append(wrapped, hello...)
-	if PeekOp(wrapped) != OpSessHello {
+	if PeekOp(wrapped) != OpHello {
 		t.Fatalf("wrapped hello: PeekOp = %v", PeekOp(wrapped))
 	}
 	// Naked flow frames never nest inside the envelope; a wrapped OpData

@@ -27,8 +27,7 @@ func FuzzUnmarshal(f *testing.F) {
 		&CleanBatch{Client: 3, Objs: []uint64{1, 2, 9}, Seqs: []uint64{4, 5, 6}, Strongs: []bool{false, true, false}, Owner: 11},
 		&Lease{Client: 7, ClientEndpoints: []string{"tcp:a:1", "inmem:b"}, Owner: 11},
 		&LeaseAck{Status: StatusOK, GrantedMillis: 30000},
-		&SessHello{StreamWindow: 256 << 10, SessionWindow: 1 << 20, ChunkSize: 64 << 10},
-		&PipeHello{Caps: CapPipeline | CapBatch},
+		&Hello{Version: Version, Space: 11, StreamWindow: 256 << 10, SessionWindow: 1 << 20, ChunkSize: 64 << 10},
 		&PipeCall{Obj: 5, Method: "M", Args: []byte("abc"), Promise: 3, ID: 42, DeadlineMillis: 250, Barrier: 2},
 		&PipeCall{TargetPromise: 3, Method: "N", Typed: true, Fingerprint: 7, Args: []byte{1}, Promise: 4, ID: 43},
 		&PipeCall{Obj: 1, Method: "P", Args: []byte{0, 0}, ArgPromisePos: []uint64{0, 1}, ArgPromiseIDs: []uint64{3, 4}, Promise: 5, ID: 44},
@@ -82,8 +81,7 @@ func TestUnmarshalTruncationDeterministic(t *testing.T) {
 		&LeaseAck{Status: StatusOK, GrantedMillis: 30000},
 		&CancelCall{ID: 42},
 		&CancelAck{Status: StatusNoSuchObject},
-		&SessHello{StreamWindow: 256 << 10, SessionWindow: 1 << 20, ChunkSize: 64 << 10},
-		&PipeHello{Caps: CapPipeline | CapBatch},
+		&Hello{Version: Version, Space: 11, StreamWindow: 256 << 10, SessionWindow: 1 << 20, ChunkSize: 64 << 10},
 		&PipeCall{Obj: 5, Method: "Method", Typed: true, Fingerprint: 0xfeed, Args: []byte("payload"),
 			ArgPromisePos: []uint64{1}, ArgPromiseIDs: []uint64{3}, Promise: 9, ID: 77, DeadlineMillis: 100, Barrier: 4},
 		&PromiseResolve{Promise: 9, Status: StatusPromiseBroken, Err: "dependency failed", Results: []byte{1, 2}, NeedAck: true},

@@ -54,8 +54,8 @@ const (
 	// not nest.
 	OpMux
 	// OpData carries one bounded chunk of a large muxed message:
-	// [OpData][stream id][flags][chunk bytes]. Flow-enabled sessions split
-	// any payload larger than the negotiated chunk size into OpData frames
+	// [OpData][stream id][flags][chunk bytes]. Sessions split any payload
+	// larger than the negotiated chunk size into OpData frames
 	// so a bulk argument cannot monopolize the shared writer. Flags bit 0
 	// (DataFlagLast) marks the final chunk of a message; bit 1
 	// (DataFlagReset) aborts the stream's partial assembly (the sender
@@ -75,21 +75,12 @@ const (
 	OpFlowPing
 	// OpFlowPong answers an OpFlowPing: [OpFlowPong][token].
 	OpFlowPong
-	// OpSessHello advertises a session's flow-control capability and
-	// receive windows. It travels wrapped in the mux envelope on reserved
-	// stream id 0 — [OpMux][0][marshaled SessHello] — so legacy peers that
-	// predate flow control discard it harmlessly (clients drop frames for
-	// unknown stream ids; servers fail a single accept handler's decode).
-	// Naked flow frames (OpData, OpWindowUpdate, OpFlowPing/Pong) are only
-	// ever sent after the peer's hello has been received.
-	OpSessHello
-	// OpPipeHello advertises a session's promise-pipelining and batching
-	// capability. Like SessHello it travels wrapped in the mux envelope on
-	// reserved stream id 0 so legacy peers discard it harmlessly; it is a
-	// separate message (not new SessHello fields) because the decoder
-	// rejects trailing bytes — growing SessHello would make old peers drop
-	// the whole hello and lose flow control against new ones.
-	OpPipeHello
+	// OpHello opens a session: each side's first frame is a Hello, wrapped
+	// in the mux envelope on reserved stream id 0 — [OpMux][0][marshaled
+	// Hello] — carrying the protocol version, the sender's space identity
+	// and its receive windows. A session whose first inbound frame is
+	// anything else, or a Hello of another version, fails at once.
+	OpHello
 	// OpPipeCall requests invocation of a method whose receiver or
 	// arguments may be unresolved promises from earlier pipelined calls on
 	// the same session. The owner chains it against its per-session
@@ -105,21 +96,6 @@ const (
 	// executed in send order relative to each other, and a later pipelined
 	// call can fence on them via PipeCall.Barrier.
 	OpOneWay
-	// OpBatch coalesces several complete frames into one transport frame:
-	// [OpBatch]([uvarint length][frame bytes])*. The receiver processes
-	// the sub-frames exactly as if they had arrived separately. Only sent
-	// to peers that advertised CapBatch in their PipeHello, so it never
-	// reaches a decoder that cannot split it.
-	OpBatch
-	// OpPeerHello advertises a session endpoint's space identity. Like
-	// SessHello and PipeHello it travels wrapped in the mux envelope on
-	// reserved stream id 0 so legacy peers discard it harmlessly; it is a
-	// separate message (not new SessHello fields) because the decoder
-	// rejects trailing bytes. The identity lets the collector's liveness
-	// daemons treat a healthy session to a peer as proof that the peer is
-	// alive, without mistaking an endpoint reused by a new incarnation for
-	// the space that used to answer there.
-	OpPeerHello
 	// OpCycleQuery asks a client space for the back-references behind its
 	// surrogates of the sender's objects — the cross-space cycle
 	// detector's probe. Answered with an OpCycleAnswer.
@@ -178,20 +154,14 @@ func (o Op) String() string {
 		return "flow-ping"
 	case OpFlowPong:
 		return "flow-pong"
-	case OpSessHello:
-		return "sess-hello"
-	case OpPipeHello:
-		return "pipe-hello"
+	case OpHello:
+		return "hello"
 	case OpPipeCall:
 		return "pipe-call"
 	case OpPromiseResolve:
 		return "promise-resolve"
 	case OpOneWay:
 		return "one-way"
-	case OpBatch:
-		return "batch"
-	case OpPeerHello:
-		return "peer-hello"
 	case OpCycleQuery:
 		return "cycle-query"
 	case OpCycleAnswer:
@@ -374,7 +344,8 @@ type Dirty struct {
 	// are unique over time, so a receiver with a different id is a new
 	// incarnation reusing the endpoint and must refuse the call rather
 	// than register the client against an unrelated object that happens
-	// to share the index. Zero means unaddressed (accepted anywhere).
+	// to share the index. Every sender sets it; zero is refused like any
+	// other mismatch.
 	Owner SpaceID
 }
 
@@ -436,7 +407,7 @@ type Clean struct {
 	// a different id is a later incarnation at a reused endpoint; it must
 	// not apply the clean (the client's sequence counter for the dead
 	// owner is unrelated to any counter at the new one, so a stale clean
-	// could otherwise cancel a live registration). Zero means unaddressed.
+	// could otherwise cancel a live registration).
 	Owner SpaceID
 }
 
@@ -564,7 +535,7 @@ type Lease struct {
 	// Owner names the space the renewal is addressed to; a different
 	// receiver is a new incarnation that holds none of this client's
 	// dirty entries, and the renewal must fail rather than silently
-	// succeed against it. Zero means unaddressed.
+	// succeed against it.
 	Owner SpaceID
 }
 
@@ -699,15 +670,14 @@ func PeekOp(frame []byte) Op {
 		return OpInvalid
 	}
 	// Inside the envelope only ordinary messages appear — plus the
-	// stream-0 control messages (SessHello, PipeHello) and the pipelined
-	// invocation messages, which are muxed like calls. Envelopes do not
-	// nest; naked session-control ops and batch frames never appear
-	// wrapped.
+	// stream-0 Hello and the pipelined invocation messages, which are
+	// muxed like calls. Envelopes do not nest; naked session-control ops
+	// never appear wrapped.
 	if inner > uint64(maxOp) {
 		return OpInvalid
 	}
 	switch Op(inner) {
-	case OpMux, OpData, OpWindowUpdate, OpFlowPing, OpFlowPong, OpBatch:
+	case OpMux, OpData, OpWindowUpdate, OpFlowPing, OpFlowPong:
 		return OpInvalid
 	}
 	return Op(inner)
@@ -747,18 +717,14 @@ func Unmarshal(b []byte) (Message, error) {
 		m = new(CancelCall)
 	case OpCancelAck:
 		m = new(CancelAck)
-	case OpSessHello:
-		m = new(SessHello)
-	case OpPipeHello:
-		m = new(PipeHello)
+	case OpHello:
+		m = new(Hello)
 	case OpPipeCall:
 		m = new(PipeCall)
 	case OpPromiseResolve:
 		m = new(PromiseResolve)
 	case OpOneWay:
 		m = new(OneWay)
-	case OpPeerHello:
-		m = new(PeerHello)
 	case OpCycleQuery:
 		m = new(CycleQuery)
 	case OpCycleAnswer:

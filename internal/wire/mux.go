@@ -11,10 +11,8 @@ import (
 //
 //	[OpMux uvarint][stream id uvarint][ordinary marshaled message]
 //
-// The envelope is self-identifying: a receiver that sees OpMux as the
-// first op of a connection switches that connection into session mode, so
-// no handshake is needed and legacy checkout-discipline peers keep
-// working. Stream ids are never reused within a session (they come from
+// Stream id 0 is reserved for the Hello that opens a session (see
+// flow.go). Stream ids are never reused within a session (they come from
 // the process-wide call-id counter), which is what lets a late response
 // to an abandoned exchange be recognized and dropped.
 

@@ -1,12 +1,6 @@
 package wire
 
-import (
-	"encoding/binary"
-	"fmt"
-)
-
-// This file defines the promise-pipelining message set and the batch
-// framing helpers.
+// This file defines the promise-pipelining message set.
 //
 // A pipelined call chain rides one mux session: each PipeCall names the
 // session-scoped promise id its result should resolve, and may name
@@ -18,35 +12,6 @@ import (
 // OneWay requests fire-and-forget invocation: no result frame ever comes
 // back. One-way calls on a session execute in send order relative to each
 // other; a later PipeCall can fence on them through its Barrier field.
-//
-// OpBatch is pure framing: several complete frames coalesced into one
-// transport frame to amortize per-frame syscall and scheduling cost for
-// bursts of small calls. Like the flow frames it bypasses the Message
-// encode path — append/split helpers that allocate nothing.
-
-// Pipeline capability bits advertised in PipeHello.Caps.
-const (
-	// CapPipeline: the peer decodes OpPipeCall/OpPromiseResolve/OpOneWay
-	// and runs a per-session completion table.
-	CapPipeline = 1 << 0
-	// CapBatch: the peer splits OpBatch frames.
-	CapBatch = 1 << 1
-)
-
-// PipeHello advertises a session endpoint's promise-pipelining and
-// batching capability. It travels wrapped in the mux envelope on reserved
-// stream id 0, immediately after SessHello; legacy peers ignore it as an
-// unknown future control message.
-type PipeHello struct {
-	// Caps is the bitwise OR of the Cap* constants.
-	Caps uint64
-}
-
-// Op returns OpPipeHello.
-func (*PipeHello) Op() Op { return OpPipeHello }
-
-func (m *PipeHello) encode(e *Encoder) { e.Uint(m.Caps) }
-func (m *PipeHello) decode(d *Decoder) { m.Caps = d.Uint() }
 
 // PipeCall requests invocation of a method whose receiver or arguments
 // may be unresolved promises from earlier pipelined calls on the same
@@ -206,49 +171,4 @@ func (m *OneWay) decode(d *Decoder) {
 	m.Typed = d.Bool()
 	m.Args = d.BytesField()
 	m.Seq = d.Uint()
-}
-
-// AppendBatchHeader appends the batch-frame op to dst. Sub-frames follow,
-// each appended by AppendBatchFrame.
-func AppendBatchHeader(dst []byte) []byte {
-	return binary.AppendUvarint(dst, uint64(OpBatch))
-}
-
-// AppendBatchFrame appends one length-prefixed sub-frame to a batch under
-// construction.
-func AppendBatchFrame(dst, frame []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(frame)))
-	return append(dst, frame...)
-}
-
-// SplitBatch splits a batch frame into its sub-frames. The returned
-// slices alias frame. A batch must hold at least one sub-frame and no
-// trailing garbage.
-func SplitBatch(frame []byte) ([][]byte, error) {
-	op, n := binary.Uvarint(frame)
-	if n <= 0 || Op(op) != OpBatch {
-		return nil, fmt.Errorf("%w: not a batch frame", ErrCorrupt)
-	}
-	// Count sub-frames first so the result slice is allocated exactly
-	// once — batching is a hot path and the splitter is pinned to a
-	// single allocation by test.
-	count := 0
-	for rest := frame[n:]; len(rest) > 0; {
-		l, m := binary.Uvarint(rest)
-		if m <= 0 || l > uint64(len(rest)-m) {
-			return nil, fmt.Errorf("%w: bad batch sub-frame length", ErrCorrupt)
-		}
-		rest = rest[m+int(l):]
-		count++
-	}
-	if count == 0 {
-		return nil, fmt.Errorf("%w: empty batch", ErrCorrupt)
-	}
-	subs := make([][]byte, 0, count)
-	for rest := frame[n:]; len(rest) > 0; {
-		l, m := binary.Uvarint(rest)
-		subs = append(subs, rest[m:m+int(l)])
-		rest = rest[m+int(l):]
-	}
-	return subs, nil
 }

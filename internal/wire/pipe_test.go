@@ -7,7 +7,6 @@ import (
 
 func TestPipeMessageRoundTrips(t *testing.T) {
 	msgs := []Message{
-		&PipeHello{Caps: CapPipeline | CapBatch},
 		&PipeCall{Obj: 9, Method: "Lookup", Fingerprint: 0xbeef, Typed: true,
 			Args: []byte("args"), Promise: 1, ID: 10, DeadlineMillis: 5000, Barrier: 3},
 		&PipeCall{TargetPromise: 1, Method: "Read", Args: []byte{0},
@@ -55,84 +54,6 @@ func TestPipeCallPromiseArgListBound(t *testing.T) {
 	}
 }
 
-func TestBatchRoundTrip(t *testing.T) {
-	a := Marshal(nil, &OneWay{Obj: 1, Method: "A", Seq: 1})
-	b := Marshal(nil, &PipeCall{Obj: 2, Method: "B", Promise: 1, ID: 5})
-	c := Marshal(nil, &Ping{From: 3})
-
-	batch := AppendBatchHeader(nil)
-	for _, sub := range [][]byte{a, b, c} {
-		batch = AppendBatchFrame(batch, sub)
-	}
-	if PeekOp(batch) != OpBatch {
-		t.Fatalf("PeekOp = %v, want OpBatch", PeekOp(batch))
-	}
-	subs, err := SplitBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(subs) != 3 || !bytes.Equal(subs[0], a) || !bytes.Equal(subs[1], b) || !bytes.Equal(subs[2], c) {
-		t.Fatalf("split returned %d sub-frames", len(subs))
-	}
-}
-
-func TestSplitBatchRejects(t *testing.T) {
-	cases := map[string][]byte{
-		"empty batch":    AppendBatchHeader(nil),
-		"not a batch":    Marshal(nil, &Ping{From: 1}),
-		"nil":            nil,
-		"length overrun": append(AppendBatchHeader(nil), 0xff, 0xff, 0xff, 0xff, 0x01),
-	}
-	for name, frame := range cases {
-		if _, err := SplitBatch(frame); err == nil {
-			t.Errorf("%s: SplitBatch accepted", name)
-		}
-	}
-}
-
-// TestBatchTruncationDeterministic cuts a batch at every byte boundary:
-// each prefix must split or fail deterministically with no panic — the
-// property the session reader relies on when a connection dies mid-batch.
-func TestBatchTruncationDeterministic(t *testing.T) {
-	batch := AppendBatchHeader(nil)
-	batch = AppendBatchFrame(batch, Marshal(nil, &OneWay{Obj: 1, Method: "A", Args: []byte("aaaa"), Seq: 1}))
-	batch = AppendBatchFrame(batch, Marshal(nil, &PromiseResolve{Promise: 2, Status: StatusOK, Results: []byte("rrrr")}))
-	for cut := 0; cut < len(batch); cut++ {
-		prefix := batch[:cut]
-		s1, err1 := SplitBatch(prefix)
-		s2, err2 := SplitBatch(prefix)
-		if (err1 == nil) != (err2 == nil) || len(s1) != len(s2) {
-			t.Fatalf("cut at %d: nondeterministic outcome (%v vs %v)", cut, err1, err2)
-		}
-		_ = PeekOp(prefix)
-	}
-}
-
-// FuzzSplitBatch asserts the batch splitter never panics and that accepted
-// batches re-encode to the same bytes.
-func FuzzSplitBatch(f *testing.F) {
-	seed := AppendBatchHeader(nil)
-	seed = AppendBatchFrame(seed, Marshal(nil, &Ping{From: 1}))
-	seed = AppendBatchFrame(seed, Marshal(nil, &OneWay{Obj: 1, Method: "A", Seq: 1}))
-	f.Add(seed)
-	f.Add(AppendBatchHeader(nil))
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		subs, err := SplitBatch(data)
-		if err != nil {
-			return
-		}
-		re := AppendBatchHeader(nil)
-		for _, sub := range subs {
-			re = AppendBatchFrame(re, sub)
-		}
-		if !bytes.Equal(re, data) {
-			t.Fatalf("batch re-encode mismatch:\n%x\n%x", re, data)
-		}
-	})
-}
-
 // TestOneWayMarshalAllocs pins the one-way hot path: encoding a one-way
 // frame into a reused buffer must not allocate beyond the encoder's
 // amortized growth — a fire-and-forget call should cost its payload copy
@@ -145,31 +66,5 @@ func TestOneWayMarshalAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("OneWay Marshal into reused buffer: %v allocs/op, want 0", allocs)
-	}
-}
-
-// TestBatchFramingAllocs pins the batching hot path: coalescing frames
-// into a reused batch buffer and splitting a batch must stay allocation-
-// free except for the splitter's sub-frame slice.
-func TestBatchFramingAllocs(t *testing.T) {
-	sub := Marshal(nil, &OneWay{Obj: 1, Method: "A", Args: bytes.Repeat([]byte("y"), 128), Seq: 1})
-	buf := make([]byte, 0, 4096)
-	allocs := testing.AllocsPerRun(200, func() {
-		buf = AppendBatchHeader(buf[:0])
-		buf = AppendBatchFrame(buf, sub)
-		buf = AppendBatchFrame(buf, sub)
-	})
-	if allocs > 0 {
-		t.Fatalf("batch append into reused buffer: %v allocs/op, want 0", allocs)
-	}
-	batch := buf
-	allocs = testing.AllocsPerRun(200, func() {
-		if _, err := SplitBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// One allocation: the [][]byte holding the (aliasing) sub-frames.
-	if allocs > 1 {
-		t.Fatalf("SplitBatch: %v allocs/op, want <= 1", allocs)
 	}
 }
