@@ -27,7 +27,9 @@ func errString(err error) string {
 // on its own stream of the peer's multiplexed session. A failed exchange
 // needs no discard bookkeeping: closing the stream abandons only this
 // exchange, and a link-level failure tears the session down for everyone,
-// after which the next call redials.
+// after which the next call redials. Collector messages — the ordered
+// queue's (gcq) included, which reach the wire through here — carry no
+// byte fields, so there is nothing for the send to borrow.
 func (sp *Space) rpc(endpoints []string, req wire.Message, timeout time.Duration) (wire.Message, error) {
 	if sp.isClosed() && req.Op() != wire.OpClean && req.Op() != wire.OpCleanBatch {
 		// Parting clean calls are allowed through during Close.
@@ -43,16 +45,9 @@ func (sp *Space) rpc(endpoints []string, req wire.Message, timeout time.Duration
 	}
 	defer st.Close()
 	_ = st.SetDeadline(time.Now().Add(timeout))
-	bp := wire.GetBuf()
-	out := wire.Marshal((*bp)[:0], req)
-	err = st.Send(out) // Send copies into its own envelope buffer
-	n := len(out)
-	*bp = out
-	wire.PutBuf(bp)
-	if err != nil {
+	if err := sp.sendMsg(st, req); err != nil {
 		return nil, err
 	}
-	sp.metrics.BytesSent.Add(uint64(n))
 	b, err := st.Recv(nil)
 	if err != nil {
 		return nil, err
@@ -320,7 +315,7 @@ var anyDecoderPool = sync.Pool{New: func() any { return new(anyDecoder) }}
 func (d *anyDecoder) decode(res *wire.Result) error {
 	switch res.Status {
 	case wire.StatusOK, wire.StatusAppError:
-		rs, derr := d.sp.pickler.UnmarshalAnySession(res.Results, d.session)
+		rs, derr := d.sp.pickler.UnmarshalAnyView(res.Results, d.session, d.session.viewMin)
 		if derr != nil {
 			return fmt.Errorf("netobjects: unmarshaling results of %s: %w", d.method, derr)
 		}
@@ -349,7 +344,7 @@ var typedDecoderPool = sync.Pool{New: func() any { return new(typedDecoder) }}
 func (d *typedDecoder) decode(res *wire.Result) error {
 	switch res.Status {
 	case wire.StatusOK, wire.StatusAppError:
-		rs, derr := d.sp.pickler.UnmarshalSession(res.Results, d.resultTypes, d.session)
+		rs, derr := d.sp.pickler.UnmarshalView(res.Results, d.resultTypes, d.session, d.session.viewMin)
 		if derr != nil {
 			return fmt.Errorf("netobjects: unmarshaling results of %s: %w", d.method, derr)
 		}
@@ -366,20 +361,17 @@ func (d *typedDecoder) decode(res *wire.Result) error {
 // exchange runs the lock-step call exchange on the stream: send the call,
 // receive the result, let decode consume it, and acknowledge returned
 // references when the owner asks (Result.NeedAck). The call frame is
-// assembled in a pooled buffer (Stream.Send copies it into its own
-// envelope buffer, so recycling after Send is safe), and the result is
-// decoded into a pooled frame.
-func (sp *Space) exchange(c transport.Conn, call *wire.Call, session *callSession, decode resultDecoder) (connOK bool, err error) {
-	bp := wire.GetBuf()
-	out := wire.Marshal((*bp)[:0], call)
-	err = c.Send(out)
-	n := len(out)
-	*bp = out
-	wire.PutBuf(bp)
-	if err != nil {
+// assembled in a pooled buffer, recycled once Send has returned — Send
+// reads what it is given exactly once, before it returns, whatever its
+// outcome — and the result is decoded into a pooled frame.
+//
+// Borrowed: a large []byte argument is still in the caller's buffer
+// (call.ArgSegs) and is read from there by this Send, timeouts and
+// cancellations included; the caller has it back when exchange returns.
+func (sp *Space) exchange(c *transport.Stream, call *wire.Call, session *callSession, decode resultDecoder) (connOK bool, err error) {
+	if err := sp.sendMsg(c, call); err != nil {
 		return false, err
 	}
-	sp.metrics.BytesSent.Add(uint64(n))
 	b, err := c.Recv(nil)
 	if err != nil {
 		return false, err
@@ -395,6 +387,9 @@ func (sp *Space) exchange(c transport.Conn, call *wire.Call, session *callSessio
 	if err := wire.UnmarshalInto(b, res); err != nil {
 		return false, err
 	}
+	// A result frame in a slab of its own may lend its bytes to the large
+	// []byte results decoded from it.
+	session.viewMin = viewMin(c)
 	decodeErr := decode.decode(res)
 	// Under the FIFO variant decoding may have queued registrations whose
 	// dirty calls are still in flight; the result acknowledgement asserts
@@ -407,16 +402,9 @@ func (sp *Space) exchange(c transport.Conn, call *wire.Call, session *callSessio
 		// calls for any references we did unmarshal have already
 		// completed, and the rest were never materialized here.
 		sp.metrics.ResultAcksSent.Inc()
-		abp := wire.GetBuf()
-		ack := wire.Marshal((*abp)[:0], &wire.ResultAck{})
-		err := c.Send(ack)
-		an := len(ack)
-		*abp = ack
-		wire.PutBuf(abp)
-		if err != nil {
+		if err := sp.sendMsg(c, &wire.ResultAck{}); err != nil {
 			return false, decodeErr
 		}
-		sp.metrics.BytesSent.Add(uint64(an))
 	}
 	return true, decodeErr
 }
@@ -526,8 +514,8 @@ func (sp *Space) callRemoteMux(ctx context.Context, endpoints []string, call *wi
 	if w != nil {
 		cancelled = w.finish()
 	}
-	// The decoders copied what they kept, so the result frame can go back
-	// to the pool.
+	// The decoders copied what they kept of a pooled result frame, so it
+	// can go back to the pool; a slab they kept views of is not the pool's.
 	st.Release()
 	_ = st.Close()
 	if cancelled {
@@ -545,19 +533,23 @@ func (sp *Space) dynamicCall(ctx context.Context, endpoints []string, index uint
 		session.unpinAll()
 		session.recycle()
 	}()
+	// Borrowed: a large []byte argument is not pickled into abp but read
+	// from the caller's buffer when the call frame is sent, inside
+	// callRemote, which does not return before that Send has. The caller
+	// must not change it until this call returns.
 	abp := wire.GetBuf()
-	argBytes, err := sp.pickler.MarshalAnySession((*abp)[:0], args, session)
+	argBytes, argSegs, err := sp.pickler.MarshalAnyBorrowed((*abp)[:0], args, session)
 	if argBytes != nil {
 		*abp = argBytes
 	}
-	// The arguments stay referenced until exchange copies them into the
-	// call frame, which happens inside callRemote; recycle after.
+	// The pickle stays referenced until exchange has sent the call frame,
+	// which happens inside callRemote; recycle after.
 	defer wire.PutBuf(abp)
 	if err != nil {
 		return nil, fmt.Errorf("netobjects: marshaling arguments for %s: %w", method, err)
 	}
 	call := callPool.Get().(*wire.Call)
-	call.Obj, call.Method, call.Args = index, method, argBytes
+	call.Obj, call.Method, call.Args, call.ArgSegs = index, method, argBytes, argSegs
 	defer putCall(call)
 	dec := anyDecoderPool.Get().(*anyDecoder)
 	dec.sp, dec.method, dec.session = sp, method, session
@@ -636,8 +628,9 @@ func (r *Ref) InvokeTypedCtx(ctx context.Context, method string, fingerprint uin
 		session.unpinAll()
 		session.recycle()
 	}()
+	// Borrowed, as in dynamicCall: callRemote sends before it returns.
 	abp := wire.GetBuf()
-	argBytes, err := sp.pickler.MarshalSession((*abp)[:0], args, session)
+	argBytes, argSegs, err := sp.pickler.MarshalBorrowed((*abp)[:0], args, session)
 	if argBytes != nil {
 		*abp = argBytes
 	}
@@ -647,7 +640,7 @@ func (r *Ref) InvokeTypedCtx(ctx context.Context, method string, fingerprint uin
 	}
 	call := callPool.Get().(*wire.Call)
 	call.Obj, call.Method, call.Fingerprint = r.key.Index, method, fingerprint
-	call.Typed, call.Args = true, argBytes
+	call.Typed, call.Args, call.ArgSegs = true, argBytes, argSegs
 	defer putCall(call)
 	dec := typedDecoderPool.Get().(*typedDecoder)
 	dec.sp, dec.method, dec.session, dec.resultTypes = sp, method, session, resultTypes

@@ -58,6 +58,10 @@ type callSession struct {
 
 	mu      sync.Mutex
 	pending []*gcFuture
+
+	// viewMin is what the unpickler may leave as views of this call's
+	// received frame: see viewMin in serve.go. Zero copies everything.
+	viewMin int
 }
 
 // callSessionPool recycles call sessions across dispatches; one session
@@ -80,6 +84,7 @@ func (s *callSession) recycle() {
 	s.pinnedExports = s.pinnedExports[:0]
 	s.pinnedImports = s.pinnedImports[:0]
 	s.pending = nil
+	s.viewMin = 0
 	callSessionPool.Put(s)
 }
 

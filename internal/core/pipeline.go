@@ -456,6 +456,9 @@ func (p *Promise) resolvePipeCall(ctx context.Context, s *transport.Session, tar
 		ID:            p.callID,
 		Barrier:       barrier,
 	}
+	// Copied: this runs on the promise's goroutine after PipeCall has
+	// handed the promise back, so the caller's buffers are its own again
+	// and nothing here may go on reading them past the pickle.
 	var err error
 	if typedArgs != nil {
 		call.Typed = true
@@ -538,11 +541,11 @@ func (p *Promise) resolvePipeCall(ctx context.Context, s *transport.Session, tar
 // success it resolves the promise itself and returns nil.
 func (p *Promise) exchangePipe(st *transport.Stream, call *wire.PipeCall, session *callSession) error {
 	sp := p.sp
-	out := wire.Marshal(nil, call)
-	if err := st.Send(out); err != nil {
+	// call.Args is this goroutine's own copy (resolvePipeCall), so the
+	// frame may borrow it for the length of the Send like any other.
+	if err := sp.sendMsg(st, call); err != nil {
 		return brokenError(p.method+" not sent", err)
 	}
-	sp.metrics.BytesSent.Add(uint64(len(out)))
 	b, err := st.Recv(nil)
 	if err != nil {
 		return brokenError(p.method+" resolution lost", err)
@@ -581,10 +584,7 @@ func (p *Promise) exchangePipe(st *transport.Stream, call *wire.PipeCall, sessio
 	session.waitPending()
 	if res.NeedAck {
 		sp.metrics.ResultAcksSent.Inc()
-		ack := wire.Marshal(nil, &wire.ResultAck{})
-		if err := st.Send(ack); err == nil {
-			sp.metrics.BytesSent.Add(uint64(len(ack)))
-		}
+		_ = sp.sendMsg(st, &wire.ResultAck{})
 	}
 	if decodeErr != nil {
 		if ce, ok := decodeErr.(*CallError); ok && ce.Status == wire.StatusPromiseBroken {
@@ -629,8 +629,10 @@ func (r *Ref) OneWayCtx(ctx context.Context, method string, args ...any) error {
 		session.unpinAll()
 		session.recycle()
 	}()
+	// Borrowed: "on the wire" is when this returns, so a large []byte
+	// argument is read from the caller's buffer by the Send below.
 	abp := wire.GetBuf()
-	argBytes, err := sp.pickler.MarshalAnySession((*abp)[:0], args, session)
+	argBytes, argSegs, err := sp.pickler.MarshalAnyBorrowed((*abp)[:0], args, session)
 	if argBytes != nil {
 		*abp = argBytes
 	}
@@ -638,7 +640,7 @@ func (r *Ref) OneWayCtx(ctx context.Context, method string, args ...any) error {
 	if err != nil {
 		return fmt.Errorf("netobjects: marshaling arguments for %s: %w", method, err)
 	}
-	msg := &wire.OneWay{Obj: r.key.Index, Method: method, Args: argBytes, Seq: s.NextOneWaySeq()}
+	msg := &wire.OneWay{Obj: r.key.Index, Method: method, Args: argBytes, ArgSegs: argSegs, Seq: s.NextOneWaySeq()}
 	st, err := s.OpenID(obs.NextCallID())
 	if err != nil {
 		return err
@@ -647,7 +649,7 @@ func (r *Ref) OneWayCtx(ctx context.Context, method string, args ...any) error {
 	if d, ok := ctx.Deadline(); ok {
 		_ = st.SetDeadline(d)
 	}
-	if err := sp.sendReply(st, msg); err != nil {
+	if err := sp.sendMsg(st, msg); err != nil {
 		return err
 	}
 	sp.metrics.OneWaysSent.Inc()

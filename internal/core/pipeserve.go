@@ -119,7 +119,7 @@ func (sp *Space) handlePipeCall(st *transport.Stream, call *wire.PipeCall) {
 			CallID: call.ID, Method: call.Method, Dur: time.Since(start), Err: res.Err})
 	}
 	session.waitPending()
-	if err := sp.sendReply(st, res); err != nil {
+	if err := sp.sendMsg(st, res); err != nil {
 		session.unpinAll()
 		return
 	}
@@ -285,6 +285,8 @@ func (sp *Space) executePipeCall(ctx context.Context, call *wire.PipeCall, sessi
 		return pipeCancelOutcome(ctx)
 	}
 
+	// Copied: the pickle outlives this call in the session's completion
+	// table, for calls chained on it.
 	var resultBytes []byte
 	if call.Typed {
 		resultBytes, err = sp.pickler.MarshalSession(nil, outs, session)

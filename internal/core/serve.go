@@ -34,19 +34,41 @@ func putResult(res *wire.Result) {
 	resultPool.Put(res)
 }
 
-// sendReply marshals reply through a pooled buffer and sends it on c,
-// counting the bytes on success.
-func (sp *Space) sendReply(c transport.Conn, reply wire.Message) error {
+// sendMsg marshals msg through a pooled buffer and sends it on st,
+// counting the bytes on success. A long byte field of msg — a pickle, or
+// a caller's []byte the pickle left in place — is borrowed, not copied:
+// the stream reads it once, into the frame it writes, before Send
+// returns. Nothing is read after that, so the buffer goes back to the
+// pool here and msg's byte fields are the caller's again.
+func (sp *Space) sendMsg(st *transport.Stream, msg wire.Message) error {
 	bp := wire.GetBuf()
-	out := wire.Marshal((*bp)[:0], reply)
-	err := c.Send(out) // Send copies into its own envelope buffer
+	out, segs := wire.MarshalSegments((*bp)[:0], msg)
+	var err error
 	n := len(out)
+	if segs == nil {
+		err = st.Send(out)
+	} else {
+		err = st.SendSegments(segs)
+		n = 0
+		for _, s := range segs {
+			n += len(s)
+		}
+	}
 	*bp = out
 	wire.PutBuf(bp)
 	if err == nil {
 		sp.metrics.BytesSent.Add(uint64(n))
 	}
 	return err
+}
+
+// viewMin is the length from which a []byte decoded out of the frame st
+// last received may stay a view of it instead of a copy: never, when the
+// frame lies in a pooled buffer, which is recycled; and a quarter of the
+// buffer when that is a slab of the frame's own, so that a value someone
+// keeps pins at most four times its length.
+func viewMin(st *transport.Stream) int {
+	return (st.RecvSlab() + 3) / 4
 }
 
 // acceptLoop accepts connections on one listener until it closes.
@@ -155,7 +177,7 @@ func (sp *Space) serveStream(st *transport.Stream) {
 		sp.log.Debug("unexpected message on stream", "op", msg.Op().String(), "peer", st.RemoteLabel())
 		return
 	}
-	_ = sp.sendReply(st, reply)
+	_ = sp.sendMsg(st, reply)
 }
 
 func (sp *Space) handleDirty(m *wire.Dirty) *wire.DirtyAck {
@@ -291,7 +313,7 @@ func (sp *Space) callContext(call *wire.Call) (context.Context, context.CancelFu
 // handleCall dispatches one remote invocation and sends its Result. When
 // the result carries network references it waits for the caller's
 // ResultAck before releasing the transient dirty entries.
-func (sp *Space) handleCall(c transport.Conn, call *wire.Call) {
+func (sp *Space) handleCall(c *transport.Stream, call *wire.Call) {
 	sp.metrics.CallsServed.Inc()
 	start := time.Now()
 	if sp.tracer != nil {
@@ -301,6 +323,7 @@ func (sp *Space) handleCall(c transport.Conn, call *wire.Call) {
 	stat := sp.metrics.Methods.Get(call.Method)
 	stat.Calls.Inc()
 	session := sp.getCallSession()
+	session.viewMin = viewMin(c)
 	res := resultPool.Get().(*wire.Result)
 	rbp := wire.GetBuf()
 	defer func() {
@@ -353,7 +376,11 @@ func (sp *Space) handleCall(c transport.Conn, call *wire.Call) {
 	// asserts this space is registered for every reference it received,
 	// so settle them before answering.
 	session.waitPending()
-	if err := sp.sendReply(c, res); err != nil {
+	// Borrowed: a large []byte the method returned is read from where the
+	// method left it, by this Send, which is over before anything else
+	// here runs. A method that returns a slice of state it goes on
+	// mutating was racing with the pickler already; it must return a copy.
+	if err := sp.sendMsg(c, res); err != nil {
 		session.unpinAll()
 		return
 	}
@@ -388,7 +415,9 @@ func cancelResult(ctx context.Context, res *wire.Result) {
 // cancellation result with the session's transient pins released — the
 // alerted caller will not acknowledge them. The outcome lands in res
 // (caller-owned, zeroed); encoded results go into resBuf, whose grown
-// backing the caller recycles.
+// backing the caller recycles. Where the call's frame lies in a slab
+// (session.viewMin), a large []byte argument is a view of it: the
+// method owns it like any other argument, and may keep it.
 func (sp *Space) executeCall(ctx context.Context, call *wire.Call, session *callSession, res *wire.Result, resBuf []byte) {
 	ent, ok := sp.exports.Lookup(call.Obj)
 	if !ok {
@@ -408,14 +437,14 @@ func (sp *Space) executeCall(ctx context.Context, call *wire.Call, session *call
 
 	var args []reflect.Value
 	if call.Typed {
-		vals, err := sp.pickler.UnmarshalSession(call.Args, mi.params, session)
+		vals, err := sp.pickler.UnmarshalView(call.Args, mi.params, session, session.viewMin)
 		if err != nil {
 			res.Status, res.Err = wire.StatusMarshal, "decoding arguments: "+err.Error()
 			return
 		}
 		args = vals
 	} else {
-		anys, err := sp.pickler.UnmarshalAnySession(call.Args, session)
+		anys, err := sp.pickler.UnmarshalAnyView(call.Args, session, session.viewMin)
 		if err != nil {
 			res.Status, res.Err = wire.StatusMarshal, "decoding arguments: "+err.Error()
 			return
@@ -455,21 +484,22 @@ func (sp *Space) executeCall(ctx context.Context, call *wire.Call, session *call
 	}
 
 	var resultBytes []byte
+	var resultSegs [][]byte
 	if call.Typed {
-		resultBytes, err = sp.pickler.MarshalSession(resBuf, outs, session)
+		resultBytes, resultSegs, err = sp.pickler.MarshalBorrowed(resBuf, outs, session)
 	} else {
 		anys := make([]any, len(outs))
 		for i, o := range outs {
 			anys[i] = o.Interface()
 		}
-		resultBytes, err = sp.pickler.MarshalAnySession(resBuf, anys, session)
+		resultBytes, resultSegs, err = sp.pickler.MarshalAnyBorrowed(resBuf, anys, session)
 	}
 	if err != nil {
 		session.unpinAll()
 		res.Status, res.Err = wire.StatusMarshal, "encoding results: "+err.Error()
 		return
 	}
-	res.Status, res.Results = wire.StatusOK, resultBytes
+	res.Status, res.Results, res.ResultSegs = wire.StatusOK, resultBytes, resultSegs
 	if appErr != nil {
 		res.Status = wire.StatusAppError
 		res.Err = appErr.Error()

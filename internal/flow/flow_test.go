@@ -130,6 +130,7 @@ func TestSchedulerAbortAndReset(t *testing.T) {
 	if _, _, _, ok := s.Next(); !ok {
 		t.Fatal("no chunk")
 	}
+	s.AppendChunk(nil) // the writer has its copy; Abort waits for that
 	if !s.Abort(it2, boom) {
 		t.Fatal("partially-sent abort must demand a reset")
 	}
@@ -139,6 +140,7 @@ func TestSchedulerAbortAndReset(t *testing.T) {
 	if got != it3 || !last {
 		t.Fatal("expected it3's single final chunk")
 	}
+	s.AppendChunk(nil)
 	if s.Abort(it3, boom) {
 		t.Fatal("inflight final chunk must not reset")
 	}
@@ -153,6 +155,7 @@ func TestSchedulerCloseStreamAndFail(t *testing.T) {
 	closed := errors.New("closed")
 	a := s.Enqueue(1, []byte("aaaaaaaa"))
 	s.Next() // partial
+	s.AppendChunk(nil)
 	if !s.CloseStream(1, closed) {
 		t.Fatal("close with partial item must demand reset")
 	}
@@ -165,6 +168,7 @@ func TestSchedulerCloseStreamAndFail(t *testing.T) {
 	if !ok || it != b || !last {
 		t.Fatal("re-enqueued stream did not send")
 	}
+	s.Finish(it, nil)
 	dead := errors.New("session dead")
 	c := s.Enqueue(5, []byte("cccc"))
 	s.Fail(dead)
@@ -173,6 +177,105 @@ func TestSchedulerCloseStreamAndFail(t *testing.T) {
 	}
 	if err := <-s.Enqueue(6, []byte("dd")).Done(); !errors.Is(err, dead) {
 		t.Fatalf("post-fail enqueue err = %v", err)
+	}
+}
+
+// TestSchedulerChunksPiecesAsOneString: a payload enqueued in pieces is
+// cut at the same offsets as the same bytes in one piece, whatever the
+// piece boundaries (empty pieces included), and AppendChunk returns
+// every byte of a chunk that straddles them.
+func TestSchedulerChunksPiecesAsOneString(t *testing.T) {
+	whole := make([]byte, 1000)
+	for i := range whole {
+		whole[i] = byte(i * 7)
+	}
+	cuts := [][]int{{}, {0}, {1}, {63, 64, 65}, {10, 10, 500}, {999}, {1000}, {64, 128, 192}}
+	for _, cs := range cuts {
+		var pieces [][]byte
+		at := 0
+		for _, c := range cs {
+			pieces = append(pieces, whole[at:c])
+			at = c
+		}
+		pieces = append(pieces, whole[at:])
+		s := NewScheduler(64, 1<<20, 1<<20)
+		it := s.Enqueue(9, pieces[0], pieces[1:]...)
+		if q := s.QueuedBytes(); q != int64(len(whole)) {
+			t.Fatalf("cuts %v: %d bytes queued, want %d", cs, q, len(whole))
+		}
+		var got []byte
+		for n := 0; ; n++ {
+			item, first, last, ok := s.Next()
+			if !ok {
+				t.Fatalf("cuts %v: ran dry after %d bytes", cs, len(got))
+			}
+			chunk := s.AppendChunk(nil)
+			if want := min(64, len(whole)-len(got)); len(chunk) != want {
+				t.Fatalf("cuts %v: chunk %d is %d bytes, want %d", cs, n, len(chunk), want)
+			}
+			if !bytes.HasPrefix(chunk, first) || (len(pieces) == 1 && len(first) != len(chunk)) {
+				t.Fatalf("cuts %v: chunk %d: Next's stretch is not the chunk's start", cs, n)
+			}
+			got = append(got, chunk...)
+			if last {
+				s.Finish(item, nil)
+				break
+			}
+		}
+		if !bytes.Equal(got, whole) {
+			t.Fatalf("cuts %v: chunks do not concatenate to the payload", cs)
+		}
+		if err := <-it.Done(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSchedulerWithdrawWaitsForWriter: Abort, CloseStream and Fail return
+// only once the writer has let go of the chunk it was handed — until then
+// it may be reading the payload the caller is about to reuse.
+func TestSchedulerWithdrawWaitsForWriter(t *testing.T) {
+	boom := errors.New("gave up")
+	withdraw := map[string]func(*Scheduler, *Item){
+		"Abort":       func(s *Scheduler, it *Item) { s.Abort(it, boom) },
+		"CloseStream": func(s *Scheduler, it *Item) { s.CloseStream(it.ID(), boom) },
+		"Fail":        func(s *Scheduler, _ *Item) { s.Fail(boom) },
+	}
+	release := map[string]func(*Scheduler, *Item){
+		"AppendChunk": func(s *Scheduler, _ *Item) { s.AppendChunk(nil) },
+		"Next":        func(s *Scheduler, _ *Item) { s.Next() },
+		"Finish":      func(s *Scheduler, it *Item) { s.Finish(it, boom) },
+	}
+	for wname, w := range withdraw {
+		for rname, r := range release {
+			s := NewScheduler(4, 1<<20, 1<<20)
+			it := s.Enqueue(1, []byte("aaaaaaaa"))
+			if _, _, _, ok := s.Next(); !ok {
+				t.Fatal("no chunk")
+			}
+			returned := make(chan struct{})
+			go func() {
+				w(s, it)
+				close(returned)
+			}()
+			select {
+			case <-returned:
+				t.Fatalf("%s returned while the writer held a chunk", wname)
+			case <-time.After(20 * time.Millisecond):
+			}
+			r(s, it)
+			select {
+			case <-returned:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s still blocked after the writer's %s", wname, rname)
+			}
+			if err := <-it.Done(); !errors.Is(err, boom) {
+				t.Fatalf("%s/%s: item err = %v", wname, rname, err)
+			}
+			if _, _, _, ok := s.Next(); ok {
+				t.Fatalf("%s/%s: a withdrawn item was handed out again", wname, rname)
+			}
+		}
 	}
 }
 

@@ -3,13 +3,23 @@ package flow
 import "sync"
 
 // Item is one queued payload: the unit a sender's Stream.Send waits on.
-// The payload is not copied — it must stay untouched until Done fires.
+// The payload is one byte string held in consecutive pieces (a single
+// piece, as a rule). It is not copied — it must stay untouched until Done
+// fires or the call that withdrew the item (Abort, CloseStream) returns.
 type Item struct {
-	payload []byte
-	off     int
-	id      uint64
-	done    chan error
-	sig     bool // done already signalled (guarded by Scheduler.mu)
+	pieces [][]byte  // never empty; pieces[0] is Enqueue's payload
+	one    [1][]byte // backs pieces for a payload in one piece
+	total  int       // bytes in all pieces
+	off    int       // bytes handed to the writer so far
+	pi, po int       // where byte off lies: piece index, offset in it
+	id     uint64
+	done   chan error
+	sig    bool // done already signalled (guarded by Scheduler.mu)
+
+	// The chunk the writer holds, set by Next for the writer's own later
+	// reads: bytes [start, off) of the payload, beginning at offset hpo of
+	// piece hpi.
+	start, hpi, hpo int
 }
 
 // Done delivers exactly one value: nil once every chunk has been
@@ -37,10 +47,20 @@ type sendQ struct {
 // large payloads per stream and deals them out as credit-gated, bounded
 // chunks, round-robin across streams so no payload monopolizes the
 // link. The session's chunk pump — the writer in this package's comments
-// — is the only consumer (Next / Finish); any goroutine may enqueue,
-// grant or abort.
+// — is the only consumer (Next / AppendChunk / Finish); any goroutine may
+// enqueue, grant or abort.
+//
+// A chunk handed out by Next aliases its item's payload, and the writer
+// reads it with no lock held. So the scheduler keeps track of the one
+// chunk the writer may still be reading (held), and whoever takes an
+// item away from the writer — Abort, CloseStream, Fail — first waits for
+// the writer to let go of it. The writer lets go by AppendChunk (it has
+// its copy), by Finish, or by asking for the next chunk; none of those
+// waits on anything, so the wait is as long as one chunk's copy.
 type Scheduler struct {
 	mu           sync.Mutex
+	released     sync.Cond // signalled when held clears; L is &mu
+	held         *Item     // item whose last-returned chunk the writer may be reading
 	chunk        int
 	streamWindow int64 // initial credit for a newly seen stream
 	sessAvail    int64
@@ -57,13 +77,15 @@ type Scheduler struct {
 // NewScheduler returns a scheduler chunking at chunk bytes with the
 // peer-advertised per-stream and session windows as initial credit.
 func NewScheduler(chunk int, streamWindow, sessionWindow int64) *Scheduler {
-	return &Scheduler{
+	s := &Scheduler{
 		chunk:        chunk,
 		streamWindow: streamWindow,
 		sessAvail:    sessionWindow,
 		streams:      make(map[uint64]*sendQ),
 		kick:         make(chan struct{}, 1),
 	}
+	s.released.L = &s.mu
+	return s
 }
 
 // Configure adopts the peer-advertised chunk size and windows once its
@@ -98,10 +120,30 @@ func (s *Scheduler) signal(it *Item, err error) {
 	it.done <- err
 }
 
-// Enqueue queues payload for stream id and returns the Item to wait on.
+// release lets go of the writer's chunk and wakes whoever waits for
+// that. Callers hold mu.
+func (s *Scheduler) release() {
+	if s.held != nil {
+		s.held = nil
+		s.released.Broadcast()
+	}
+}
+
+// Enqueue queues a payload for stream id and returns the Item to wait on:
+// payload, followed by the pieces in more when the byte string to send
+// lies in several places. It is chunked as one byte string either way.
 // If the scheduler has already failed, the item is born failed.
-func (s *Scheduler) Enqueue(id uint64, payload []byte) *Item {
-	it := &Item{payload: payload, id: id, done: make(chan error, 1)}
+func (s *Scheduler) Enqueue(id uint64, payload []byte, more ...[]byte) *Item {
+	it := &Item{total: len(payload), id: id, done: make(chan error, 1)}
+	if len(more) == 0 {
+		it.one[0] = payload
+		it.pieces = it.one[:]
+	} else {
+		it.pieces = append(append(make([][]byte, 0, 1+len(more)), payload), more...)
+		for _, p := range more {
+			it.total += len(p)
+		}
+	}
 	s.mu.Lock()
 	if s.err != nil {
 		err := s.err
@@ -119,7 +161,7 @@ func (s *Scheduler) Enqueue(id uint64, payload []byte) *Item {
 		s.ring = append(s.ring, id)
 	}
 	q.items = append(q.items, it)
-	s.queuedBytes += int64(len(payload))
+	s.queuedBytes += int64(it.total)
 	s.mu.Unlock()
 	s.wake()
 	return it
@@ -131,9 +173,16 @@ func (s *Scheduler) Enqueue(id uint64, payload []byte) *Item {
 // physical write of a last chunk. ok is false when nothing is sendable —
 // if data was queued but credit-blocked, that is a writer stall and is
 // counted.
+//
+// The chunk aliases the item's payload, and the writer holds it until it
+// calls AppendChunk, Finish for the item, or Next again. chunk is the
+// whole chunk when that lies within one piece of the payload — always,
+// for a payload enqueued in one piece — and otherwise its first stretch;
+// AppendChunk yields every byte in both cases.
 func (s *Scheduler) Next() (it *Item, chunk []byte, last bool, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.release()
 	if s.err != nil || len(s.ring) == 0 {
 		return nil, nil, false, false
 	}
@@ -156,7 +205,7 @@ func (s *Scheduler) Next() (it *Item, chunk []byte, last bool, ok bool) {
 		scanned++
 		n := int64(s.chunk)
 		head := q.items[0]
-		if rem := int64(len(head.payload) - head.off); rem < n {
+		if rem := int64(head.total - head.off); rem < n {
 			n = rem
 		}
 		if q.avail < n {
@@ -170,12 +219,12 @@ func (s *Scheduler) Next() (it *Item, chunk []byte, last bool, ok bool) {
 			s.pos++
 			continue
 		}
-		chunk = head.payload[head.off : head.off+int(n)]
-		head.off += int(n)
+		chunk = head.take(int(n))
+		s.held = head
 		q.avail -= n
 		s.sessAvail -= n
 		s.queuedBytes -= n
-		last = head.off == len(head.payload)
+		last = head.off == head.total
 		if last {
 			q.items = q.items[1:]
 			s.inflight = head
@@ -189,12 +238,68 @@ func (s *Scheduler) Next() (it *Item, chunk []byte, last bool, ok bool) {
 	return nil, nil, false, false
 }
 
+// take marks the next n bytes of the payload as the writer's chunk and
+// returns the first stretch of them, all of them unless they straddle
+// pieces. Callers hold the scheduler's mu; n is at least 1 and at most
+// what is left.
+func (it *Item) take(n int) []byte {
+	for it.po == len(it.pieces[it.pi]) { // step over exhausted and empty pieces
+		it.pi, it.po = it.pi+1, 0
+	}
+	it.start, it.hpi, it.hpo = it.off, it.pi, it.po
+	first := it.pieces[it.pi][it.po:]
+	if len(first) > n {
+		first = first[:n]
+	}
+	it.off += n
+	for left := n; ; {
+		room := len(it.pieces[it.pi]) - it.po
+		if left <= room {
+			it.po += left
+			return first
+		}
+		left -= room
+		it.pi, it.po = it.pi+1, 0
+	}
+}
+
+// AppendChunk appends the writer's chunk — every byte of it, however
+// many pieces of the payload it straddles — to dst, and lets go of it:
+// from here on the payload is read again only by a later Next. A writer
+// that copies chunks into frames of its own calls it before the physical
+// write, so that a sender giving up on the item gets its buffer back
+// without waiting out the link.
+func (s *Scheduler) AppendChunk(dst []byte) []byte {
+	// held and the chunk's bounds are the writer's own: only its calls
+	// set them, so it reads them here without mu, as it reads the payload.
+	it := s.held
+	if it == nil {
+		return dst
+	}
+	pi, po := it.hpi, it.hpo
+	for left := it.off - it.start; left > 0; pi, po = pi+1, 0 {
+		p := it.pieces[pi][po:]
+		if len(p) > left {
+			p = p[:left]
+		}
+		dst = append(dst, p...)
+		left -= len(p)
+	}
+	s.mu.Lock()
+	s.release()
+	s.mu.Unlock()
+	return dst
+}
+
 // Finish acknowledges the physical write of an item's final chunk (err
 // nil) or its failure.
 func (s *Scheduler) Finish(it *Item, err error) {
 	s.mu.Lock()
 	if s.inflight == it {
 		s.inflight = nil
+	}
+	if s.held == it {
+		s.release()
 	}
 	s.signal(it, err)
 	s.mu.Unlock()
@@ -223,21 +328,27 @@ func (s *Scheduler) GrantSession(n int64) {
 // reports whether any chunk had already been written, in which case the
 // caller must send a reset so the receiver drops its partial assembly.
 // Aborting an item whose final chunk is already with the writer is a
-// no-op: the message is effectively sent.
+// no-op: the message is effectively sent. Either way the writer is no
+// longer reading the item's payload when Abort returns.
 func (s *Scheduler) Abort(it *Item, err error) (needReset bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if it.sig || s.inflight == it {
-		return false
-	}
-	if q := s.streams[it.id]; q != nil {
+	gone := it.sig || s.inflight == it
+	if q := s.streams[it.id]; q != nil && !gone {
 		for i, qi := range q.items {
 			if qi == it {
 				q.items = append(q.items[:i], q.items[i+1:]...)
-				s.queuedBytes -= int64(len(it.payload) - it.off)
+				s.queuedBytes -= int64(it.total - it.off)
 				break
 			}
 		}
+	}
+	// Unlinked, the item gets no further chunk; wait out the one in hand.
+	for s.held == it {
+		s.released.Wait()
+	}
+	if gone {
+		return false
 	}
 	s.signal(it, err)
 	return it.sent()
@@ -245,31 +356,39 @@ func (s *Scheduler) Abort(it *Item, err error) (needReset bool) {
 
 // CloseStream drops a stream's state, failing its queued items with err.
 // It reports whether a partially-sent item was abandoned (the caller
-// must send a reset).
+// must send a reset). The writer is no longer reading any payload of the
+// stream when it returns.
 func (s *Scheduler) CloseStream(id uint64, err error) (needReset bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	q := s.streams[id]
+	delete(s.streams, id)
+	for s.held != nil && s.held.id == id {
+		s.released.Wait()
+	}
 	if q == nil {
 		return false
 	}
-	delete(s.streams, id)
 	for _, it := range q.items {
 		if it.sent() {
 			needReset = true
 		}
-		s.queuedBytes -= int64(len(it.payload) - it.off)
+		s.queuedBytes -= int64(it.total - it.off)
 		s.signal(it, err)
 	}
 	return needReset
 }
 
 // Fail poisons the scheduler: every queued and future item fails with
-// err. Called when the session dies.
+// err. Called when the session dies. Senders take their payloads back
+// when their items fail, so the writer's chunk is waited for first.
 func (s *Scheduler) Fail(err error) {
 	s.mu.Lock()
 	if s.err == nil {
 		s.err = err
+	}
+	for s.held != nil {
+		s.released.Wait()
 	}
 	if s.inflight != nil {
 		s.signal(s.inflight, err)

@@ -114,12 +114,28 @@ type clientInfo struct {
 
 // exportShard is one stripe of the table: a slice of the index space
 // (indices congruent to the shard's position, modulo the shard count)
-// plus the identity map for the objects whose entries live here.
+// plus the identity map for the objects whose entries live here. Both
+// maps are made at their first insert (setIndex, setObj): a space is
+// built with every shard empty, and most stay so.
 type exportShard struct {
 	mu      sync.Mutex
 	next    uint64
 	byIndex map[uint64]*ExportEntry
 	byObj   map[any]uint64
+}
+
+func (s *exportShard) setIndex(ix uint64, e *ExportEntry) {
+	if s.byIndex == nil {
+		s.byIndex = make(map[uint64]*ExportEntry)
+	}
+	s.byIndex[ix] = e
+}
+
+func (s *exportShard) setObj(obj any, ix uint64) {
+	if s.byObj == nil {
+		s.byObj = make(map[any]uint64)
+	}
+	s.byObj[obj] = ix
 }
 
 // Exports is the export table of one space. The zero value is not usable;
@@ -149,8 +165,6 @@ func NewExportsSharded(n int) *Exports {
 	e := &Exports{shards: make([]exportShard, n), mask: uint64(n - 1)}
 	for i := range e.shards {
 		s := &e.shards[i]
-		s.byIndex = make(map[uint64]*ExportEntry)
-		s.byObj = make(map[any]uint64)
 		// The smallest index >= FirstUserIndex congruent to i (mod n), so
 		// every index this shard allocates hashes back to it.
 		s.next = uint64(i)
@@ -223,13 +237,13 @@ func (e *Exports) Export(obj any, fingerprints []uint64) (uint64, error) {
 		ix += uint64(len(e.shards))
 	}
 	s.next = ix + uint64(len(e.shards))
-	s.byIndex[ix] = &ExportEntry{
+	s.setIndex(ix, &ExportEntry{
 		Index:        ix,
 		Obj:          obj,
 		Fingerprints: fingerprints,
 		clients:      make(map[wire.SpaceID]*clientInfo),
-	}
-	s.byObj[obj] = ix
+	})
+	s.setObj(obj, ix)
 	return ix, nil
 }
 
@@ -252,7 +266,7 @@ func (e *Exports) ExportAt(obj any, index uint64, fingerprints []uint64) error {
 	}
 	// Reserve the identity slot first so a concurrent Export of the same
 	// object cannot race past; roll it back if the index is taken.
-	objShard.byObj[obj] = index
+	objShard.setObj(obj, index)
 	objShard.mu.Unlock()
 
 	ixShard := e.shardForIndex(index)
@@ -264,13 +278,13 @@ func (e *Exports) ExportAt(obj any, index uint64, fingerprints []uint64) error {
 		objShard.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrIndexInUse, index)
 	}
-	ixShard.byIndex[index] = &ExportEntry{
+	ixShard.setIndex(index, &ExportEntry{
 		Index:        index,
 		Obj:          obj,
 		Fingerprints: fingerprints,
 		Pinned:       true,
 		clients:      make(map[wire.SpaceID]*clientInfo),
-	}
+	})
 	ixShard.mu.Unlock()
 	return nil
 }

@@ -106,10 +106,12 @@ type ImportEntry struct {
 
 // importShard is one stripe of the import table. Each key lives wholly in
 // one shard; the shard's condition variable carries the state-change
-// broadcasts for the keys it guards.
+// broadcasts for the keys it guards. The maps are made at their first
+// insert: most shards of most tables never see one, and a table is built
+// for every space.
 type importShard struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
+	cond    sync.Cond // L is &mu
 	entries map[wire.Key]*ImportEntry
 	// lastSeq survives entry deletion: Birrell's sequence numbers must
 	// increase across successive lifecycles of the same reference at the
@@ -143,11 +145,7 @@ func NewImportsSharded(n int) *Imports {
 	n = normShards(n)
 	im := &Imports{shards: make([]importShard, n), mask: uint64(n - 1)}
 	for i := range im.shards {
-		s := &im.shards[i]
-		s.entries = make(map[wire.Key]*ImportEntry)
-		s.lastSeq = make(map[wire.Key]uint64)
-		s.lastGen = make(map[wire.Key]uint64)
-		s.cond = sync.NewCond(&s.mu)
+		im.shards[i].cond.L = &im.shards[i].mu
 	}
 	return im
 }
@@ -183,6 +181,9 @@ func (im *Imports) lock(s *importShard) {
 
 // nextSeqLocked allocates the next dirty/clean sequence number for key.
 func (s *importShard) nextSeqLocked(key wire.Key) uint64 {
+	if s.lastSeq == nil {
+		s.lastSeq = make(map[wire.Key]uint64)
+	}
 	s.lastSeq[key]++
 	return s.lastSeq[key]
 }
@@ -191,6 +192,9 @@ func (s *importShard) nextSeqLocked(key wire.Key) uint64 {
 // next lifecycle of the same key resumes from it rather than from zero.
 func (s *importShard) dropLocked(key wire.Key, e *ImportEntry) {
 	if e.gen > 0 {
+		if s.lastGen == nil {
+			s.lastGen = make(map[wire.Key]uint64)
+		}
 		s.lastGen[key] = e.gen
 	}
 	delete(s.entries, key)
@@ -217,6 +221,9 @@ func (im *Imports) Acquire(key wire.Key, endpoints []string) (ent *ImportEntry, 
 		// gen resumes where the previous lifecycle left off (see lastGen),
 		// so a cleanup armed before the entry died can never match again.
 		e = &ImportEntry{Key: key, Endpoints: endpoints, state: StateNil, gen: s.lastGen[key]}
+		if s.entries == nil {
+			s.entries = make(map[wire.Key]*ImportEntry)
+		}
 		s.entries[key] = e
 		return e, ActionRegister, s.nextSeqLocked(key)
 	}

@@ -176,8 +176,14 @@ func (p *Pickler) sliceCodec(t reflect.Type) (*typeCodec, error) {
 					if err := st.d.Err(); err != nil {
 						return err
 					}
-					// BytesField aliases the input buffer; copy into
-					// freshly owned storage.
+					// BytesField aliases the input buffer. A caller that
+					// has given the buffer up (UnmarshalView) gets a long
+					// value as that very stretch of it; everything else
+					// is copied into freshly owned storage.
+					if st.viewMin > 0 && len(b) >= st.viewMin {
+						v.SetBytes(b[:len(b):len(b)])
+						return nil
+					}
 					nb := reflect.MakeSlice(t, len(b), len(b))
 					reflect.Copy(nb, reflect.ValueOf(b))
 					v.Set(nb)

@@ -17,12 +17,23 @@ func FuzzUnmarshalAny(f *testing.F) {
 	f.Add(seed1)
 	f.Add(seed2)
 	f.Add(seed3)
+	registerDeep(p, reflect.TypeOf(twoBlobs{}), map[reflect.Type]bool{})
+	for _, vals := range borrowShapes() {
+		// The borrowing pickler's shapes, as the pieces it sends.
+		if out, segs, err := p.MarshalAnyBorrowed(nil, vals, nil); err == nil && len(out) < 300<<10 {
+			if segs != nil {
+				out = join(segs)
+			}
+			f.Add(out)
+		}
+	}
 	f.Add([]byte{})
 	f.Add([]byte{1, 1, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := New(NewRegistry(), nil)
 		registerDeep(dec, reflect.TypeOf(outer{}), map[reflect.Type]bool{})
 		_, _ = dec.UnmarshalAnySession(data, nil)
+		_, _ = dec.UnmarshalAnyView(data, nil, 1+len(data)/4)
 		var o outer
 		_ = dec.Unmarshal(data, &o)
 		var m map[string]any

@@ -134,12 +134,30 @@ var encScratchPool = sync.Pool{New: func() any {
 // MarshalSession is MarshalValues with a session value made visible to the
 // NetRefs hook for every reference pickled.
 func (p *Pickler) MarshalSession(buf []byte, vals []reflect.Value, session any) ([]byte, error) {
+	out, _, err := p.marshal(buf, vals, session, false)
+	return out, err
+}
+
+// MarshalBorrowed is MarshalSession for a sender that writes the pickle
+// out before it returns to whoever owns vals: a large []byte among them is
+// not copied into buf but left where it is. When that happened segs is
+// the pickle in pieces — the stretches of out and, between them, the
+// caller's own slices; their concatenation is byte for byte what
+// MarshalSession returns — and out is only the buffer to recycle
+// afterwards. When it did not, segs is nil and out is the pickle. The
+// values must not change until the pieces have been sent.
+func (p *Pickler) MarshalBorrowed(buf []byte, vals []reflect.Value, session any) (out []byte, segs [][]byte, err error) {
+	return p.marshal(buf, vals, session, true)
+}
+
+func (p *Pickler) marshal(buf []byte, vals []reflect.Value, session any, borrow bool) ([]byte, [][]byte, error) {
 	if len(vals) == 0 {
 		// The empty tuple is a constant; no encoder state needed.
-		return append(buf[:0], emptyTuple...), nil
+		return append(buf[:0], emptyTuple...), nil, nil
 	}
 	sc := encScratchPool.Get().(*encScratch)
 	sc.enc.Reset(buf)
+	sc.enc.Borrow(borrow)
 	st := &sc.st
 	st.p, st.e, st.session = p, &sc.enc, session
 	st.nextID, st.depth = 0, 0
@@ -156,15 +174,15 @@ func (p *Pickler) MarshalSession(buf []byte, vals []reflect.Value, session any) 
 			break
 		}
 	}
-	out := sc.enc.Bytes()
+	out, segs := sc.enc.Bytes(), sc.enc.Segments()
 	// Detach everything the caller or the next pickle must not share.
 	st.p, st.e, st.session = nil, nil, nil
 	sc.enc.Reset(nil)
 	encScratchPool.Put(sc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return out, nil
+	return out, segs, nil
 }
 
 // Unmarshal decodes a pickle produced by Marshal into the pointed-to
@@ -223,7 +241,7 @@ var anyType = reflect.TypeOf((*any)(nil)).Elem()
 // be decoded from an interface encoding when assignment or lossless
 // conversion is possible.
 func (p *Pickler) UnmarshalValues(data []byte, types []reflect.Type) ([]reflect.Value, error) {
-	return p.UnmarshalSession(data, types, nil)
+	return p.UnmarshalView(data, types, nil, 0)
 }
 
 // decScratch bundles the per-pickle decoding state with its decoder so
@@ -244,7 +262,7 @@ func (sc *decScratch) release() {
 	}
 	st.shared = st.shared[:0]
 	st.p, st.d, st.session = nil, nil, nil
-	st.depth = 0
+	st.depth, st.viewMin = 0, 0
 	sc.dec.Reset(nil)
 	decScratchPool.Put(sc)
 }
@@ -252,6 +270,18 @@ func (sc *decScratch) release() {
 // UnmarshalSession is UnmarshalValues with a session value made visible to
 // the NetRefs hook for every reference unpickled.
 func (p *Pickler) UnmarshalSession(data []byte, types []reflect.Type, session any) ([]reflect.Value, error) {
+	return p.UnmarshalView(data, types, session, 0)
+}
+
+// UnmarshalView is UnmarshalSession for a caller that gives data up to
+// the values decoded from it: a []byte of at least viewMin bytes is
+// returned as a view of data — capacity clipped to its length, so that
+// appending to it cannot reach its neighbours — instead of a copy. Such a
+// value keeps all of data's buffer alive, so the caller sets viewMin to
+// the fraction of that buffer it will let one value pin, and makes sure
+// nothing ever reuses the buffer. viewMin 0 copies every value, as
+// UnmarshalSession does.
+func (p *Pickler) UnmarshalView(data []byte, types []reflect.Type, session any, viewMin int) ([]reflect.Value, error) {
 	if len(types) == 0 {
 		// Null-tuple fast path: validate the count without codec state.
 		d := wire.NewDecoder(data)
@@ -272,7 +302,7 @@ func (p *Pickler) UnmarshalSession(data []byte, types []reflect.Type, session an
 	sc.dec.Reset(data)
 	d := &sc.dec
 	st := &sc.st
-	st.p, st.d, st.session = p, d, session
+	st.p, st.d, st.session, st.viewMin = p, d, session, viewMin
 	n := d.Uint()
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -305,11 +335,23 @@ func (p *Pickler) UnmarshalSession(data []byte, types []reflect.Type, session an
 // session visible to the NetRefs hook. It is the encoding of dynamic call
 // tuples: the receiver needs no static type information to decode.
 func (p *Pickler) MarshalAnySession(buf []byte, vals []any, session any) ([]byte, error) {
+	out, _, err := p.marshal(buf, anyValues(vals), session, false)
+	return out, err
+}
+
+// MarshalAnyBorrowed is MarshalAnySession leaving large []byte values in
+// place, as MarshalBorrowed does.
+func (p *Pickler) MarshalAnyBorrowed(buf []byte, vals []any, session any) (out []byte, segs [][]byte, err error) {
+	return p.marshal(buf, anyValues(vals), session, true)
+}
+
+// anyValues holds each of vals as an interface-typed value.
+func anyValues(vals []any) []reflect.Value {
 	rvs := make([]reflect.Value, len(vals))
 	for i := range vals {
 		rvs[i] = reflect.ValueOf(&vals[i]).Elem()
 	}
-	return p.MarshalSession(buf, rvs, session)
+	return rvs
 }
 
 // UnmarshalAnySession decodes a pickle whose slots were all encoded as
@@ -317,6 +359,12 @@ func (p *Pickler) MarshalAnySession(buf []byte, vals []any, session any) ([]byte
 // values. Network references decode to whatever the NetRefs hook produces
 // for the empty interface.
 func (p *Pickler) UnmarshalAnySession(data []byte, session any) ([]any, error) {
+	return p.UnmarshalAnyView(data, session, 0)
+}
+
+// UnmarshalAnyView is UnmarshalAnySession returning large []byte values
+// as views of data, on UnmarshalView's terms.
+func (p *Pickler) UnmarshalAnyView(data []byte, session any, viewMin int) ([]any, error) {
 	if len(data) == 1 && data[0] == 0 {
 		// The empty tuple; nothing to decode.
 		return nil, nil
@@ -326,7 +374,7 @@ func (p *Pickler) UnmarshalAnySession(data []byte, session any) ([]any, error) {
 	sc.dec.Reset(data)
 	d := &sc.dec
 	st := &sc.st
-	st.p, st.d, st.session = p, d, session
+	st.p, st.d, st.session, st.viewMin = p, d, session, viewMin
 	n := d.Uint()
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -374,6 +422,9 @@ type decState struct {
 	shared  []reflect.Value
 	depth   int
 	session any
+	// viewMin, when positive, is the length from which a []byte is
+	// returned as a view of the input instead of a copy (UnmarshalView).
+	viewMin int
 }
 
 // typeCodec holds the compiled encode and decode functions for one type.

@@ -206,7 +206,7 @@ func (f *flowState) writeControl(s *Session) error {
 // writeData sends at most one credit-gated data chunk, reporting whether
 // it wrote anything. Only the pump calls it, holding the write lock.
 func (f *flowState) writeData(s *Session) (bool, error) {
-	it, chunk, last, ok := f.sched.Next()
+	it, _, last, ok := f.sched.Next()
 	if !ok {
 		// Mirror scheduler stalls (data queued, no credit) to the metric.
 		if st := f.sched.Stalls(); st > f.seenStalls {
@@ -219,8 +219,12 @@ func (f *flowState) writeData(s *Session) (bool, error) {
 	if last {
 		flags = wire.DataFlagLast
 	}
+	// The one copy of the send side: out of the sender's buffer — wherever
+	// its pieces lie — into the frame. The scheduler lets go of the chunk
+	// once it is made, before the write, so a sender that gives up never
+	// waits for the link to get its buffer back.
 	bp := wire.GetBuf()
-	*bp = append(wire.AppendDataHeader((*bp)[:0], it.ID(), flags), chunk...)
+	*bp = f.sched.AppendChunk(wire.AppendDataHeader((*bp)[:0], it.ID(), flags))
 	err := s.write(*bp)
 	wire.PutBuf(bp)
 	if err != nil {
@@ -234,14 +238,18 @@ func (f *flowState) writeData(s *Session) (bool, error) {
 }
 
 // onData handles one inbound data chunk: session- and stream-level credit
-// accounting, assembly, and delivery of completed messages.
-func (s *Session) onData(id, flags uint64, chunk []byte) {
+// accounting, and delivery of completed messages. The reader does not
+// assemble: it keeps each chunk in the buffer it arrived in and hands the
+// lot to the consumer (see take). own is the chunkBufs buffer data lies
+// in when the reader may give that away, and onData reports whether it
+// took it; data in anyone else's buffer is copied into one.
+func (s *Session) onData(id, flags uint64, data []byte, own *[]byte) (took bool) {
 	f := s.flow
-	if g := f.sessLedger.Chunk(len(chunk)); g > 0 {
+	if g := f.sessLedger.Chunk(len(data)); g > 0 {
 		f.queueGrant(0, g)
 	}
 	if id == 0 {
-		return
+		return false
 	}
 	s.mu.Lock()
 	st, known := s.streams[id]
@@ -252,42 +260,44 @@ func (s *Session) onData(id, flags uint64, chunk []byte) {
 	}
 	s.mu.Unlock()
 	if st == nil {
-		return // late chunks for an abandoned exchange: dropped
+		return false // late chunks for an abandoned exchange: dropped
 	}
 	if flags&wire.DataFlagReset != 0 {
 		// The sender abandoned the message mid-stream: drop the partial
 		// assembly and tear the stream down so a blocked handler unwedges.
-		if st.asm != nil {
-			wire.PutBuf(st.asm)
-			st.asm = nil
-		}
+		st.asm.recycle()
+		st.asm = nil
 		_ = st.Close()
-		return
+		return false
+	}
+	c := chunk{bp: own, b: data}
+	if own == nil {
+		c.bp = getChunkBuf(max(len(data), f.params.ChunkSize+dataHeaderMax)) // one size serves both paths
+		*c.bp = append(*c.bp, data...)
+		c.b = *c.bp
 	}
 	if st.asm == nil {
-		bp := wire.GetBuf()
-		*bp = (*bp)[:0]
-		st.asm = bp
+		st.asm = new(assembly)
 	}
-	*st.asm = append(*st.asm, chunk...)
+	st.asm.chunks = append(st.asm.chunks, c)
+	st.asm.n += len(data)
 	if st.ledger == nil {
 		st.ledger = flow.NewRecvLedger(f.params.StreamWindow)
 	}
-	if g := st.ledger.Chunk(len(chunk)); g > 0 {
+	if g := st.ledger.Chunk(len(data)); g > 0 {
 		f.queueGrant(id, g)
 	}
 	if flags&wire.DataFlagLast != 0 {
-		bp := st.asm
+		m := inMsg{asm: st.asm}
 		st.asm = nil
-		n := len(*bp)
-		st.ledger.Complete(n)
+		st.ledger.Complete(m.asm.n)
 		select {
-		case st.in <- inMsg{bp: bp, charged: n}:
+		case st.in <- m:
 		default:
 			// Inbox overflow: drop like a lossy link, but count the bytes
 			// consumed so the sender's window is not wedged forever.
-			wire.PutBuf(bp)
-			if g := st.ledger.Delivered(n); g > 0 {
+			m.recycle()
+			if g := st.ledger.Delivered(m.asm.n); g > 0 {
 				f.queueGrant(id, g)
 			}
 		}
@@ -295,15 +305,18 @@ func (s *Session) onData(id, flags uint64, chunk []byte) {
 	if fresh {
 		s.serve(st)
 	}
+	return own != nil
 }
 
-// sendChunked queues payload with the scheduler and waits for the final
-// chunk's physical write, preserving Send's drain contract. The payload
-// is not copied: it stays aliased until the item completes or is
-// withdrawn, both of which happen-before return.
-func (st *Stream) sendChunked(payload []byte) error {
+// sendChunked queues payload (and more, its continuation) with the
+// scheduler and waits for the final chunk's physical write, preserving
+// Send's drain contract. The payload is not copied: it stays aliased
+// until the item completes or is withdrawn — and the pump has let go of
+// the chunk it was reading, which Abort waits for — all of which
+// happen-before return.
+func (st *Stream) sendChunked(payload []byte, more [][]byte) error {
 	f := st.s.flow
-	it := f.sched.Enqueue(st.id, payload)
+	it := f.sched.Enqueue(st.id, payload, more...)
 	t, tc, derr := st.timer()
 	if t != nil {
 		defer t.Stop()

@@ -3,7 +3,9 @@ package transport
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"time"
 
@@ -80,12 +82,23 @@ func (tl *tcpListener) Endpoint() string {
 
 // tcpConn adapts a net.Conn to the framed Conn interface. Writes go
 // through a buffered writer flushed per frame; small frames therefore cost
-// one syscall.
+// one syscall. A frame too large for the writer's buffer would pass
+// through it uncopied anyway, so it is written from where it lies, behind
+// its length prefix, in one vectored write.
 type tcpConn struct {
 	c  net.Conn
 	br *bufio.Reader
 	bw *bufio.Writer
+
+	// The vectored write's length prefix and buffer list. Send is not
+	// concurrent (see Conn), so one of each serves every frame.
+	hdr  [4]byte
+	vec  [2][]byte
+	bufs net.Buffers
 }
+
+// tcpBuffer is the size of a connection's read and write buffers.
+const tcpBuffer = 32 << 10
 
 func newTCPConn(c net.Conn) *tcpConn {
 	if tc, ok := c.(*net.TCPConn); ok {
@@ -94,16 +107,33 @@ func newTCPConn(c net.Conn) *tcpConn {
 	}
 	return &tcpConn{
 		c:  c,
-		br: bufio.NewReaderSize(c, 32<<10),
-		bw: bufio.NewWriterSize(c, 32<<10),
+		br: bufio.NewReaderSize(c, tcpBuffer),
+		bw: bufio.NewWriterSize(c, tcpBuffer),
 	}
 }
 
 func (tc *tcpConn) Send(payload []byte) error {
+	if len(payload) >= tcpBuffer {
+		return mapNetErr(tc.sendLarge(payload))
+	}
 	if err := wire.WriteFrame(tc.bw, payload); err != nil {
 		return mapNetErr(err)
 	}
 	return mapNetErr(tc.bw.Flush())
+}
+
+// sendLarge writes one frame straight from payload. Every Send flushes,
+// so the buffered writer holds nothing that must go first.
+func (tc *tcpConn) sendLarge(payload []byte) error {
+	if len(payload) > wire.MaxFrame {
+		return fmt.Errorf("%w: %d bytes", wire.ErrFrameTooLarge, len(payload))
+	}
+	binary.BigEndian.PutUint32(tc.hdr[:], uint32(len(payload)))
+	tc.vec[0], tc.vec[1] = tc.hdr[:], payload
+	tc.bufs = tc.vec[:]
+	_, err := tc.bufs.WriteTo(tc.c)
+	tc.vec[1] = nil // WriteTo consumed bufs; do not keep the caller's frame alive
+	return err
 }
 
 func (tc *tcpConn) Recv(scratch []byte) ([]byte, error) {

@@ -2,15 +2,21 @@ package wire
 
 import "sync"
 
-// maxPooledBuf bounds the capacity of buffers returned to the pool. A
-// single huge frame (a large pickled argument) must not pin a megabyte of
-// scratch behind every pool slot forever.
+// maxPooledBuf bounds the capacity of buffers returned to the pool: no
+// pool slot should pin more than a megabyte of scratch. Nothing on the
+// bulk path grows a pooled buffer that far any more — a large []byte is
+// borrowed around the pickle and the frame (Encoder.Borrow), sent from a
+// chunk-sized frame, and assembled at the far end in a slab that is never
+// pooled — so the bound now only catches a large value that is not a
+// []byte, whose pickle still has to be written somewhere.
 const maxPooledBuf = 1 << 20
 
 // bufPool recycles scratch buffers for frame assembly and message
 // encoding. GetBuf/PutBuf expose it so the transport session layer and
 // the runtime share one pool for their per-frame buffers instead of
-// allocating per call.
+// allocating per call. A buffer from here is only ever scratch: whoever
+// decodes out of one copies what it keeps, because the next GetBuf may
+// hand the same memory to anyone.
 var bufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)

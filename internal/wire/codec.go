@@ -25,9 +25,32 @@ const MaxStringLen = 64 << 20
 // Encoder appends primitive values to a byte slice in the wire format:
 // unsigned varints for integers, length-prefixed bytes for strings.
 // The zero value is ready to use.
+//
+// An encoder that borrows (see Borrow) leaves large byte fields where
+// they are: the encoding is then buf with each borrowed slice cut in at
+// its offset, and Segments lists the pieces in order. The bytes are the
+// same either way; an encoder that does not borrow is the case of one
+// piece.
 type Encoder struct {
-	buf []byte
+	buf    []byte
+	borrow bool
+	cuts   []cut
 }
+
+// cut is one borrowed byte field: b belongs between buf[:at] and buf[at:].
+type cut struct {
+	at int
+	b  []byte
+}
+
+// borrowMin is the shortest byte field a borrowing encoder leaves in
+// place: half a default chunk, so that whatever is long enough to be sent
+// in chunks is borrowed, and nothing much shorter. The F1 sweep
+// (EXPERIMENTS.md) says there is no finer line to draw: borrowed or
+// copied, a 16 KiB Bytes call takes the same 65–70 µs (and five more
+// allocations borrowed); the copies spared are into warm pooled buffers.
+// What borrowing buys is the megabyte those buffers stop being pooled at.
+const borrowMin = 32 << 10
 
 // NewEncoder returns an encoder writing into buf (which may be nil);
 // passing a preallocated buffer lets callers reuse storage across messages.
@@ -35,11 +58,48 @@ func NewEncoder(buf []byte) *Encoder { return &Encoder{buf: buf[:0]} }
 
 // Reset points the encoder at buf (which may be nil), discarding any
 // previous contents, so pooled encoders can be reused across messages.
-func (e *Encoder) Reset(buf []byte) { e.buf = buf[:0] }
+func (e *Encoder) Reset(buf []byte) {
+	e.buf = buf[:0]
+	if len(e.cuts) > 0 {
+		clear(e.cuts) // drop the borrowed slices, keep the backing array
+		e.cuts = e.cuts[:0]
+	}
+}
+
+// Borrow sets whether BytesField may leave a field of borrowMin bytes or
+// more in the caller's memory instead of copying it. The caller must then
+// take the encoding from Segments, and keep every borrowed slice
+// unchanged until the pieces have been written out.
+func (e *Encoder) Borrow(on bool) { e.borrow = on }
 
 // Bytes returns the encoded contents. The slice aliases the encoder's
-// internal buffer and is valid until the next call on the encoder.
+// internal buffer and is valid until the next call on the encoder. Where
+// fields were borrowed it lacks them; Segments has the whole encoding.
 func (e *Encoder) Bytes() []byte { return e.buf }
+
+// Segments returns nil when no field was borrowed — Bytes is then the
+// encoding — and otherwise the encoding in pieces, in order: the
+// stretches of the encoder's own buffer and, between them, the borrowed
+// fields. Their concatenation is what a non-borrowing encoder would hold
+// in Bytes. The pieces alias the buffer and the borrowed slices.
+func (e *Encoder) Segments() [][]byte {
+	if len(e.cuts) == 0 {
+		return nil
+	}
+	segs := make([][]byte, 0, 2*len(e.cuts)+1)
+	at := 0
+	for _, c := range e.cuts {
+		if c.at > at {
+			segs = append(segs, e.buf[at:c.at])
+		}
+		segs = append(segs, c.b)
+		at = c.at
+	}
+	if at < len(e.buf) {
+		segs = append(segs, e.buf[at:])
+	}
+	return segs
+}
 
 // Uint appends an unsigned varint.
 func (e *Encoder) Uint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
@@ -62,10 +122,40 @@ func (e *Encoder) Float(v float64) { e.Uint(math.Float64bits(v)) }
 // Complex appends a complex128 as two float64s.
 func (e *Encoder) Complex(v complex128) { e.Float(real(v)); e.Float(imag(v)) }
 
-// BytesField appends a length-prefixed byte string.
+// BytesField appends a length-prefixed byte string. A borrowing encoder
+// records a long one by reference instead of copying it.
 func (e *Encoder) BytesField(b []byte) {
 	e.Uint(uint64(len(b)))
+	e.blob(b)
+}
+
+// blob appends b's bytes, or cuts b in by reference when the encoder
+// borrows and b is long enough to be worth it.
+func (e *Encoder) blob(b []byte) {
+	if len(b) >= borrowMin && e.borrow {
+		e.cuts = append(e.cuts, cut{len(e.buf), b})
+		return
+	}
 	e.buf = append(e.buf, b...)
+}
+
+// tupleField appends a message's pickled tuple as one length-prefixed
+// byte string: whole, or — segs non-nil — in the pieces a borrowing
+// pickler returned it in. The bytes are those of BytesField of the pieces'
+// concatenation; long pieces are borrowed again rather than copied.
+func (e *Encoder) tupleField(whole []byte, segs [][]byte) {
+	if segs == nil {
+		e.BytesField(whole)
+		return
+	}
+	n := 0
+	for _, s := range segs {
+		n += len(s)
+	}
+	e.Uint(uint64(n))
+	for _, s := range segs {
+		e.blob(s)
+	}
 }
 
 // String appends a length-prefixed string.

@@ -34,6 +34,10 @@ func FuzzUnmarshal(f *testing.F) {
 		&PromiseResolve{Promise: 3, Status: StatusOK, Results: []byte{9}, NeedAck: true},
 		&PromiseResolve{Promise: 4, Status: StatusPromiseBroken, Err: "dependency failed"},
 		&OneWay{Obj: 5, Method: "Log", Args: []byte("abc"), Seq: 7},
+		// Tuples handed over in pieces, as a borrowing sender's are.
+		&Call{Obj: 5, Method: "M", Typed: true, ArgSegs: [][]byte{{1, 1}, blob(borrowMin, 3), {7}}, ID: 9},
+		&Result{Status: StatusOK, ResultSegs: [][]byte{nil, blob(100, 4)}},
+		&OneWay{Obj: 5, Method: "Log", ArgSegs: [][]byte{[]byte("ab"), []byte("c")}, Seq: 8},
 	}
 	for _, m := range seeds {
 		frame := Marshal(nil, m)

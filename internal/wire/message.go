@@ -256,6 +256,11 @@ type Call struct {
 	Typed bool
 	// Args is the pickled argument tuple.
 	Args []byte
+	// ArgSegs, when non-nil, is the argument pickle in pieces, sent in
+	// place of Args: what a borrowing pickler returns when a large []byte
+	// argument stayed in the caller's memory. Send side only; a decoded
+	// Call always has the tuple whole, in Args.
+	ArgSegs [][]byte
 	// ID correlates this call with a later CancelCall and with trace
 	// events; zero means the caller will never cancel.
 	ID uint64
@@ -275,7 +280,7 @@ func (m *Call) encode(e *Encoder) {
 	e.String(m.Method)
 	e.Uint(m.Fingerprint)
 	e.Bool(m.Typed)
-	e.BytesField(m.Args)
+	e.tupleField(m.Args, m.ArgSegs)
 	e.Uint(m.ID)
 	e.Uint(m.DeadlineMillis)
 }
@@ -303,6 +308,9 @@ type Result struct {
 	// Results is the pickled result tuple when Status == StatusOK or
 	// StatusAppError (a method may return values alongside an error).
 	Results []byte
+	// ResultSegs, when non-nil, is the result pickle in pieces, sent in
+	// place of Results (see Call.ArgSegs). Send side only.
+	ResultSegs [][]byte
 	// NeedAck is set when Results carries network references; the caller
 	// must send a ResultAck on the same connection after unmarshaling so
 	// the sender can drop its transient dirty entries for them.
@@ -315,7 +323,7 @@ func (*Result) Op() Op { return OpResult }
 func (m *Result) encode(e *Encoder) {
 	e.Uint(uint64(m.Status))
 	e.String(m.Err)
-	e.BytesField(m.Results)
+	e.tupleField(m.Results, m.ResultSegs)
 	e.Bool(m.NeedAck)
 }
 
@@ -624,20 +632,36 @@ var encPool = sync.Pool{New: func() any { return new(Encoder) }}
 // Marshal encodes msg, including its op byte, appending to buf (which may
 // be nil). The result is a complete frame payload.
 func Marshal(buf []byte, msg Message) []byte {
+	out, _ := marshal(buf, msg, false)
+	return out
+}
+
+// MarshalSegments is Marshal by a borrowing encoder: byte fields of the
+// message that are long, or were themselves handed over in pieces (see
+// Call.ArgSegs), are not copied into buf. When that happened segs is the
+// frame payload in pieces — the same bytes Marshal would have produced —
+// and out is only the buffer to recycle once they have been sent; when it
+// did not, segs is nil and out is the payload, as from Marshal.
+func MarshalSegments(buf []byte, msg Message) (out []byte, segs [][]byte) {
+	return marshal(buf, msg, true)
+}
+
+func marshal(buf []byte, msg Message, borrow bool) (out []byte, segs [][]byte) {
 	e := encPool.Get().(*Encoder)
 	if buf != nil {
 		e.buf = buf[:0]
 	} else {
 		e.buf = e.buf[:0]
 	}
+	e.borrow = borrow
 	e.Uint(uint64(msg.Op()))
 	msg.encode(e)
-	out := e.buf
+	out, segs = e.buf, e.Segments()
 	// Detach before pooling so a future Marshal cannot scribble over the
 	// bytes this caller still holds.
-	e.buf = nil
+	e.Reset(nil)
 	encPool.Put(e)
-	return out
+	return out, segs
 }
 
 // ErrUnknownOp reports a message with an unrecognized op byte.

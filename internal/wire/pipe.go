@@ -147,6 +147,9 @@ type OneWay struct {
 	Typed bool
 	// Args is the pickled argument tuple.
 	Args []byte
+	// ArgSegs, when non-nil, is the argument pickle in pieces, sent in
+	// place of Args (see Call.ArgSegs). Send side only.
+	ArgSegs [][]byte
 	// Seq numbers this session's one-way calls from 1 upward, fixing
 	// their execution order and giving PipeCall.Barrier its meaning.
 	Seq uint64
@@ -160,7 +163,7 @@ func (m *OneWay) encode(e *Encoder) {
 	e.String(m.Method)
 	e.Uint(m.Fingerprint)
 	e.Bool(m.Typed)
-	e.BytesField(m.Args)
+	e.tupleField(m.Args, m.ArgSegs)
 	e.Uint(m.Seq)
 }
 
