@@ -53,9 +53,9 @@ func (sp *Space) rpc(endpoints []string, req wire.Message, timeout time.Duration
 		return nil, err
 	}
 	sp.metrics.BytesRecv.Add(uint64(len(b)))
-	msg, err := wire.Unmarshal(b)
-	st.Release() // collector acks carry no byte fields, so msg does not alias b
-	return msg, err
+	// Collector acks carry no byte fields, so msg does not alias b, which
+	// the deferred Close recycles.
+	return wire.Unmarshal(b)
 }
 
 // rpcRetry is rpc with bounded, jittered retry for idempotent collector
@@ -413,9 +413,9 @@ func (sp *Space) exchange(c *transport.Stream, call *wire.Call, session *callSes
 // call carries its remaining deadline budget so the owner can bound the
 // dispatch with its own clock, and a context fired mid-call is forwarded
 // to the owner as a CancelCall (alert propagation) while the blocked
-// receive is unblocked by closing the connection. The connection is
-// pooled again only after the full exchange, so the request/response
-// framing can never skew.
+// receive is unblocked by aborting the exchange. It reads the clock
+// twice, at the start and the end; the deadline, the budget and the
+// latency all come from those two.
 func (sp *Space) callRemote(ctx context.Context, endpoints []string, call *wire.Call, session *callSession, decode resultDecoder) (err error) {
 	if sp.isClosed() {
 		return ErrSpaceClosed
@@ -437,7 +437,7 @@ func (sp *Space) callRemote(ctx context.Context, endpoints []string, call *wire.
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
-	ms := time.Until(deadline).Milliseconds()
+	ms := deadline.Sub(start).Milliseconds()
 	if ms < 1 {
 		ms = 1
 	}
@@ -455,10 +455,11 @@ func (sp *Space) callRemote(ctx context.Context, endpoints []string, call *wire.
 				sp.metrics.CallsDeadlineExceeded.Inc()
 			}
 		}
-		sp.metrics.CallLatency.Observe(time.Since(start))
+		end := time.Now()
+		sp.metrics.CallLatency.Observe(end.Sub(start))
 		if sp.tracer != nil {
-			sp.tracer.Emit(obs.Event{Kind: obs.EvCallReply, Time: time.Now(),
-				CallID: call.ID, Method: call.Method, Dur: time.Since(start), Err: errString(err)})
+			sp.tracer.Emit(obs.Event{Kind: obs.EvCallReply, Time: end,
+				CallID: call.ID, Method: call.Method, Dur: end.Sub(start), Err: errString(err)})
 		}
 	}()
 	connDeadline := deadline
@@ -477,10 +478,10 @@ func (sp *Space) callRemote(ctx context.Context, endpoints []string, call *wire.
 // shared session. The stream id is the call's correlation id, so the mux
 // tag and the cancellation handle are the same number. A context fired
 // mid-call forwards the CancelCall on its own stream of the same link and
-// closes only this call's stream — the other exchanges on the session,
-// including the cancel itself, are untouched. There is no connection
-// disposition: a stream is closed, never pooled, and the session outlives
-// the exchange.
+// aborts only this call's exchange — the other exchanges on the session,
+// including the cancel itself, are untouched. The watcher names the
+// exchange by its id, never holding the stream, so a watcher that fires
+// as the call completes cannot touch the exchange that reuses the stream.
 func (sp *Space) callRemoteMux(ctx context.Context, endpoints []string, call *wire.Call, session *callSession, decode resultDecoder, connDeadline time.Time) error {
 	s, _, err := sp.pool.Session(ctx, endpoints)
 	if err != nil {
@@ -496,14 +497,17 @@ func (sp *Space) callRemoteMux(ctx context.Context, endpoints []string, call *wi
 	var w *cancelWatch
 	if ctx.Done() != nil {
 		w = newCancelWatch()
+		// The call frame goes back to its pool when the call returns, which
+		// may be before the watcher is done: it keeps copies.
+		id, method := call.ID, call.Method
 		go func() {
 			select {
 			case <-ctx.Done():
 				if w.fire() {
-					sp.forwardCancel(call.ID, call.Method, endpoints)
-					// Closing the stream unblocks the receive below; the
+					sp.forwardCancel(id, method, endpoints)
+					// Aborting the exchange unblocks the receive below; the
 					// shared connection stays up for everyone else.
-					_ = st.Close()
+					s.Abort(id)
 				}
 			case <-w.stop:
 			}
@@ -514,9 +518,9 @@ func (sp *Space) callRemoteMux(ctx context.Context, endpoints []string, call *wi
 	if w != nil {
 		cancelled = w.finish()
 	}
-	// The decoders copied what they kept of a pooled result frame, so it
-	// can go back to the pool; a slab they kept views of is not the pool's.
-	st.Release()
+	// The decoders copied what they kept of a pooled result frame, so
+	// Close may give it back to the pool; a slab they kept views of is not
+	// the pool's.
 	_ = st.Close()
 	if cancelled {
 		return ctxCallError(ctx, call.Method+" cancelled in flight")

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"reflect"
 	"sync"
 	"time"
 
@@ -229,7 +230,10 @@ type Space struct {
 	mu        sync.Mutex
 	ownedRefs map[any]*Ref
 	remote    map[string]*remoteIface // by interface type name
-	gcQueues  map[wire.SpaceID]*gcQueue
+	// fingerprints caches fingerprintsFor by concrete type; made on first
+	// use, dropped by RegisterRemoteInterface.
+	fingerprints map[reflect.Type][]uint64
+	gcQueues     map[wire.SpaceID]*gcQueue
 	// muxServers tracks the inbound multiplexed sessions being served,
 	// for the per-link gauges and the debug page.
 	muxServers map[*transport.Session]struct{}
@@ -294,7 +298,7 @@ func NewSpace(opts Options) (*Space, error) {
 		pipeIn:     make(map[*transport.Session]*pipeInbound),
 		closingCh:  make(chan struct{}),
 		closedCh:   make(chan struct{}),
-		inflight:   newInflightTable(),
+		inflight:   new(inflightTable),
 	}
 	sp.serveCtx, sp.serveCancel = context.WithCancel(context.Background())
 	if sp.opts.CallTimeout <= 0 {

@@ -512,6 +512,64 @@ func TestTypedInvocationWithInterfaceFingerprint(t *testing.T) {
 	}
 }
 
+// TestLateInterfaceWidensLaterExports: the fingerprints a space accepts
+// for a type are worked out once and shared, until a remote interface is
+// registered. Exports made after the registration accept the interface's
+// fingerprint; one made before keeps what it accepted. Exports from many
+// goroutines at once share the list without racing.
+func TestLateInterfaceWidensLaterExports(t *testing.T) {
+	tn := newTestNet(t)
+	owner := tn.space("owner", nil)
+	adder := pickle.Fingerprint(reflect.TypeOf((*Adder)(nil)).Elem())
+	accepts := func(obj any) bool {
+		t.Helper()
+		ref, err := owner.Export(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := ref.WireRep()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ent, ok := owner.exports.Lookup(w.Index)
+		if !ok {
+			t.Fatal("export vanished")
+		}
+		return ent.AcceptsFingerprint(adder)
+	}
+	early := &counter{}
+	if accepts(early) || accepts(&counter{}) {
+		t.Fatal("an export accepts an interface nobody registered")
+	}
+	registerAdder(owner)
+	if !accepts(&counter{}) {
+		t.Fatal("an export made after the registration does not accept the interface")
+	}
+	if accepts(early) {
+		t.Fatal("an export made before the registration was widened")
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				obj := &counter{}
+				if _, err := owner.Export(obj); err != nil {
+					t.Error(err)
+					return
+				}
+				if !acceptsFingerprint(owner, obj, adder) {
+					t.Error("a concurrent export does not accept the interface")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestConcurrentCalls(t *testing.T) {
 	tn := newTestNet(t)
 	owner := tn.space("owner", nil)

@@ -62,6 +62,10 @@ type callSession struct {
 	// viewMin is what the unpickler may leave as views of this call's
 	// received frame: see viewMin in serve.go. Zero copies everything.
 	viewMin int
+
+	// dispatch is the call's deadline and cancellation on the serving
+	// side; unused on the calling side.
+	dispatch dispatch
 }
 
 // callSessionPool recycles call sessions across dispatches; one session
@@ -78,8 +82,10 @@ func (sp *Space) getCallSession() *callSession {
 
 // recycle returns the session to the pool. Callers must be past
 // unpinAll/waitPending: the session must hold no pins and no pending
-// registrations, and no other goroutine may still reference it.
+// registrations, its call must have left the inflight table, and no other
+// goroutine may still reference it.
 func (s *callSession) recycle() {
+	s.dispatch.end()
 	s.sp = nil
 	s.pinnedExports = s.pinnedExports[:0]
 	s.pinnedImports = s.pinnedImports[:0]

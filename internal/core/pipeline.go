@@ -481,7 +481,7 @@ func (p *Promise) resolvePipeCall(ctx context.Context, s *transport.Session, tar
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
-	ms := time.Until(deadline).Milliseconds()
+	ms := deadline.Sub(start).Milliseconds()
 	if ms < 1 {
 		ms = 1
 	}
@@ -508,7 +508,7 @@ func (p *Promise) resolvePipeCall(ctx context.Context, s *transport.Session, tar
 			case <-ctx.Done():
 				if w.fire() {
 					sp.forwardCancel(p.callID, p.method, p.endpoints)
-					_ = st.Close()
+					s.Abort(p.callID)
 				}
 			case <-w.stop:
 			}
@@ -519,12 +519,12 @@ func (p *Promise) resolvePipeCall(ctx context.Context, s *transport.Session, tar
 	if w != nil {
 		cancelled = w.finish()
 	}
-	st.Release()
 	_ = st.Close()
-	sp.metrics.CallLatency.Observe(time.Since(start))
+	end := time.Now()
+	sp.metrics.CallLatency.Observe(end.Sub(start))
 	if sp.tracer != nil {
-		sp.tracer.Emit(obs.Event{Kind: obs.EvCallReply, Time: time.Now(),
-			CallID: p.callID, Method: p.method, Dur: time.Since(start), Err: errString(err)})
+		sp.tracer.Emit(obs.Event{Kind: obs.EvCallReply, Time: end,
+			CallID: p.callID, Method: p.method, Dur: end.Sub(start), Err: errString(err)})
 	}
 	if cancelled {
 		sp.metrics.CallsCancelled.Inc()

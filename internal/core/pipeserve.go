@@ -53,23 +53,11 @@ func (sp *Space) pipeInboundDrop(s *transport.Session) {
 	}
 }
 
-// serveBudget derives the serving context for one dispatch from the
-// caller's remaining budget, capped by MaxServeTime (a space never trusts
-// a remote deadline beyond its own cap).
-func (sp *Space) serveBudget(deadlineMillis uint64) (context.Context, context.CancelFunc) {
-	d := sp.opts.MaxServeTime
-	if deadlineMillis != 0 {
-		if r := time.Duration(deadlineMillis) * time.Millisecond; r < d {
-			d = r
-		}
-	}
-	return context.WithTimeout(sp.serveCtx, d)
-}
-
 // handlePipeCall dispatches one pipelined invocation: resolve the
 // receiver (an export entry or an earlier promise's local completion),
 // substitute resolved promise arguments, invoke, record the outcome in
 // the completion table for dependents, and answer with a PromiseResolve.
+// Its clock reads and its dispatch are handleCall's.
 func (sp *Space) handlePipeCall(st *transport.Stream, call *wire.PipeCall) {
 	sp.metrics.CallsServed.Inc()
 	start := time.Now()
@@ -86,25 +74,33 @@ func (sp *Space) handlePipeCall(st *transport.Stream, call *wire.PipeCall) {
 	defer session.recycle()
 	var res *wire.PromiseResolve
 	var out promise.Outcome
+	var end time.Time
 	if sp.isClosed() {
 		res = &wire.PromiseResolve{Promise: call.Promise, Status: wire.StatusSpaceClosed, Err: "space closing"}
 		out = promise.Outcome{Err: ErrSpaceClosed, Broken: true}
+		end = time.Now()
 	} else {
-		ctx, cancel := sp.serveBudget(call.DeadlineMillis)
+		d := sp.beginDispatch(session, start, call.DeadlineMillis)
 		if call.ID != 0 {
-			sp.inflight.add(call.ID, call.Method, cancel)
+			sp.inflight.add(call.ID, d)
 			defer sp.inflight.remove(call.ID)
 		}
-		defer cancel()
-		res, out = sp.executePipeCall(ctx, call, session, state)
+		res, out = sp.executePipeCall(d, call, session, state)
+		end = time.Now()
+		if res.Status == wire.StatusOK || res.Status == wire.StatusAppError {
+			if err := d.err(end); err != nil {
+				session.unpinAll()
+				res, out = pipeCancelOutcome(err)
+			}
+		}
 	}
 	// Record the outcome before the reply leaves: a dependent call may
 	// already be waiting on this promise.
 	state.comp.Resolve(call.Promise, out)
 	res.Promise = call.Promise
 	res.NeedAck = session.pinned()
-	sp.metrics.ServeLatency.Observe(time.Since(start))
-	stat.ObserveLatency(time.Since(start))
+	sp.metrics.ServeLatency.Observe(end.Sub(start))
+	stat.ObserveLatency(end.Sub(start))
 	switch res.Status {
 	case wire.StatusOK:
 	case wire.StatusCancelled:
@@ -115,8 +111,8 @@ func (sp *Space) handlePipeCall(st *transport.Stream, call *wire.PipeCall) {
 		stat.Errors.Inc()
 	}
 	if sp.tracer != nil {
-		sp.tracer.Emit(obs.Event{Kind: obs.EvCallDone, Time: time.Now(),
-			CallID: call.ID, Method: call.Method, Dur: time.Since(start), Err: res.Err})
+		sp.tracer.Emit(obs.Event{Kind: obs.EvCallDone, Time: end,
+			CallID: call.ID, Method: call.Method, Dur: end.Sub(start), Err: res.Err})
 	}
 	session.waitPending()
 	if err := sp.sendMsg(st, res); err != nil {
@@ -127,7 +123,7 @@ func (sp *Space) handlePipeCall(st *transport.Stream, call *wire.PipeCall) {
 		return
 	}
 	sp.metrics.ResultAcksWaited.Inc()
-	_ = st.SetDeadline(time.Now().Add(sp.opts.CallTimeout))
+	_ = st.SetDeadline(end.Add(sp.opts.CallTimeout))
 	if b, err := st.Recv(nil); err == nil {
 		sp.metrics.BytesRecv.Add(uint64(len(b)))
 		_, _ = wire.Unmarshal(b)
@@ -143,26 +139,30 @@ func brokenResolve(err error) (*wire.PromiseResolve, promise.Outcome) {
 		promise.Outcome{Err: err, Broken: true}
 }
 
-// pipeCancelOutcome renders an alerted or expired serving context.
-func pipeCancelOutcome(ctx context.Context) (*wire.PromiseResolve, promise.Outcome) {
+// pipeCancelOutcome renders a dispatch's alert or expiry (d.err, or the
+// error of a wait under its context).
+func pipeCancelOutcome(err error) (*wire.PromiseResolve, promise.Outcome) {
 	st := wire.StatusCancelled
-	if ctx.Err() == context.DeadlineExceeded {
+	if err == context.DeadlineExceeded {
 		st = wire.StatusDeadlineExceeded
 	}
-	return &wire.PromiseResolve{Status: st, Err: ctx.Err().Error()},
-		promise.Outcome{Err: ctx.Err(), Broken: true}
+	return &wire.PromiseResolve{Status: st, Err: err.Error()},
+		promise.Outcome{Err: err, Broken: true}
 }
 
-// executePipeCall runs one pipelined invocation under ctx and returns
-// both the wire reply and the outcome dependents chain on. Any failure
-// poisons the chain: the outcome's error propagates to every dependent,
-// which reports StatusPromiseBroken without running.
-func (sp *Space) executePipeCall(ctx context.Context, call *wire.PipeCall, session *callSession, state *pipeInbound) (*wire.PromiseResolve, promise.Outcome) {
+// executePipeCall runs one pipelined invocation under the dispatch d and
+// returns both the wire reply and the outcome dependents chain on. Any
+// failure poisons the chain: the outcome's error propagates to every
+// dependent, which reports StatusPromiseBroken without running. A call
+// that waits — on the one-way lane, on a promise — waits under d's
+// context; one alerted or expired after it starts running is the
+// caller's to catch (d.err).
+func (sp *Space) executePipeCall(d *dispatch, call *wire.PipeCall, session *callSession, state *pipeInbound) (*wire.PromiseResolve, promise.Outcome) {
 	// Fence on the session's one-way lane first: a pipelined call issued
 	// after N one-ways must observe their effects.
-	if call.Barrier > 0 {
-		if err := state.lane.Wait(ctx, call.Barrier); err != nil {
-			return pipeCancelOutcome(ctx)
+	if call.Barrier > 0 && state.lane.Done() < call.Barrier {
+		if err := state.lane.Wait(d.context(), call.Barrier); err != nil {
+			return pipeCancelOutcome(err)
 		}
 	}
 
@@ -172,9 +172,9 @@ func (sp *Space) executePipeCall(ctx context.Context, call *wire.PipeCall, sessi
 	var obj any
 	var proxy *Ref
 	if call.TargetPromise != 0 {
-		tout, err := state.comp.Wait(ctx, call.TargetPromise)
+		tout, err := state.comp.Wait(d.context(), call.TargetPromise)
 		if err != nil {
-			return pipeCancelOutcome(ctx)
+			return pipeCancelOutcome(err)
 		}
 		if tout.Err != nil {
 			return brokenResolve(brokenError("dependency of "+call.Method+" failed", tout.Err))
@@ -223,7 +223,7 @@ func (sp *Space) executePipeCall(ctx context.Context, call *wire.PipeCall, sessi
 	}
 
 	if proxy != nil {
-		return sp.proxyPipeCall(ctx, call, session, state, proxy)
+		return sp.proxyPipeCall(d, call, session, state, proxy)
 	}
 
 	mi, err := lookupMethod(obj, call.Method)
@@ -256,7 +256,7 @@ func (sp *Space) executePipeCall(ctx context.Context, call *wire.PipeCall, sessi
 			return &wire.PromiseResolve{Status: wire.StatusNoSuchMethod, Err: err.Error()},
 				promise.Outcome{Err: err}
 		}
-		if res, out, ok := sp.substitutePromiseArgs(ctx, call, state, anys); !ok {
+		if res, out, ok := sp.substitutePromiseArgs(d, call, state, anys); !ok {
 			return res, out
 		}
 		args = make([]reflect.Value, len(anys))
@@ -270,19 +270,19 @@ func (sp *Space) executePipeCall(ctx context.Context, call *wire.PipeCall, sessi
 		}
 	}
 
-	if ctx.Err() != nil {
+	if err := d.err(d.start); err != nil {
 		session.unpinAll()
-		return pipeCancelOutcome(ctx)
+		return pipeCancelOutcome(err)
+	}
+	var ctx context.Context
+	if mi.hasCtx {
+		ctx = d.context()
 	}
 	outs, appErr, rerr := mi.invoke(ctx, reflect.ValueOf(obj), args)
 	if rerr != nil {
 		sp.log.Error("method panicked", "method", call.Method, "err", rerr)
 		return &wire.PromiseResolve{Status: wire.StatusInternal, Err: rerr.Error()},
 			promise.Outcome{Err: rerr}
-	}
-	if ctx.Err() != nil {
-		session.unpinAll()
-		return pipeCancelOutcome(ctx)
 	}
 
 	// Copied: the pickle outlives this call in the session's completion
@@ -318,18 +318,19 @@ func (sp *Space) executePipeCall(ctx context.Context, call *wire.PipeCall, sessi
 }
 
 // substitutePromiseArgs replaces the nil placeholders of a dynamic
-// pipelined call with the resolved values of the promises they name. A
-// failed dependency poisons the call (ok false).
-func (sp *Space) substitutePromiseArgs(ctx context.Context, call *wire.PipeCall, state *pipeInbound, anys []any) (*wire.PromiseResolve, promise.Outcome, bool) {
+// pipelined call with the resolved values of the promises they name,
+// waiting for them under d's context. A failed dependency poisons the
+// call (ok false).
+func (sp *Space) substitutePromiseArgs(d *dispatch, call *wire.PipeCall, state *pipeInbound, anys []any) (*wire.PromiseResolve, promise.Outcome, bool) {
 	for i, pos := range call.ArgPromisePos {
 		if pos >= uint64(len(anys)) || i >= len(call.ArgPromiseIDs) {
 			err := fmt.Errorf("netobjects: promise argument position %d out of range for %s", pos, call.Method)
 			res := &wire.PromiseResolve{Status: wire.StatusMarshal, Err: err.Error()}
 			return res, promise.Outcome{Err: err}, false
 		}
-		aout, err := state.comp.Wait(ctx, call.ArgPromiseIDs[i])
+		aout, err := state.comp.Wait(d.context(), call.ArgPromiseIDs[i])
 		if err != nil {
-			res, out := pipeCancelOutcome(ctx)
+			res, out := pipeCancelOutcome(err)
 			return res, out, false
 		}
 		if aout.Err != nil {
@@ -345,7 +346,7 @@ func (sp *Space) substitutePromiseArgs(ctx context.Context, call *wire.PipeCall,
 // object owned by a third space: this space calls the true owner on the
 // chain's behalf and relays the results. Dynamic calls only — a typed
 // argument tuple cannot be re-encoded without the parameter types.
-func (sp *Space) proxyPipeCall(ctx context.Context, call *wire.PipeCall, session *callSession, state *pipeInbound, ref *Ref) (*wire.PromiseResolve, promise.Outcome) {
+func (sp *Space) proxyPipeCall(d *dispatch, call *wire.PipeCall, session *callSession, state *pipeInbound, ref *Ref) (*wire.PromiseResolve, promise.Outcome) {
 	if call.Typed {
 		err := fmt.Errorf("netobjects: typed pipelined call %s chained onto a third-space result; await the promise and call it directly", call.Method)
 		return &wire.PromiseResolve{Status: wire.StatusNoSuchMethod, Err: err.Error()},
@@ -356,10 +357,10 @@ func (sp *Space) proxyPipeCall(ctx context.Context, call *wire.PipeCall, session
 		return &wire.PromiseResolve{Status: wire.StatusMarshal, Err: "decoding arguments: " + derr.Error()},
 			promise.Outcome{Err: derr}
 	}
-	if res, out, ok := sp.substitutePromiseArgs(ctx, call, state, anys); !ok {
+	if res, out, ok := sp.substitutePromiseArgs(d, call, state, anys); !ok {
 		return res, out
 	}
-	vals, err := ref.CallCtx(ctx, call.Method, anys...)
+	vals, err := ref.CallCtx(d.context(), call.Method, anys...)
 	if err != nil {
 		if re, ok := err.(*RemoteError); ok {
 			// Relay the application error with the results it came with.
@@ -395,19 +396,18 @@ func (sp *Space) handleOneWay(st *transport.Stream, m *wire.OneWay) {
 	if sp.isClosed() {
 		return
 	}
-	ctx, cancel := sp.serveBudget(0)
-	defer cancel()
-	if m.Seq > 1 {
-		if err := state.lane.Wait(ctx, m.Seq-1); err != nil {
-			return
-		}
-	}
 	session := sp.getCallSession()
 	defer func() {
 		session.waitPending()
 		session.unpinAll()
 		session.recycle()
 	}()
+	d := sp.beginDispatch(session, time.Now(), 0)
+	if m.Seq > 1 && state.lane.Done() < m.Seq-1 {
+		if err := state.lane.Wait(d.context(), m.Seq-1); err != nil {
+			return
+		}
+	}
 	ent, ok := sp.exports.Lookup(m.Obj)
 	if !ok {
 		sp.log.Debug("one-way call to absent object", "obj", m.Obj, "method", m.Method)
@@ -448,8 +448,12 @@ func (sp *Space) handleOneWay(st *transport.Stream, m *wire.OneWay) {
 	// Registration futures for received references settle before the
 	// invoke, mirroring the ordinary call path's pre-reply wait.
 	session.waitPending()
-	if ctx.Err() != nil {
+	if d.err(d.start) != nil {
 		return
+	}
+	var ctx context.Context
+	if mi.hasCtx {
+		ctx = d.context()
 	}
 	if _, appErr, rerr := mi.invoke(ctx, reflect.ValueOf(ent.Obj), args); rerr != nil {
 		sp.log.Error("one-way method panicked", "method", m.Method, "err", rerr)

@@ -151,20 +151,29 @@ func (sp *Space) exportAt(obj any, index uint64) (*Ref, error) {
 	return sp.ownedRef(obj, fps), nil
 }
 
-// fingerprintsFor computes the fingerprints an export of obj accepts: the
+// fingerprintsFor returns the fingerprints an export of obj accepts: the
 // concrete method set's own fingerprint plus the fingerprint of every
 // registered remote interface the object implements, so typed calls from
 // stubs generated against any of those interfaces pass the version check.
+// The list is worked out once per type and shared by every caller, which
+// must not modify it, until the next RegisterRemoteInterface.
 func (sp *Space) fingerprintsFor(obj any) []uint64 {
 	t := reflect.TypeOf(obj)
-	fps := []uint64{pickle.Fingerprint(t)}
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
+	if fps, ok := sp.fingerprints[t]; ok {
+		return fps
+	}
+	fps := []uint64{pickle.Fingerprint(t)}
 	for _, ri := range sp.remote {
 		if t.Implements(ri.t) {
 			fps = append(fps, pickle.Fingerprint(ri.t))
 		}
 	}
+	if sp.fingerprints == nil {
+		sp.fingerprints = make(map[reflect.Type][]uint64)
+	}
+	sp.fingerprints[t] = fps
 	return fps
 }
 
@@ -245,6 +254,7 @@ func (sp *Space) RegisterRemoteInterface(iface reflect.Type, factory func(*Ref) 
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	sp.remote[iface.String()] = &remoteIface{t: iface, factory: factory}
+	sp.fingerprints = nil // a type may implement the new interface
 	return nil
 }
 

@@ -301,18 +301,11 @@ func (sp *Space) handleCancel(m *wire.CancelCall) *wire.CancelAck {
 	return &wire.CancelAck{Status: wire.StatusNoSuchObject}
 }
 
-// callContext derives the serving context for one dispatch: a child of
-// the space's serve context (so Close alerts every dispatch) bounded by
-// the tighter of the caller's remaining budget and this space's
-// MaxServeTime cap. The budget from the wire is advisory — a space never
-// trusts a remote deadline beyond its own cap.
-func (sp *Space) callContext(call *wire.Call) (context.Context, context.CancelFunc) {
-	return sp.serveBudget(call.DeadlineMillis)
-}
-
 // handleCall dispatches one remote invocation and sends its Result. When
 // the result carries network references it waits for the caller's
-// ResultAck before releasing the transient dirty entries.
+// ResultAck before releasing the transient dirty entries. It reads the
+// clock twice, at the start and once the result is encoded; the deadline
+// and the latency come from those two.
 func (sp *Space) handleCall(c *transport.Stream, call *wire.Call) {
 	sp.metrics.CallsServed.Inc()
 	start := time.Now()
@@ -337,26 +330,36 @@ func (sp *Space) handleCall(c *transport.Stream, call *wire.Call) {
 		putResult(res)
 		session.recycle()
 	}()
+	var end time.Time
 	if sp.isClosed() {
 		// Draining: refuse new work, but keep the connection usable so the
 		// peer's parting clean calls still flow.
 		res.Status, res.Err = wire.StatusSpaceClosed, "space closing"
+		end = time.Now()
 	} else {
-		ctx, cancel := sp.callContext(call)
+		d := sp.beginDispatch(session, start, call.DeadlineMillis)
 		if call.ID != 0 {
-			sp.inflight.add(call.ID, call.Method, cancel)
+			sp.inflight.add(call.ID, d)
 			// The entry outlives the method: it is removed only once the
 			// result (and any ResultAck exchange) is off this function's
 			// hands, so graceful drain waits for the whole exchange and
 			// never hard-closes a connection with an unsent result.
 			defer sp.inflight.remove(call.ID)
 		}
-		defer cancel()
-		sp.executeCall(ctx, call, session, res, (*rbp)[:0])
+		sp.executeCall(d, call, session, res, (*rbp)[:0])
+		end = time.Now()
+		if res.Status == wire.StatusOK || res.Status == wire.StatusAppError {
+			if err := d.err(end); err != nil {
+				// The caller is gone (alerted or timed out); its results are
+				// undeliverable, so drop them and the pins they took.
+				session.unpinAll()
+				cancelResult(err, res)
+			}
+		}
 	}
 	res.NeedAck = session.pinned()
-	sp.metrics.ServeLatency.Observe(time.Since(start))
-	stat.ObserveLatency(time.Since(start))
+	sp.metrics.ServeLatency.Observe(end.Sub(start))
+	stat.ObserveLatency(end.Sub(start))
 	switch res.Status {
 	case wire.StatusOK:
 	case wire.StatusCancelled:
@@ -367,8 +370,8 @@ func (sp *Space) handleCall(c *transport.Stream, call *wire.Call) {
 		stat.Errors.Inc()
 	}
 	if sp.tracer != nil {
-		sp.tracer.Emit(obs.Event{Kind: obs.EvCallDone, Time: time.Now(),
-			CallID: call.ID, Method: call.Method, Dur: time.Since(start), Err: res.Err})
+		sp.tracer.Emit(obs.Event{Kind: obs.EvCallDone, Time: end,
+			CallID: call.ID, Method: call.Method, Dur: end.Sub(start), Err: res.Err})
 	}
 
 	// Under the FIFO variant, argument decoding may have queued
@@ -392,7 +395,7 @@ func (sp *Space) handleCall(c *transport.Stream, call *wire.Call) {
 	// forever (its references are then protected by its own dirty calls,
 	// made during unmarshaling, or were never created).
 	sp.metrics.ResultAcksWaited.Inc()
-	_ = c.SetDeadline(time.Now().Add(sp.opts.CallTimeout))
+	_ = c.SetDeadline(end.Add(sp.opts.CallTimeout))
 	if frame, err := c.Recv(nil); err == nil {
 		sp.metrics.BytesRecv.Add(uint64(len(frame)))
 	}
@@ -400,25 +403,29 @@ func (sp *Space) handleCall(c *transport.Stream, call *wire.Call) {
 	session.unpinAll()
 }
 
-// cancelResult renders an alerted or expired serving context into res.
-func cancelResult(ctx context.Context, res *wire.Result) {
+// cancelResult renders a dispatch's alert or expiry (d.err) into res, in
+// place of any results.
+func cancelResult(err error, res *wire.Result) {
 	res.Status = wire.StatusCancelled
-	if ctx.Err() == context.DeadlineExceeded {
+	if err == context.DeadlineExceeded {
 		res.Status = wire.StatusDeadlineExceeded
 	}
-	res.Err = ctx.Err().Error()
+	res.Err = err.Error()
+	res.Results, res.ResultSegs = nil, nil
 }
 
-// executeCall runs one invocation end to end under ctx: object lookup,
-// fingerprint check, argument decoding, method invocation and result
-// encoding. A context fired before or during the method turns into a
+// executeCall runs one invocation end to end under the dispatch d: object
+// lookup, fingerprint check, argument decoding, method invocation and
+// result encoding. A dispatch alerted before the method turns into a
 // cancellation result with the session's transient pins released — the
-// alerted caller will not acknowledge them. The outcome lands in res
-// (caller-owned, zeroed); encoded results go into resBuf, whose grown
-// backing the caller recycles. Where the call's frame lies in a slab
-// (session.viewMin), a large []byte argument is a view of it: the
-// method owns it like any other argument, and may keep it.
-func (sp *Space) executeCall(ctx context.Context, call *wire.Call, session *callSession, res *wire.Result, resBuf []byte) {
+// alerted caller will not acknowledge them; one alerted or expired during
+// it is the caller's to catch (d.err). A method that takes a context gets
+// d's. The outcome lands in res (caller-owned, zeroed); encoded results
+// go into resBuf, whose grown backing the caller recycles. Where the
+// call's frame lies in a slab (session.viewMin), a large []byte argument
+// is a view of it: the method owns it like any other argument, and may
+// keep it.
+func (sp *Space) executeCall(d *dispatch, call *wire.Call, session *callSession, res *wire.Result, resBuf []byte) {
 	ent, ok := sp.exports.Lookup(call.Obj)
 	if !ok {
 		res.Status, res.Err = wire.StatusNoSuchObject, "object not in export table"
@@ -464,22 +471,19 @@ func (sp *Space) executeCall(ctx context.Context, call *wire.Call, session *call
 		}
 	}
 
-	if ctx.Err() != nil {
+	if err := d.err(d.start); err != nil {
 		session.unpinAll()
-		cancelResult(ctx, res)
+		cancelResult(err, res)
 		return
+	}
+	var ctx context.Context
+	if mi.hasCtx {
+		ctx = d.context()
 	}
 	outs, appErr, rerr := mi.invoke(ctx, reflect.ValueOf(ent.Obj), args)
 	if rerr != nil {
 		sp.log.Error("method panicked", "method", call.Method, "err", rerr)
 		res.Status, res.Err = wire.StatusInternal, rerr.Error()
-		return
-	}
-	if ctx.Err() != nil {
-		// The caller is gone (alerted or timed out); its results are
-		// undeliverable, so drop them and any pins they would have taken.
-		session.unpinAll()
-		cancelResult(ctx, res)
 		return
 	}
 

@@ -280,25 +280,26 @@ func TestSchedulerWithdrawWaitsForWriter(t *testing.T) {
 }
 
 func TestKeepaliveDetectsDeadPeer(t *testing.T) {
-	base := time.Unix(1000, 0)
-	k := NewKeepalive(time.Second, base)
+	k := NewKeepalive(time.Second)
 	// Quiet link: first tick pings, second declares dead.
-	dead, ping, _ := k.Tick(base.Add(time.Second))
+	dead, ping, _ := k.Tick(0)
 	if dead || !ping {
 		t.Fatalf("tick 1: dead=%v ping=%v, want ping", dead, ping)
 	}
-	dead, _, _ = k.Tick(base.Add(2 * time.Second))
+	dead, _, _ = k.Tick(0)
 	if !dead {
 		t.Fatal("peer silent for 2 intervals not declared dead")
 	}
-	// Traffic resets the clock and suppresses the probe.
-	k2 := NewKeepalive(time.Second, base)
-	k2.Touch(base.Add(900 * time.Millisecond))
-	dead, ping, _ = k2.Tick(base.Add(time.Second))
+	// Traffic resets the count of quiet ticks and suppresses the probe.
+	k2 := NewKeepalive(time.Second)
+	if dead, ping, _ = k2.Tick(0); dead || !ping {
+		t.Fatalf("quiet tick: dead=%v ping=%v, want ping", dead, ping)
+	}
+	dead, ping, _ = k2.Tick(120)
 	if dead || ping {
 		t.Fatalf("fresh traffic: dead=%v ping=%v, want neither", dead, ping)
 	}
-	dead, ping, tok := k2.Tick(base.Add(2 * time.Second))
+	dead, ping, tok := k2.Tick(120)
 	if dead || !ping || tok == 0 {
 		t.Fatalf("quiet again: dead=%v ping=%v tok=%d", dead, ping, tok)
 	}

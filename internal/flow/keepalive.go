@@ -5,53 +5,53 @@ import (
 	"time"
 )
 
-// Keepalive is the dead-peer detector for one session. The session's
-// reader calls Touch on every inbound frame (any traffic proves the peer
-// alive — pongs are not special); a timer goroutine calls Tick once per
-// interval and pings whenever the link has been quiet. A peer silent for
-// KeepaliveMisses consecutive intervals is declared dead, so detection is
-// bounded by 2 intervals from the moment the peer stops responding.
-//
-// Time is passed in explicitly so the state machine is testable without
-// real clocks.
+// Keepalive is the dead-peer detector for one session. Any inbound frame
+// proves the peer alive — pongs are not special — so the session keeps a
+// count of what it receives, and a timer goroutine calls Tick with that
+// count once per interval: a tick that finds the count moved since the
+// last one clears the detector, and a tick that finds it still pings. A
+// peer silent for KeepaliveMisses consecutive ticks is declared dead, so
+// detection takes between KeepaliveMisses and KeepaliveMisses+1 intervals
+// from the peer's last frame. The reader pays one counter increment a
+// frame, and no clock read.
 type Keepalive struct {
-	interval  time.Duration
-	lastAlive atomic.Int64 // UnixNano of the most recent inbound frame
-	token     atomic.Uint64
+	interval time.Duration
+	token    atomic.Uint64
+
+	// Touched only by the Tick caller: the count the last tick saw, and
+	// how many ticks in a row have seen it unchanged.
+	seen  uint64
+	quiet int
 }
 
-// NewKeepalive returns a detector pinging at interval, primed at now.
-func NewKeepalive(interval time.Duration, now time.Time) *Keepalive {
-	k := &Keepalive{interval: interval}
-	k.lastAlive.Store(now.UnixNano())
-	return k
+// NewKeepalive returns a detector pinging at interval.
+func NewKeepalive(interval time.Duration) *Keepalive {
+	return &Keepalive{interval: interval}
 }
 
 // Interval returns the configured ping interval.
 func (k *Keepalive) Interval() time.Duration { return k.interval }
-
-// Touch records inbound traffic at now.
-func (k *Keepalive) Touch(now time.Time) {
-	k.lastAlive.Store(now.UnixNano())
-}
 
 // Probe allocates a fresh ping token outside the Tick schedule, for
 // callers that want to nudge an immediate probe onto the wire — a lease
 // renewal folding itself onto the keepalive exchange, for instance.
 func (k *Keepalive) Probe() uint64 { return k.token.Add(1) }
 
-// Tick advances the detector at now. dead reports that the peer has been
-// silent for KeepaliveMisses intervals and the session must be failed;
-// otherwise ping reports whether a probe should be sent (the link is
-// quiet) and token is the probe's payload.
-func (k *Keepalive) Tick(now time.Time) (dead bool, ping bool, token uint64) {
-	quiet := now.UnixNano() - k.lastAlive.Load()
-	if quiet >= int64(KeepaliveMisses*k.interval) {
-		return true, false, 0
-	}
-	if quiet < int64(k.interval)/2 {
-		// Recent traffic already proves liveness; skip the probe.
+// Tick advances the detector by one interval, given received, the
+// session's count of inbound traffic. dead reports that the peer has been
+// silent for KeepaliveMisses ticks and the session must be failed;
+// otherwise ping reports whether a probe should be sent (nothing arrived
+// since the last tick) and token is the probe's payload.
+func (k *Keepalive) Tick(received uint64) (dead bool, ping bool, token uint64) {
+	if received != k.seen {
+		// Traffic since the last tick already proves liveness; skip the
+		// probe.
+		k.seen, k.quiet = received, 0
 		return false, false, 0
+	}
+	k.quiet++
+	if k.quiet >= KeepaliveMisses {
+		return true, false, 0
 	}
 	return false, true, k.token.Add(1)
 }

@@ -26,16 +26,12 @@ var discardStat = &MethodStat{}
 
 // MethodMetrics keys MethodStats by method name. Unlike the fixed metric
 // set, method names are open-ended, so the lookup goes through a map — a
-// read-locked fast path once a method has been seen. Nil receivers
-// degrade to no-ops like the rest of the package.
+// read-locked fast path once a method has been seen, made when the first
+// one is. The zero value is ready to use; nil receivers degrade to no-ops
+// like the rest of the package.
 type MethodMetrics struct {
 	mu sync.RWMutex
 	m  map[string]*MethodStat
-}
-
-// NewMethodMetrics returns an empty per-method metric set.
-func NewMethodMetrics() *MethodMetrics {
-	return &MethodMetrics{m: make(map[string]*MethodStat)}
 }
 
 // Get returns (creating on first use) the stat bundle for method.
@@ -53,6 +49,9 @@ func (mm *MethodMetrics) Get(method string) *MethodStat {
 	defer mm.mu.Unlock()
 	if s, ok = mm.m[method]; ok {
 		return s
+	}
+	if mm.m == nil {
+		mm.m = make(map[string]*MethodStat)
 	}
 	s = &MethodStat{}
 	mm.m[method] = s

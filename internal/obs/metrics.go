@@ -233,6 +233,10 @@ type metricEntry struct {
 type Registry struct {
 	mu      sync.Mutex
 	entries []*metricEntry
+	// lazy is the Metrics set this registry belongs to until its first
+	// rendering, which makes the set's entries, ahead of every entry added
+	// since.
+	lazy *metricsStore
 }
 
 // NewRegistry returns an empty registry.
@@ -278,6 +282,10 @@ func (r *Registry) add(e *metricEntry) {
 func (r *Registry) snapshot() []*metricEntry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.lazy != nil {
+		r.entries = append(r.lazy.entries(), r.entries...)
+		r.lazy = nil
+	}
 	return append([]*metricEntry(nil), r.entries...)
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math/rand/v2"
+	"sync"
 	"sync/atomic"
 )
 
@@ -121,11 +122,53 @@ type Metrics struct {
 }
 
 // NewMetrics returns a fresh metrics set with every metric registered
-// under its canonical netobj_* name.
+// under its canonical netobj_* name. It costs one allocation: the metrics
+// live in one block with the set itself, and the registry makes its
+// entries for them when something first renders it.
 func NewMetrics() *Metrics {
-	r := NewRegistry()
-	return &Metrics{
-		reg: r,
+	builtinOnce.Do(recordBuiltins)
+	s := new(metricsStore)
+	s.build(nil)
+	return &s.m
+}
+
+// metricsStore is a Metrics set together with everything it points to.
+// The arrays hold exactly the counters, gauges and histograms build
+// registers; one registered without growing them panics at the first
+// NewMetrics.
+type metricsStore struct {
+	m        Metrics
+	reg      Registry
+	methods  MethodMetrics
+	counters [75]Counter
+	gauges   [1]Gauge
+	hists    [5]Histogram
+}
+
+// builtinDefs names the metrics of every Metrics set, in registration
+// order; recordBuiltins writes it down once per process.
+var (
+	builtinOnce sync.Once
+	builtinDefs []metricDef
+)
+
+// metricDef is one metric of a Metrics set: its kind, name and help, and
+// its place among the store's metrics of that kind.
+type metricDef struct {
+	kind       metricKind
+	name, help string
+	index      int
+}
+
+func recordBuiltins() { new(metricsStore).build(&builtinDefs) }
+
+// build points the set's fields at the store's metrics in registration
+// order, writing the order down in defs when it is not nil.
+func (s *metricsStore) build(defs *[]metricDef) {
+	r := &storeBuilder{s: s, defs: defs}
+	s.reg.lazy = s
+	s.m = Metrics{
+		reg: &s.reg,
 
 		CallsSent:             r.Counter("netobj_calls_sent_total", "Remote invocations issued by this space."),
 		CallErrors:            r.Counter("netobj_call_errors_total", "Remote invocations that failed at the runtime level."),
@@ -138,7 +181,7 @@ func NewMetrics() *Metrics {
 		CancelsServed: r.Counter("netobj_cancels_served_total", "CancelCall alerts received for calls being served."),
 		ServeLatency:  r.Histogram("netobj_serve_latency_seconds", "Server-side dispatch latency (decode, invoke, encode)."),
 
-		Methods: NewMethodMetrics(),
+		Methods: &s.methods,
 
 		RPCRetries: r.Counter("netobj_rpc_retries_total", "Idempotent collector RPC attempts beyond the first."),
 
@@ -221,6 +264,57 @@ func NewMetrics() *Metrics {
 		RegistryRebinds:      r.Counter("netobj_registry_rebinds_total", "Handle calls transparently re-resolved after a stale surrogate failed."),
 		RegistryReplLag:      r.Gauge("netobj_registry_repl_lag", "Versions this replica trails the highest applied version seen in the cluster."),
 	}
+}
+
+// storeBuilder hands out a store's metrics in registration order.
+type storeBuilder struct {
+	s          *metricsStore
+	defs       *[]metricDef
+	nc, ng, nh int
+}
+
+func (b *storeBuilder) def(kind metricKind, name, help string, index int) {
+	if b.defs != nil {
+		*b.defs = append(*b.defs, metricDef{kind: kind, name: name, help: help, index: index})
+	}
+}
+
+func (b *storeBuilder) Counter(name, help string) *Counter {
+	b.def(kindCounter, name, help, b.nc)
+	b.nc++
+	return &b.s.counters[b.nc-1]
+}
+
+func (b *storeBuilder) Gauge(name, help string) *Gauge {
+	b.def(kindGauge, name, help, b.ng)
+	b.ng++
+	return &b.s.gauges[b.ng-1]
+}
+
+func (b *storeBuilder) Histogram(name, help string) *Histogram {
+	b.def(kindHistogram, name, help, b.nh)
+	b.nh++
+	return &b.s.hists[b.nh-1]
+}
+
+// entries makes the registry entries for the store's metrics.
+func (s *metricsStore) entries() []*metricEntry {
+	es := make([]metricEntry, len(builtinDefs))
+	out := make([]*metricEntry, len(builtinDefs))
+	for i, d := range builtinDefs {
+		e := &es[i]
+		e.name, e.help, e.kind = d.name, d.help, d.kind
+		switch d.kind {
+		case kindCounter:
+			e.counter = &s.counters[d.index]
+		case kindGauge:
+			e.gauge = &s.gauges[d.index]
+		case kindHistogram:
+			e.hist = &s.hists[d.index]
+		}
+		out[i] = e
+	}
+	return out
 }
 
 // Registry exposes the registry carrying this metrics set, for rendering

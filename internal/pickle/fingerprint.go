@@ -4,15 +4,31 @@ import (
 	"hash/fnv"
 	"reflect"
 	"strings"
+	"sync"
 )
+
+// fingerprints memoizes Fingerprint (reflect.Type -> uint64): a type's
+// method set never changes, so neither does its fingerprint.
+var fingerprints sync.Map
 
 // Fingerprint computes a stable hash of a type's method set: method names
 // plus parameter and result type names, in declaration order. Stubs embed
 // the fingerprint of the interface they were generated from in every call,
 // and the dispatcher rejects calls whose fingerprint does not match the
 // exported object's — the network objects analogue of stub version
-// checking. A zero fingerprint in a call means "unchecked".
+// checking. A zero fingerprint in a call means "unchecked". Each type is
+// described once per process; later calls are a map lookup.
 func Fingerprint(t reflect.Type) uint64 {
+	if fp, ok := fingerprints.Load(t); ok {
+		return fp.(uint64)
+	}
+	fp := fingerprint(t)
+	fingerprints.Store(t, fp)
+	return fp
+}
+
+// fingerprint is Fingerprint without the memo.
+func fingerprint(t reflect.Type) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(describeMethodSet(t)))
 	fp := h.Sum64()

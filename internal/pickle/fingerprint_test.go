@@ -62,6 +62,21 @@ func TestFingerprintConcreteMatchesInterface(t *testing.T) {
 	}
 }
 
+// TestFingerprintMemoMatchesDescription: the memoized fingerprint of every
+// type is the one its method set describes, on the first call and after.
+func TestFingerprintMemoMatchesDescription(t *testing.T) {
+	for _, typ := range []reflect.Type{
+		ifType[ifaceA](), ifType[ifaceASame](), ifType[ifaceB](), ifType[any](), ifType[error](),
+		reflect.TypeOf(implA{}), reflect.TypeOf(&implA{}), reflect.TypeOf(0), reflect.TypeOf(&Registry{}),
+	} {
+		for i := 0; i < 2; i++ {
+			if got, want := Fingerprint(typ), fingerprint(typ); got != want {
+				t.Fatalf("%v, call %d: memoized %x, described %x", typ, i+1, got, want)
+			}
+		}
+	}
+}
+
 func TestFingerprintEmptyInterface(t *testing.T) {
 	if Fingerprint(ifType[any]()) == 0 {
 		t.Fatal("empty method set must still fingerprint non-zero")

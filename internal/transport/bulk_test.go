@@ -187,9 +187,9 @@ func TestBulkAbortsAtRandomLeavePayloadAlone(t *testing.T) {
 		}
 		_ = st.SetDeadline(time.Now().Add(time.Duration(rng.Intn(4000)) * time.Microsecond))
 		if i%3 == 0 {
-			// Every third give-up is a Close from elsewhere, as a
-			// cancelled call's is.
-			go func(d time.Duration) { time.Sleep(d); _ = st.Close() }(time.Duration(rng.Intn(2000)) * time.Microsecond)
+			// Every third give-up is an Abort from elsewhere, as a
+			// cancelled call's is; it may come after the exchange is over.
+			go func(id uint64, d time.Duration) { time.Sleep(d); client.Abort(id) }(st.ID(), time.Duration(rng.Intn(2000))*time.Microsecond)
 		}
 		if st.Send(payload) == nil {
 			sent++
@@ -393,7 +393,7 @@ func overlaps(a, b []byte) bool {
 func TestBulkAssemblyOnData(t *testing.T) {
 	p := flow.Params{ChunkSize: 4 << 10, StreamWindow: 1 << 20, SessionWindow: 1 << 20}
 	served := make(chan *Stream, 4)
-	_, server := flowPair(t, p, nil, func(st *Stream) { served <- st; <-st.done })
+	_, server := flowPair(t, p, nil, func(st *Stream) { served <- st; <-st.s.done })
 	whole := pattern(10_000)
 
 	// Mixed ownership and sizes, as one reader goroutine would deliver

@@ -162,6 +162,16 @@ type memMsg struct {
 	due     time.Time
 }
 
+// wait reports how long the message has yet to be held. A namespace that
+// simulates no latency stamps no due time, and its frames pay no clock
+// read.
+func (m memMsg) wait() time.Duration {
+	if m.due.IsZero() {
+		return 0
+	}
+	return time.Until(m.due)
+}
+
 type memConn struct {
 	m     *Mem
 	out   chan memMsg
@@ -170,11 +180,12 @@ type memConn struct {
 	peer  *memConn
 	label string
 
-	// held is a frame dequeued but not yet due and last the buffer behind
-	// the frame the previous Recv returned, recycled by the next one (the
-	// Conn contract ends a frame's life there); only the single reader
-	// touches them (Conn is not safe for concurrent use).
-	held *memMsg
+	// held is a frame dequeued but not yet due (payload nil: none) and
+	// last the buffer behind the frame the previous Recv returned,
+	// recycled by the next one (the Conn contract ends a frame's life
+	// there); only the single reader touches them (Conn is not safe for
+	// concurrent use).
+	held memMsg
 	last *[]byte
 
 	// deadline is the I/O deadline in Unix nanoseconds (0 = none).
@@ -233,17 +244,15 @@ func (c *memConn) Recv(scratch []byte) ([]byte, error) {
 	}
 	timeout := c.deadlineTimer()
 	defer stopTimer(timeout)
-	if c.held == nil {
+	if c.held.payload == nil {
 		select {
-		case msg := <-c.in:
-			c.held = &msg
+		case c.held = <-c.in:
 		case <-c.done:
 			return nil, ErrClosed
 		case <-c.peer.done:
 			// Drain any message already in flight before the peer closed.
 			select {
-			case msg := <-c.in:
-				c.held = &msg
+			case c.held = <-c.in:
 			default:
 				return nil, errors.Join(ErrClosed, errPeerClosed)
 			}
@@ -254,7 +263,7 @@ func (c *memConn) Recv(scratch []byte) ([]byte, error) {
 	// Hold delivery until the frame's due time. A deadline expiring
 	// mid-hold leaves the frame held for the next Recv — a late frame is
 	// slow, never lost.
-	if wait := time.Until(c.held.due); wait > 0 {
+	if wait := c.held.wait(); wait > 0 {
 		hold := time.NewTimer(wait)
 		defer hold.Stop()
 		select {
@@ -266,7 +275,7 @@ func (c *memConn) Recv(scratch []byte) ([]byte, error) {
 		}
 	}
 	c.last = c.held.payload
-	c.held = nil
+	c.held = memMsg{}
 	return *c.last, nil
 }
 

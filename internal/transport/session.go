@@ -27,15 +27,30 @@ import (
 // A Stream is one logical exchange on a session and implements Conn, so
 // the runtime's call code (send request, await response, acknowledge) runs
 // unchanged whether it holds a real checked-out connection or a stream on
-// a shared link. Closing a stream abandons only that exchange: late
+// a shared link. Ending a stream abandons only that exchange: late
 // responses to it are recognized by their id and dropped, and every other
 // stream on the session is untouched — this is what lets a cancelled call
 // stop waiting without poisoning the link for its neighbours.
+//
+// Streams are recycled. The owner's Close hands its stream back to the
+// session, channels and timer included, for the next exchange to reuse.
+// That is safe because nothing but the owner holds a stream: the reader
+// reaches one only through the id map and under the session lock, which
+// the stream leaves before it is reused; Session.Abort, a reset from the
+// peer and the write-stall check name an exchange by its id, which is
+// never reused.
 
 // streamInbox is a stream's inbound frame buffer. Exchanges are short
 // (request, response, maybe an ack), so a small buffer suffices; a peer
 // flooding one id beyond it has its excess dropped like a lossy network.
 const streamInbox = 16
+
+// maxFreeStreams bounds a session's list of closed streams kept for
+// reuse. The list holds at most as many streams as the session once had
+// open at the same time; the bound, several times the eight callers of
+// the busiest benchmark workload, keeps a burst of exchanges from pinning
+// some 700 bytes a stream for the rest of the session's life.
+const maxFreeStreams = 64
 
 // SessionOptions configures a Session.
 type SessionOptions struct {
@@ -43,9 +58,8 @@ type SessionOptions struct {
 	// stream the peer opens (a frame with an unknown id). Server sessions
 	// set it to their dispatch entry; client sessions leave it nil, which
 	// makes unknown ids late responses to abandoned exchanges, dropped.
-	// The exchange is over when Accept returns: the handler then recycles
-	// the stream's last received frame, so Accept must not leave another
-	// goroutine reading it.
+	// Accept owns the stream as an opener owns one: it ends the exchange
+	// with Close, and leaves no other goroutine using the stream.
 	Accept func(*Stream)
 	// Flow sets the session's receive windows, chunk size and keepalive
 	// interval (see internal/flow). Zero fields, and a nil Flow, take the
@@ -93,9 +107,11 @@ type Session struct {
 	// the write lock to send (nil once sent). wdog bounds a sender's
 	// physical write by its stream's deadline: it fails the session when it
 	// fires, the only thing that unblocks a write on a stalled link. Both
-	// belong to the holder.
-	hello []byte
-	wdog  *time.Timer
+	// belong to the holder. writer is the id of the stream whose Send is
+	// inside the physical write (0: none), for the write-stall check.
+	hello  []byte
+	wdog   *time.Timer
+	writer atomic.Uint64
 
 	// version is the protocol version this endpoint speaks and demands:
 	// wire.Version outside the handshake tests. peer is the hello the peer
@@ -107,8 +123,12 @@ type Session struct {
 
 	done chan struct{}
 
+	// mu guards the id map, which is how the reader reaches a stream —
+	// every delivery into a stream happens under it — and free, the closed
+	// streams kept for reuse.
 	mu      sync.Mutex
 	streams map[uint64]*Stream
+	free    []*Stream
 	closed  bool
 	cause   error
 
@@ -330,16 +350,80 @@ func (s *Session) OpenID(id uint64) (*Stream, error) {
 	return s.newStreamLocked(id), nil
 }
 
+// newStreamLocked opens a stream for exchange id: one its owner closed
+// earlier when there is one, else a new one.
 func (s *Session) newStreamLocked(id uint64) *Stream {
-	st := &Stream{s: s, id: id, in: make(chan inMsg, streamInbox), done: make(chan struct{})}
+	var st *Stream
+	if n := len(s.free); n > 0 {
+		st = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	} else {
+		st = &Stream{s: s, in: make(chan inMsg, streamInbox), wake: make(chan struct{}, 1)}
+	}
+	st.id = id
+	st.state.Store(streamOpen)
 	s.streams[id] = st
 	return st
 }
 
-func (s *Session) removeStream(id uint64) {
+// routeLocked finds the stream an inbound frame for id belongs to: the
+// open one, or — when the session serves — a new one the peer is opening,
+// reported fresh.
+func (s *Session) routeLocked(id uint64) (st *Stream, fresh bool) {
+	if st = s.streams[id]; st != nil {
+		return st, false
+	}
+	if s.accept == nil || s.closed {
+		return nil, false
+	}
+	return s.newStreamLocked(id), true
+}
+
+// Abort ends exchange id from outside it: its stream's blocked and later
+// Send and Recv calls fail with ErrClosed, frames for it are dropped, and
+// every other stream on the session is untouched. It is how a goroutine
+// other than the stream's owner — a cancellation watcher — gives up on an
+// exchange; the owner still closes the stream. An id that is not open is
+// ignored, so an abort that loses the race with the exchange's end does
+// nothing, whatever has become of the stream.
+func (s *Session) Abort(id uint64) {
 	s.mu.Lock()
-	delete(s.streams, id)
+	st := s.streams[id]
+	if st != nil {
+		st.endLocked()
+		// Wake the owner, should it be blocked in Send or Recv.
+		select {
+		case st.wake <- struct{}{}:
+		default:
+		}
+	}
 	s.mu.Unlock()
+	if st == nil {
+		return
+	}
+	// A Send of the exchange stuck inside the physical write gets
+	// writeStallGrace to come back before the session is failed to free
+	// it: a healthy link finishes the write at once, a stalled one has to
+	// be failed. The check names the exchange by id, not by its stream,
+	// which may be open again for another exchange by then.
+	if s.writer.Load() == id {
+		time.AfterFunc(writeStallGrace, func() {
+			if s.writer.Load() == id {
+				s.fail(errWriteStalled)
+			}
+		})
+	}
+	s.dropQueued(id)
+}
+
+// dropQueued withdraws exchange id's queued chunked sends. A reset
+// follows one that had chunks on the wire already, since it poisons the
+// peer's assembly.
+func (s *Session) dropQueued(id uint64) {
+	if f := s.flow; f.sched.CloseStream(id, ErrClosed) {
+		f.queueReset(id)
+	}
 }
 
 // fail tears the session down once: every stream's pending Send and Recv
@@ -464,6 +548,7 @@ func (s *Session) lockWrite(st *Stream) error {
 			return err
 		}
 	}
+	s.writer.Store(st.id)
 	if left > 0 {
 		if s.wdog == nil {
 			s.wdog = time.AfterFunc(left, func() { s.fail(errWriteStalled) })
@@ -477,17 +562,13 @@ func (s *Session) lockWrite(st *Stream) error {
 // awaitWrite is lockWrite's slow path: the lock is taken, so wait for it.
 // It returns what is left of the deadline afterwards.
 func (s *Session) awaitWrite(st *Stream, left time.Duration) (time.Duration, error) {
-	var tc <-chan time.Time
-	if left > 0 {
-		t := time.NewTimer(left)
-		defer t.Stop()
-		tc = t.C
-	}
+	tc := st.arm(left)
+	defer st.disarm()
 	s.wwait.Add(1)
 	defer s.wwait.Add(-1)
 	select {
 	case s.wlock <- struct{}{}:
-	case <-st.done:
+	case <-st.wake:
 		return 0, ErrClosed
 	case <-s.done:
 		return 0, s.closeErr()
@@ -505,6 +586,7 @@ func (s *Session) unlockWrite() {
 	if s.wdog != nil {
 		s.wdog.Stop()
 	}
+	s.writer.Store(0)
 	<-s.wlock
 }
 
@@ -635,11 +717,9 @@ func (s *Session) readLoop() {
 		if !mine {
 			scratch = frame
 		}
+		// Counting the bytes is also what proves the peer alive to the
+		// keepalive, which compares the count from one tick to the next.
 		s.bytesRecv.Add(uint64(len(frame)))
-		if ka := s.flow.ka; ka != nil {
-			// Any inbound frame proves the peer alive.
-			ka.Touch(time.Now())
-		}
 		if s.peer.Load() == nil {
 			if err := s.onHello(frame); err != nil {
 				s.rejectHello(err)
@@ -709,7 +789,7 @@ func (s *Session) readFlowFrame(frame []byte) bool {
 		f.queuePong(token)
 		s.notifyKeepalive()
 	case wire.OpFlowPong:
-		// Touch already recorded the liveness; just count it.
+		// Its bytes already proved the peer alive; just count it.
 		f.mPongs.Inc()
 		s.notifyKeepalive()
 	default:
@@ -719,26 +799,17 @@ func (s *Session) readFlowFrame(frame []byte) bool {
 }
 
 // dispatch routes one inbound payload to its stream, creating the stream
-// (and handing it to a handler) when the peer opened it.
+// (and handing it to a handler) when the peer opened it. The delivery is
+// made under the session lock, so it reaches the exchange the id names
+// and no later user of the same stream.
 func (s *Session) dispatch(id uint64, payload []byte) {
-	s.mu.Lock()
-	st, known := s.streams[id]
-	fresh := false
-	if !known && s.accept != nil && !s.closed {
-		st = s.newStreamLocked(id)
-		fresh = true
-	}
-	s.mu.Unlock()
-	if st == nil {
-		return
-	}
 	bp := wire.GetBuf()
 	*bp = append((*bp)[:0], payload...)
-	select {
-	case st.in <- inMsg{pooled: bp}:
-	default:
-		// Inbox overflow: treat like a lossy link rather than letting one
-		// stream wedge the whole session's reader.
+	s.mu.Lock()
+	st, fresh := s.routeLocked(id)
+	delivered := st != nil && st.deliverLocked(inMsg{pooled: bp})
+	s.mu.Unlock()
+	if !delivered {
 		wire.PutBuf(bp)
 	}
 	if fresh {
@@ -770,7 +841,6 @@ func (s *Session) handlerLoop(st *Stream) {
 	defer idle.Stop()
 	for {
 		s.accept(st)
-		st.Release()
 		idle.Reset(handlerIdle)
 		select {
 		case st = <-s.work:
@@ -785,43 +855,67 @@ func (s *Session) handlerLoop(st *Stream) {
 // Stream is one logical exchange on a session. It implements Conn: Send
 // wraps the payload in the stream's mux envelope and writes it under the
 // session's write lock; Recv awaits the next inbound frame routed to this id.
-// Per the Conn contract a stream is used by one exchange at a time, with
-// Close safe concurrently (a cancellation watcher closes the stream to
-// abandon the exchange without touching the shared link).
+// Per the Conn contract a stream is used by one exchange at a time, by its
+// owner: the goroutine that opened it, or the Accept function it was
+// handed to. Unlike a Conn's, its Close is the owner's last call and not
+// one for other goroutines: another goroutine that must cut the exchange
+// short calls Session.Abort with the stream's id.
 type Stream struct {
-	s    *Session
-	id   uint64
-	in   chan inMsg
-	done chan struct{}
-	once sync.Once
+	s  *Session
+	id uint64
+	in chan inMsg
+
+	// state is streamOpen while the exchange runs, streamEnded once it
+	// was ended from outside (Session.Abort, the peer's reset) and
+	// streamClosed once the owner closed it. It changes under the session
+	// lock; the owner reads it without.
+	state atomic.Int32
+	// wake is rung when the exchange is ended from outside, so that an
+	// owner blocked in Send or Recv looks at state again. One slot: only
+	// the owner waits on it.
+	wake chan struct{}
+	// timer bounds the owner's blocking waits by the deadline. It is made
+	// on the stream's first such wait and kept across reuses, each wait
+	// resetting it and stopping it again (arm, disarm).
+	timer *time.Timer
+
+	// chunked is set once a chunked send of the exchange has been queued:
+	// the flow scheduler then keeps state for the id until the stream ends.
+	chunked atomic.Bool
 
 	// deadline is the exchange deadline in Unix nanoseconds (0 = none).
 	// It bounds the local waits — for the write lock and for the response
 	// — the way a connection deadline bounds socket I/O.
 	deadline atomic.Int64
-	// writing is set while Send is inside the physical write, for Close.
-	writing atomic.Bool
 
 	// last is the pooled buffer returned by the previous Recv, recycled
 	// on the next one (the Conn contract makes a Recv result valid only
-	// until the next Recv) or by Release. Touched only by the Recv caller.
+	// until the next Recv), by Release or by Close. Touched only by the
+	// owner.
 	last *[]byte
 
 	// slab is the capacity of the buffer behind the frame the previous
 	// Recv returned when that buffer is a slab — made for this one
 	// message, never pooled — and zero when it is pooled (then last is
-	// set). Touched only by the Recv caller.
+	// set). Touched only by the owner.
 	slab int
 
 	// asm holds the chunks of an in-progress chunked message, as they
-	// arrived; touched only by the session's read loop. ledger is the
-	// receive side of this stream's flow-control window, made by the read
-	// loop on the stream's first data chunk (unchunked frames are never
-	// charged); Recv sees it through the inbox channel, which carries the
-	// chunked message.
+	// arrived; touched by the session's read loop, under the session lock.
+	// ledger is the receive side of this stream's flow-control window,
+	// made by the read loop on the exchange's first data chunk (unchunked
+	// frames are never charged); Recv sees it through the inbox channel,
+	// which carries the chunked message.
 	asm    *assembly
 	ledger *flow.RecvLedger
 }
+
+// Stream states; see Stream.state.
+const (
+	streamOpen int32 = iota
+	streamEnded
+	streamClosed
+)
 
 // assembly is a chunked message on its way from the reader to its
 // consumer: the chunks in arrival order, n bytes in all.
@@ -889,13 +983,28 @@ func (st *Stream) ID() uint64 { return st.id }
 // Session returns the session carrying this stream.
 func (st *Stream) Session() *Session { return st.s }
 
-func (st *Stream) isClosed() bool {
+func (st *Stream) isClosed() bool { return st.state.Load() != streamOpen }
+
+// deliverLocked puts a message in the inbox, under the session lock. A
+// full inbox drops it, as a lossy link would, rather than let one stream
+// wedge the session's reader.
+func (st *Stream) deliverLocked(m inMsg) bool {
 	select {
-	case <-st.done:
+	case st.in <- m:
 		return true
 	default:
 		return false
 	}
+}
+
+// endLocked ends an open stream's exchange, under the session lock: the
+// id leaves the map, so no frame reaches the stream from here on, and a
+// partial chunked message is dropped.
+func (st *Stream) endLocked() {
+	st.state.Store(streamEnded)
+	delete(st.s.streams, st.id)
+	st.asm.recycle()
+	st.asm = nil
 }
 
 // left reports how long the stream's deadline leaves: zero when none is
@@ -911,15 +1020,24 @@ func (st *Stream) left() (time.Duration, error) {
 	return 0, ErrTimeout
 }
 
-// timer materializes the stream deadline, returning a nil channel when no
-// deadline is set and ErrTimeout when it already passed.
-func (st *Stream) timer() (*time.Timer, <-chan time.Time, error) {
-	wait, err := st.left()
-	if wait == 0 {
-		return nil, nil, err
+// arm starts the stream's timer for d and returns its channel; for d = 0,
+// a wait with no deadline, it returns nil. The waiter disarms it after.
+func (st *Stream) arm(d time.Duration) <-chan time.Time {
+	if d == 0 {
+		return nil
 	}
-	t := time.NewTimer(wait)
-	return t, t.C, nil
+	if st.timer == nil {
+		st.timer = time.NewTimer(d)
+	} else {
+		st.timer.Reset(d)
+	}
+	return st.timer.C
+}
+
+func (st *Stream) disarm() {
+	if st.timer != nil {
+		st.timer.Stop()
+	}
 }
 
 // Send wraps payload in the stream's mux envelope and writes it to the
@@ -970,8 +1088,6 @@ func (st *Stream) send(payload []byte, more [][]byte) error {
 		return err
 	}
 	defer s.unlockWrite()
-	st.writing.Store(true)
-	defer st.writing.Store(false)
 	err := s.writePending()
 	if err == nil {
 		err = s.write(*bp)
@@ -1002,22 +1118,29 @@ func (st *Stream) Recv(scratch []byte) ([]byte, error) {
 	if st.isClosed() {
 		return nil, ErrClosed
 	}
-	t, tc, err := st.timer()
+	wait, err := st.left()
 	if err != nil {
 		return nil, err
 	}
-	if t != nil {
-		defer t.Stop()
-	}
+	tc := st.arm(wait)
+	defer st.disarm()
 	select {
 	case m := <-st.in:
 		return st.take(m), nil
-	case <-st.done:
-		return nil, ErrClosed
+	case <-st.wake:
+		err = ErrClosed
 	case <-st.s.done:
-		return nil, st.s.closeErr()
+		err = st.s.closeErr()
 	case <-tc:
 		return nil, ErrTimeout
+	}
+	// Frames are delivered under the session lock, the lock the stream is
+	// ended under, so one that arrived before the end is in the inbox now.
+	select {
+	case m := <-st.in:
+		return st.take(m), nil
+	default:
+		return nil, err
 	}
 }
 
@@ -1060,11 +1183,8 @@ func (st *Stream) RecvSlab() int { return st.slab }
 
 // Release recycles the pooled buffer behind the last received frame; a
 // slab is not the pool's, and stays with whoever still points into it.
-// The owner of the exchange calls it on the way out, once it has decoded
-// the final frame — without it every stream would strand one pooled
-// buffer. It is not part of Close because Close may come from another
-// goroutine (a cancellation watcher) while the owner is still reading
-// those bytes.
+// The owner may call it early, once it is done with the frame but not yet
+// with the stream; Close does it too.
 func (st *Stream) Release() {
 	if st.last != nil {
 		wire.PutBuf(st.last)
@@ -1084,30 +1204,59 @@ func (st *Stream) SetDeadline(t time.Time) error {
 	return nil
 }
 
-// Close abandons the exchange: the id is forgotten (late responses to it
-// are dropped by the demux) and blocked Send/Recv calls fail. The shared
-// connection and every other stream are untouched. Safe to call multiple
-// times and concurrently with Send/Recv.
+// Close ends the exchange — the id is forgotten, so late responses to it
+// are dropped by the demux — and hands the stream back to its session for
+// a later exchange to reuse, along with the buffer behind the last
+// received frame. The shared connection and every other stream are
+// untouched. It is the owner's last call on the stream: once Close has
+// begun, neither the owner nor anyone it shared the stream with may use
+// it again. Calling it a second time before the stream is reused does
+// nothing.
 func (st *Stream) Close() error {
-	st.once.Do(func() {
-		close(st.done)
-		st.s.removeStream(st.id)
-		if st.writing.Load() {
-			// Our own Send is inside the write: a healthy link finishes it
-			// at once, a stalled one has to be failed to get it back.
-			time.AfterFunc(writeStallGrace, func() {
-				if st.writing.Load() {
-					st.s.fail(errWriteStalled)
-				}
-			})
-		}
-		// Withdraw any queued chunked sends; a partially-sent message
-		// poisons the peer's assembly, so a reset follows it.
-		if f := st.s.flow; f.sched.CloseStream(st.id, ErrClosed) {
-			f.queueReset(st.id)
-		}
-	})
+	s, id := st.s, st.id
+	s.mu.Lock()
+	state := st.state.Load()
+	if state == streamClosed {
+		s.mu.Unlock()
+		return nil
+	}
+	if state == streamOpen {
+		st.endLocked()
+	}
+	st.state.Store(streamClosed)
+	chunked := st.chunked.Swap(false)
+	st.reset()
+	if !s.closed && len(s.free) < maxFreeStreams {
+		s.free = append(s.free, st)
+	}
+	s.mu.Unlock()
+	if state == streamOpen && chunked {
+		s.dropQueued(id)
+	}
 	return nil
+}
+
+// reset empties a closed stream for its next exchange: frames left in the
+// inbox, the buffer behind the last one received and the doorbell go, so
+// that a stream waiting for reuse pins nothing. The caller holds the
+// session lock, and the stream has left the id map.
+func (st *Stream) reset() {
+	for drained := false; !drained; {
+		select {
+		case m := <-st.in:
+			m.recycle()
+		default:
+			drained = true
+		}
+	}
+	select {
+	case <-st.wake:
+	default:
+	}
+	st.Release()
+	st.slab = 0
+	st.ledger = nil
+	st.deadline.Store(0)
 }
 
 // RemoteLabel describes the peer and the stream for logs.

@@ -67,7 +67,7 @@ func newFlowState(p flow.Params, m *obs.Metrics) *flowState {
 	}
 	f.sendChunk.Store(int64(p.ChunkSize))
 	if p.KeepaliveInterval > 0 {
-		f.ka = flow.NewKeepalive(p.KeepaliveInterval, time.Now())
+		f.ka = flow.NewKeepalive(p.KeepaliveInterval)
 	}
 	if m != nil {
 		f.mChunks = m.FlowChunksSent
@@ -110,22 +110,26 @@ func (f *flowState) adopt(h *wire.Hello) {
 func (f *flowState) chunkThreshold() int { return int(f.sendChunk.Load()) }
 
 // awaitHello blocks a chunked send until the peer's hello has set the
-// windows to send against. Only the stream's deadline, its Close and the
+// windows to send against. Only the stream's deadline, its abort and the
 // session's death cut the wait short.
 func (s *Session) awaitHello(st *Stream) error {
-	t, tc, err := st.timer()
+	select {
+	case <-s.helloCh:
+		return nil
+	default:
+	}
+	wait, err := st.left()
 	if err != nil {
 		return err
 	}
-	if t != nil {
-		defer t.Stop()
-	}
+	tc := st.arm(wait)
+	defer st.disarm()
 	select {
 	case <-s.helloCh:
 		return nil
 	case <-tc:
 		return ErrTimeout
-	case <-st.done:
+	case <-st.wake:
 		return ErrClosed
 	case <-s.done:
 		return s.closeErr()
@@ -251,23 +255,10 @@ func (s *Session) onData(id, flags uint64, data []byte, own *[]byte) (took bool)
 	if id == 0 {
 		return false
 	}
-	s.mu.Lock()
-	st, known := s.streams[id]
-	fresh := false
-	if !known && s.accept != nil && !s.closed && flags&wire.DataFlagReset == 0 {
-		st = s.newStreamLocked(id)
-		fresh = true
-	}
-	s.mu.Unlock()
-	if st == nil {
-		return false // late chunks for an abandoned exchange: dropped
-	}
 	if flags&wire.DataFlagReset != 0 {
-		// The sender abandoned the message mid-stream: drop the partial
-		// assembly and tear the stream down so a blocked handler unwedges.
-		st.asm.recycle()
-		st.asm = nil
-		_ = st.Close()
+		// The sender abandoned the message mid-stream: the partial assembly
+		// goes, and the exchange ends so that a blocked handler unwedges.
+		s.Abort(id)
 		return false
 	}
 	c := chunk{bp: own, b: data}
@@ -276,36 +267,55 @@ func (s *Session) onData(id, flags uint64, data []byte, own *[]byte) (took bool)
 		*c.bp = append(*c.bp, data...)
 		c.b = *c.bp
 	}
-	if st.asm == nil {
-		st.asm = new(assembly)
+	// The chunk joins its stream's assembly under the session lock, like
+	// any delivery, so that it cannot land in a later exchange's.
+	s.mu.Lock()
+	st, fresh := s.routeLocked(id)
+	var grant int64
+	if st != nil {
+		grant = st.addChunkLocked(c, flags&wire.DataFlagLast != 0, f.params.StreamWindow)
 	}
-	st.asm.chunks = append(st.asm.chunks, c)
-	st.asm.n += len(data)
-	if st.ledger == nil {
-		st.ledger = flow.NewRecvLedger(f.params.StreamWindow)
-	}
-	if g := st.ledger.Chunk(len(data)); g > 0 {
-		f.queueGrant(id, g)
-	}
-	if flags&wire.DataFlagLast != 0 {
-		m := inMsg{asm: st.asm}
-		st.asm = nil
-		st.ledger.Complete(m.asm.n)
-		select {
-		case st.in <- m:
-		default:
-			// Inbox overflow: drop like a lossy link, but count the bytes
-			// consumed so the sender's window is not wedged forever.
-			m.recycle()
-			if g := st.ledger.Delivered(m.asm.n); g > 0 {
-				f.queueGrant(id, g)
-			}
+	s.mu.Unlock()
+	if st == nil {
+		if own == nil {
+			chunkBufs.Put(c.bp)
 		}
+		return false // late chunks for an abandoned exchange: dropped
+	}
+	if grant > 0 {
+		f.queueGrant(id, grant)
 	}
 	if fresh {
 		s.serve(st)
 	}
 	return own != nil
+}
+
+// addChunkLocked adds a chunk to the stream's assembly, delivering the
+// message when the chunk is its last, and returns the credit to grant the
+// sender now. The caller holds the session lock.
+func (st *Stream) addChunkLocked(c chunk, last bool, window int64) (grant int64) {
+	if st.asm == nil {
+		st.asm = new(assembly)
+	}
+	st.asm.chunks = append(st.asm.chunks, c)
+	st.asm.n += len(c.b)
+	if st.ledger == nil {
+		st.ledger = flow.NewRecvLedger(window)
+	}
+	grant = st.ledger.Chunk(len(c.b))
+	if last {
+		m := inMsg{asm: st.asm}
+		st.asm = nil
+		st.ledger.Complete(m.asm.n)
+		if !st.deliverLocked(m) {
+			// Dropped, but count the bytes consumed so the sender's window
+			// is not wedged forever.
+			m.recycle()
+			grant += st.ledger.Delivered(m.asm.n)
+		}
+	}
+	return grant
 }
 
 // sendChunked queues payload (and more, its continuation) with the
@@ -316,19 +326,19 @@ func (s *Session) onData(id, flags uint64, data []byte, own *[]byte) (took bool)
 // happen-before return.
 func (st *Stream) sendChunked(payload []byte, more [][]byte) error {
 	f := st.s.flow
+	st.chunked.Store(true)
 	it := f.sched.Enqueue(st.id, payload, more...)
-	t, tc, derr := st.timer()
-	if t != nil {
-		defer t.Stop()
-	}
+	wait, derr := st.left()
 	if derr != nil {
 		st.abortChunked(it, derr)
 		return derr
 	}
+	tc := st.arm(wait)
+	defer st.disarm()
 	select {
 	case err := <-it.Done():
 		return err
-	case <-st.done:
+	case <-st.wake:
 		st.abortChunked(it, ErrClosed)
 		return ErrClosed
 	case <-st.s.done:
@@ -359,8 +369,8 @@ func (s *Session) keepaliveLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case now := <-t.C:
-			dead, ping, token := f.ka.Tick(now)
+		case <-t.C:
+			dead, ping, token := f.ka.Tick(s.bytesRecv.Load())
 			if dead {
 				f.mKaFail.Inc()
 				s.fail(fmt.Errorf("transport: peer failed keepalive (quiet past %v)", flow.KeepaliveMisses*f.ka.Interval()))

@@ -174,10 +174,11 @@ func TestSessionStreamCloseLeavesNeighbours(t *testing.T) {
 		t.Fatalf("send: %v", err)
 	}
 	// Abandon the exchange mid-flight, as the cancellation watcher does.
-	held.Close()
+	client.Abort(held.ID())
 	if _, err := held.Recv(nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("recv on closed stream: %v, want ErrClosed", err)
+		t.Fatalf("recv on aborted stream: %v, want ErrClosed", err)
 	}
+	held.Close()
 
 	// Let the server answer the abandoned exchange; the demux must drop it.
 	close(release)
@@ -210,7 +211,7 @@ func TestSessionTeardownFailsWaiters(t *testing.T) {
 		// Swallow requests and never answer.
 		defer st.Close()
 		_, _ = st.Recv(nil)
-		<-st.done
+		<-st.s.done
 	})
 	const n = 8
 	var wg sync.WaitGroup
@@ -251,7 +252,7 @@ func TestSessionPeerDeathFailsWaiters(t *testing.T) {
 	client, server := sessionPair(t, func(st *Stream) {
 		defer st.Close()
 		_, _ = st.Recv(nil)
-		<-st.done
+		<-st.s.done
 	})
 	st, err := client.Open()
 	if err != nil {
@@ -276,7 +277,7 @@ func TestSessionDeadline(t *testing.T) {
 	client, _ := sessionPair(t, func(st *Stream) {
 		defer st.Close()
 		_, _ = st.Recv(nil)
-		<-st.done
+		<-st.s.done
 	})
 	st, err := client.Open()
 	if err != nil {
@@ -690,7 +691,7 @@ func TestSessionWriteLockWait(t *testing.T) {
 	closed := open()
 	closedErr := send(closed)
 	eventually(t, "a sender waiting for the write lock", func() bool { return s.Stats().QueueDepth == 1 })
-	closed.Close()
+	s.Abort(closed.ID())
 	wait("stream close", closedErr, ErrClosed)
 
 	cause := errors.New("link condemned")
@@ -726,8 +727,10 @@ func TestSessionStalledWriteBounded(t *testing.T) {
 	}{
 		{"deadline", func(st *Stream) { _ = st.SetDeadline(time.Now().Add(50 * time.Millisecond)) },
 			ErrTimeout, time.Second},
-		{"close", func(st *Stream) { time.AfterFunc(50*time.Millisecond, func() { st.Close() }) },
-			ErrClosed, writeStallGrace + time.Second},
+		{"close", func(st *Stream) {
+			s, id := st.Session(), st.ID()
+			time.AfterFunc(50*time.Millisecond, func() { s.Abort(id) })
+		}, ErrClosed, writeStallGrace + time.Second},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, sc := stalledSession(t, SessionOptions{}, true)

@@ -48,11 +48,16 @@ func WriteFrame(w io.Writer, payload []byte) error {
 // ReadFrame reads one length-prefixed frame, reusing buf when it has
 // sufficient capacity. It returns the payload, which may alias buf.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The length prefix is read into buf too: an array of its own would
+	// escape to the heap through r, an allocation a frame.
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrame {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
