@@ -1882,13 +1882,15 @@ func runE6() error {
 		setup func(o *netobjects.Options)
 	}
 	modes := []mode{
+		// Without keepalives no session counts as healthy, so the ping
+		// and lease cells measure the fallback, not the subsumption.
 		{"pings", func(o *netobjects.Options) {
-			o.DisableSessionLiveness = true
+			o.KeepaliveInterval = -1
 		}},
 		{"leases", func(o *netobjects.Options) {
 			o.Liveness = netobjects.LivenessLease
 			o.LeaseTTL = leaseTTL
-			o.DisableSessionLiveness = true
+			o.KeepaliveInterval = -1
 		}},
 		{"session", func(o *netobjects.Options) {
 			// Ping fallback underneath, but the healthy keepalive-bearing

@@ -61,8 +61,8 @@ func (s *collectServer) count() int {
 }
 
 func TestRollDeterministicAndSeedSensitive(t *testing.T) {
-	a := roll(1, "sp0", "x", wire.OpClean, 7, saltDrop)
-	if b := roll(1, "sp0", "x", wire.OpClean, 7, saltDrop); a != b {
+	a := roll(1, "sp0", "x", wire.OpCleanBatch, 7, saltDrop)
+	if b := roll(1, "sp0", "x", wire.OpCleanBatch, 7, saltDrop); a != b {
 		t.Fatalf("same inputs rolled %v then %v", a, b)
 	}
 	if a < 0 || a >= 1 {
@@ -71,12 +71,12 @@ func TestRollDeterministicAndSeedSensitive(t *testing.T) {
 	// Different seed, link, op, seq or salt must each decorrelate.
 	diff := 0
 	for i, v := range []float64{
-		roll(2, "sp0", "x", wire.OpClean, 7, saltDrop),
-		roll(1, "sp1", "x", wire.OpClean, 7, saltDrop),
-		roll(1, "sp0", "y", wire.OpClean, 7, saltDrop),
+		roll(2, "sp0", "x", wire.OpCleanBatch, 7, saltDrop),
+		roll(1, "sp1", "x", wire.OpCleanBatch, 7, saltDrop),
+		roll(1, "sp0", "y", wire.OpCleanBatch, 7, saltDrop),
 		roll(1, "sp0", "x", wire.OpDirty, 7, saltDrop),
-		roll(1, "sp0", "x", wire.OpClean, 8, saltDrop),
-		roll(1, "sp0", "x", wire.OpClean, 7, saltReset),
+		roll(1, "sp0", "x", wire.OpCleanBatch, 8, saltDrop),
+		roll(1, "sp0", "x", wire.OpCleanBatch, 7, saltReset),
 	} {
 		if v != a {
 			diff++
@@ -87,6 +87,11 @@ func TestRollDeterministicAndSeedSensitive(t *testing.T) {
 	if diff < 5 {
 		t.Fatalf("rolls insufficiently sensitive to inputs: %d/6 differ", diff)
 	}
+}
+
+// cleanMsg is a clean call for one object: a CleanBatch of one key.
+func cleanMsg(obj, seq uint64) *wire.CleanBatch {
+	return &wire.CleanBatch{Client: 1, Objs: []uint64{obj}, Seqs: []uint64{seq}, Strongs: []bool{false}}
 }
 
 // runDropSchedule sends n clean frames through a fresh wrapper with the
@@ -111,7 +116,7 @@ func runDropSchedule(t *testing.T, seed uint64, n int) []int {
 
 	var dropped []int
 	for i := 0; i < n; i++ {
-		frame := wire.Marshal(nil, &wire.Clean{Obj: uint64(i), Client: 1, Seq: 1})
+		frame := wire.Marshal(nil, cleanMsg(uint64(i), 1))
 		if err := c.Send(frame); err != nil {
 			t.Fatal(err)
 		}
@@ -164,14 +169,14 @@ func TestPerOpMatching(t *testing.T) {
 
 	ct := New(mem, "client", 7)
 	// Drop every clean; leave dirties untouched.
-	ct.SetRules(Rules{Drop: 1.0, Ops: []wire.Op{wire.OpClean}})
+	ct.SetRules(Rules{Drop: 1.0, Ops: []wire.Op{wire.OpCleanBatch}})
 	c, err := ct.Dial("owner")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	if err := c.Send(wire.Marshal(nil, &wire.Clean{Obj: 1, Client: 1, Seq: 1})); err != nil {
+	if err := c.Send(wire.Marshal(nil, cleanMsg(1, 1))); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Send(wire.Marshal(nil, &wire.Dirty{Obj: 1, Client: 1, Seq: 2})); err != nil {
@@ -236,7 +241,7 @@ func TestDuplicateReplaysCollectorOps(t *testing.T) {
 	}
 	defer c.Close()
 
-	if err := c.Send(wire.Marshal(nil, &wire.Clean{Obj: 5, Client: 1, Seq: 3})); err != nil {
+	if err := c.Send(wire.Marshal(nil, cleanMsg(5, 3))); err != nil {
 		t.Fatal(err)
 	}
 	_ = c.SetDeadline(time.Now().Add(time.Second))
@@ -294,7 +299,7 @@ func TestDelayAndThrottle(t *testing.T) {
 	// 1000 B/s: a ~10-byte frame costs ~10ms.
 	ct.SetRules(Rules{BandwidthBps: 1000})
 	start = time.Now()
-	if err := c.Send(wire.Marshal(nil, &wire.Clean{Obj: 1, Client: 1, Seq: 1})); err != nil {
+	if err := c.Send(wire.Marshal(nil, cleanMsg(1, 1))); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d < 5*time.Millisecond {
@@ -380,20 +385,20 @@ func TestFaultEventsAndDebugSection(t *testing.T) {
 	ring := obs.NewRing(32)
 	ct := New(mem, "client", 7)
 	ct.SetObserver(ring)
-	ct.SetRules(Rules{Drop: 1.0, Ops: []wire.Op{wire.OpClean}})
+	ct.SetRules(Rules{Drop: 1.0, Ops: []wire.Op{wire.OpCleanBatch}})
 	c, err := ct.Dial("owner")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Send(wire.Marshal(nil, &wire.Clean{Obj: 1, Client: 1, Seq: 1})); err != nil {
+	if err := c.Send(wire.Marshal(nil, cleanMsg(1, 1))); err != nil {
 		t.Fatal(err)
 	}
 	evs := ring.Events()
 	if len(evs) != 1 || evs[0].Kind != obs.EvChaosFault {
 		t.Fatalf("events=%v", evs)
 	}
-	if evs[0].Key != "drop" || evs[0].Method != "clean" || !strings.Contains(evs[0].Peer, "owner") {
+	if evs[0].Key != "drop" || evs[0].Method != "clean-batch" || !strings.Contains(evs[0].Peer, "owner") {
 		t.Fatalf("fault event fields: %+v", evs[0])
 	}
 
@@ -427,7 +432,7 @@ func TestMuxEnvelopeClassification(t *testing.T) {
 	srv := serveCollect(t, l)
 
 	ct := New(mem, "client", 7)
-	ct.SetRules(Rules{Drop: 1.0, Ops: []wire.Op{wire.OpClean}})
+	ct.SetRules(Rules{Drop: 1.0, Ops: []wire.Op{wire.OpCleanBatch}})
 	c, err := ct.Dial("owner")
 	if err != nil {
 		t.Fatal(err)
@@ -439,7 +444,7 @@ func TestMuxEnvelopeClassification(t *testing.T) {
 	}
 	// A mux-wrapped clean must be recognized as a clean and dropped: no
 	// frame reaches the server, no ack comes back.
-	if err := c.Send(wrap(1, &wire.Clean{Obj: 1, Client: 1, Seq: 1})); err != nil {
+	if err := c.Send(wrap(1, cleanMsg(1, 1))); err != nil {
 		t.Fatal(err)
 	}
 	_ = c.SetDeadline(time.Now().Add(50 * time.Millisecond))

@@ -12,19 +12,20 @@ import (
 	"netobjects/internal/wire"
 )
 
-// TestPipeOpsClassified pins that the pipelined invocation ops
-// self-identify to the fault injector — naked and through a mux
-// envelope, the form they actually take on a session — so per-op rules
-// can target, say, only promise resolutions. None of them may ever be
-// replayed: a duplicated PipeCall or OneWay re-runs an application
-// method, a duplicated PromiseResolve could resolve a reused promise id
-// with stale results, and a second hello fails the session.
+// TestPipeOpsClassified pins that the ops a pipelined chain rides — a
+// Call with promise fields, the Result that resolves it, and the one-way
+// message — self-identify to the fault injector, naked and through a mux
+// envelope, the form they actually take on a session, so per-op rules can
+// target, say, only results. None of them may ever be replayed: a
+// duplicated Call or OneWay re-runs an application method, a duplicated
+// Result could resolve a reused promise id with stale results, and a
+// second hello fails the session.
 func TestPipeOpsClassified(t *testing.T) {
 	frames := map[wire.Op][]byte{
-		wire.OpHello:          wire.Marshal(nil, &wire.Hello{Version: wire.Version, Space: 1}),
-		wire.OpPipeCall:       wire.Marshal(nil, &wire.PipeCall{Obj: 1, Method: "M", Promise: 2}),
-		wire.OpPromiseResolve: wire.Marshal(nil, &wire.PromiseResolve{Promise: 2, Status: wire.StatusOK}),
-		wire.OpOneWay:         wire.Marshal(nil, &wire.OneWay{Obj: 1, Method: "Log", Seq: 3}),
+		wire.OpHello:  wire.Marshal(nil, &wire.Hello{Version: wire.Version, Space: 1}),
+		wire.OpCall:   wire.Marshal(nil, &wire.Call{TargetPromise: 1, Method: "M", Promise: 2, Barrier: 1}),
+		wire.OpResult: wire.Marshal(nil, &wire.Result{Status: wire.StatusPromiseBroken, Err: "dependency failed"}),
+		wire.OpOneWay: wire.Marshal(nil, &wire.OneWay{Obj: 1, Method: "Log", Seq: 3}),
 	}
 	for op, frame := range frames {
 		if got := wire.PeekOp(frame); got != op {
@@ -38,8 +39,8 @@ func TestPipeOpsClassified(t *testing.T) {
 		if !r.matches(op) {
 			t.Fatalf("rules restricted to %v do not match it", op)
 		}
-		if r.matches(wire.OpCall) {
-			t.Fatalf("rules restricted to %v match OpCall", op)
+		if r.matches(wire.OpDirty) {
+			t.Fatalf("rules restricted to %v match OpDirty", op)
 		}
 		if duplicable(op) {
 			t.Fatalf("%v is duplicable; pipelined ops must never be replayed", op)
@@ -82,11 +83,11 @@ func chaosSpace(t *testing.T, ct *Transport, name, addr string) *core.Space {
 	return sp
 }
 
-// TestDropPromiseResolveBreaksChainBounded swallows every OpPromiseResolve
-// the owner sends and asserts the two properties pipelining owes the
-// fault model: a chain whose resolutions are lost fails within the call
-// deadline — never hangs — and after the network heals no promise-table
-// entry is leaked on either side.
+// TestDropPromiseResolveBreaksChainBounded swallows every Result the owner
+// sends — the frames that resolve promises — and asserts the two
+// properties pipelining owes the fault model: a chain whose resolutions
+// are lost fails within the call deadline — never hangs — and after the
+// network heals no promise-table entry is leaked on either side.
 func TestDropPromiseResolveBreaksChainBounded(t *testing.T) {
 	mem := transport.NewMem()
 	ownerCT := New(mem, "owner", 11)
@@ -123,16 +124,16 @@ func TestDropPromiseResolveBreaksChainBounded(t *testing.T) {
 		t.Fatalf("chain resolved to %v, want leaf", got[0])
 	}
 
-	ownerCT.SetRules(Rules{Drop: 1.0, Ops: []wire.Op{wire.OpPromiseResolve}})
+	ownerCT.SetRules(Rules{Drop: 1.0, Ops: []wire.Op{wire.OpResult}})
 
 	start := time.Now()
 	p1 := root.PipeCall(ctx, "Next")
 	p2 := p1.PipeCall(ctx, "Name")
 	if _, err := p2.Await(ctx); err == nil {
-		t.Fatal("chain resolved with every PromiseResolve dropped")
+		t.Fatal("chain resolved with every Result dropped")
 	}
 	if _, err := p1.Await(ctx); err == nil {
-		t.Fatal("parent promise resolved with every PromiseResolve dropped")
+		t.Fatal("parent promise resolved with every Result dropped")
 	}
 	// Bounded by the 800ms call deadline, not hung: generous slack for a
 	// loaded CI box, but far below "stuck until some unrelated timeout".
@@ -140,7 +141,7 @@ func TestDropPromiseResolveBreaksChainBounded(t *testing.T) {
 		t.Fatalf("broken chain took %v to fail; deadline is 800ms", elapsed)
 	}
 	if s := ownerCT.Stats(); s.Drops == 0 {
-		t.Fatal("no PromiseResolve frames were dropped; the fault never engaged")
+		t.Fatal("no Result frames were dropped; the fault never engaged")
 	}
 
 	// Heal: the same link must serve fresh pipelined chains again.

@@ -86,10 +86,10 @@ func (t *Transport) Listen(addr string) (transport.Listener, error) {
 
 // WrapAccepts makes the wrapper perturb outbound frames of accepted
 // connections too. Faults normally ride the dialer's side of each link,
-// which cannot touch response traffic — a Result or PromiseResolve
-// travels from the accepting space back over the dialer's connection.
-// Experiments that drop responses (e.g. swallowing OpPromiseResolve to
-// break pipelined chains) enable this on the responder's wrapper. The
+// which cannot touch response traffic — a Result travels from the
+// accepting space back over the dialer's connection. Experiments that
+// drop responses (e.g. swallowing OpResult to break pipelined chains)
+// enable this on the responder's wrapper. The
 // link identifier entering the fault hash is the accepted connection's
 // remote label, so the schedule stays a pure function of seed and
 // traffic. Must be set before Listen.
@@ -356,13 +356,13 @@ func (t *Transport) emitFault(kind string, op wire.Op, addr string) {
 // sequence-numbered, idempotent collector ops. Calls are never
 // duplicated — the runtime does not promise application methods are
 // idempotent, and the collector's defences are what the duplication
-// fault exists to test. The pipelined invocation ops are likewise
-// excluded: a replayed PipeCall or OneWay would re-run an application
-// method, a replayed PromiseResolve could resolve a reused promise id
-// with stale results, and a hello is said once per session.
+// fault exists to test — pipelined calls among them. A replayed OneWay
+// would likewise re-run an application method, a replayed Result could
+// resolve a reused promise id with stale results, and a hello is said
+// once per session.
 func duplicable(op wire.Op) bool {
 	switch op {
-	case wire.OpDirty, wire.OpClean, wire.OpCleanBatch, wire.OpPing, wire.OpLease:
+	case wire.OpDirty, wire.OpCleanBatch, wire.OpPing, wire.OpLease:
 		return true
 	}
 	return false

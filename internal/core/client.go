@@ -31,7 +31,7 @@ func errString(err error) string {
 // queue's (gcq) included, which reach the wire through here — carry no
 // byte fields, so there is nothing for the send to borrow.
 func (sp *Space) rpc(endpoints []string, req wire.Message, timeout time.Duration) (wire.Message, error) {
-	if sp.isClosed() && req.Op() != wire.OpClean && req.Op() != wire.OpCleanBatch {
+	if sp.isClosed() && req.Op() != wire.OpCleanBatch {
 		// Parting clean calls are allowed through during Close.
 		return nil, ErrSpaceClosed
 	}
@@ -134,71 +134,44 @@ func (sp *Space) doSendDirty(key wire.Key, endpoints []string, seq uint64) error
 	return nil
 }
 
-// sendClean removes this space from the dirty set of key at its owner.
-// Any acknowledgement counts as success: a clean for an absent entry is a
-// no-op by specification.
-func (sp *Space) sendClean(key wire.Key, endpoints []string, seq uint64, strong bool) error {
-	sp.metrics.CleanSent.Inc()
-	start := time.Now()
-	err := sp.doSendClean(key, endpoints, seq, strong)
-	sp.metrics.CleanLatency.Observe(time.Since(start))
-	if sp.tracer != nil {
-		sp.tracer.Emit(obs.Event{Kind: obs.EvCleanSend, Time: time.Now(),
-			Key: key.String(), Dur: time.Since(start), Err: errString(err)})
-	}
-	return err
-}
-
-func (sp *Space) doSendClean(key wire.Key, endpoints []string, seq uint64, strong bool) error {
-	req := &wire.Clean{Obj: key.Index, Client: sp.id, Seq: seq, Strong: strong, Owner: key.Owner}
-	if sp.opts.Variant == VariantFIFO {
-		return sp.gcQueueFor(key.Owner, endpoints).enqueue(req, endpoints).wait()
-	}
-	resp, err := sp.rpcRetry(endpoints, req, sp.opts.CallTimeout)
-	if err != nil {
-		return err
-	}
-	if _, ok := resp.(*wire.CleanAck); !ok {
-		return fmt.Errorf("netobjects: clean call answered with %v", resp.Op())
-	}
-	return nil
-}
-
-// sendCleanBatch delivers several clean calls to one owner in a single
-// exchange. The FIFO variant routes it through the owner's ordered queue
-// like any other collector message.
-func (sp *Space) sendCleanBatch(owner wire.SpaceID, endpoints []string, items []dgc.CleanItem) error {
+// sendCleans removes this space from the dirty sets of items at their
+// owner: one CleanBatch exchange, whether it carries one key or many. Any
+// acknowledgement counts as success: a clean for an absent entry is a
+// no-op by specification. The FIFO variant routes it through the owner's
+// ordered queue like any other collector message.
+func (sp *Space) sendCleans(owner wire.SpaceID, endpoints []string, items []dgc.CleanItem) error {
 	sp.metrics.CleanSent.Add(uint64(len(items)))
-	sp.metrics.CleanBatches.Inc()
-	if sp.tracer != nil {
-		sp.tracer.Emit(obs.Event{Kind: obs.EvCleanSend, Time: time.Now(),
-			Peer: owner.String(), N: len(items)})
+	if len(items) > 1 {
+		sp.metrics.CleanBatches.Inc()
 	}
+	start := time.Now()
 	req := &wire.CleanBatch{Client: sp.id, Owner: owner}
 	for _, it := range items {
 		req.Objs = append(req.Objs, it.Key.Index)
 		req.Seqs = append(req.Seqs, it.Seq)
 		req.Strongs = append(req.Strongs, it.Strong)
 	}
-	var resp wire.Message
 	var err error
 	if sp.opts.Variant == VariantFIFO {
-		return sp.gcQueueFor(owner, endpoints).enqueue(req, endpoints).wait()
+		err = sp.gcQueueFor(owner, endpoints).enqueue(req, endpoints).wait()
+	} else if resp, rerr := sp.rpcRetry(endpoints, req, sp.opts.CallTimeout); rerr != nil {
+		err = rerr
+	} else if _, ok := resp.(*wire.CleanAck); !ok {
+		err = fmt.Errorf("netobjects: clean call answered with %v", resp.Op())
 	}
-	resp, err = sp.rpcRetry(endpoints, req, sp.opts.CallTimeout)
-	if err != nil {
-		return err
+	end := time.Now()
+	sp.metrics.CleanLatency.Observe(end.Sub(start))
+	if sp.tracer != nil {
+		ev := obs.Event{Kind: obs.EvCleanSend, Time: end, Peer: owner.String(),
+			Dur: end.Sub(start), Err: errString(err)}
+		if len(items) == 1 {
+			ev.Key = items[0].Key.String()
+		} else {
+			ev.N = len(items)
+		}
+		sp.tracer.Emit(ev)
 	}
-	if _, ok := resp.(*wire.CleanAck); !ok {
-		return fmt.Errorf("netobjects: batched clean answered with %v", resp.Op())
-	}
-	return nil
-}
-
-// sendCleanQuiet is sendClean with errors discarded; Close uses it for
-// best-effort parting cleans.
-func (sp *Space) sendCleanQuiet(key wire.Key, endpoints []string, seq uint64) error {
-	return sp.sendClean(key, endpoints, seq, false)
+	return err
 }
 
 // sendLease renews this space's lease at an owner.
@@ -294,68 +267,50 @@ func (sp *Space) forwardCancel(id uint64, method string, endpoints []string) {
 	_, _ = sp.rpc(endpoints, &wire.CancelCall{ID: id}, sp.opts.PingTimeout)
 }
 
-// resultDecoder consumes the Result of one exchange. It is an interface
-// implemented by small pooled structs rather than a closure so the call
-// path does not allocate a capture per invocation.
-type resultDecoder interface {
-	decode(*wire.Result) error
-}
-
-// anyDecoder decodes dynamic (self-describing) results.
-type anyDecoder struct {
-	sp      *Space
-	method  string
-	session *callSession
-	results []any
-	appErr  error
-}
-
-var anyDecoderPool = sync.Pool{New: func() any { return new(anyDecoder) }}
-
-func (d *anyDecoder) decode(res *wire.Result) error {
-	switch res.Status {
-	case wire.StatusOK, wire.StatusAppError:
-		rs, derr := d.sp.pickler.UnmarshalAnyView(res.Results, d.session, d.session.viewMin)
-		if derr != nil {
-			return fmt.Errorf("netobjects: unmarshaling results of %s: %w", d.method, derr)
-		}
-		d.results = rs
-		if res.Status == wire.StatusAppError {
-			d.appErr = &RemoteError{Msg: res.Err}
-		}
-		return nil
-	default:
-		return statusError(res.Status, res.Err)
-	}
-}
-
-// typedDecoder decodes statically typed (stub) results.
-type typedDecoder struct {
+// resultDecoder consumes the Result of one exchange: statically typed
+// results at resultTypes for a stub's call (typed), self-describing ones
+// otherwise. Pooled, so the call path allocates nothing for it.
+type resultDecoder struct {
 	sp          *Space
 	method      string
 	session     *callSession
+	typed       bool
 	resultTypes []reflect.Type
-	results     []reflect.Value
+	vals        []any
+	tvals       []reflect.Value
 	appErr      error
 }
 
-var typedDecoderPool = sync.Pool{New: func() any { return new(typedDecoder) }}
+var resultDecoderPool = sync.Pool{New: func() any { return new(resultDecoder) }}
 
-func (d *typedDecoder) decode(res *wire.Result) error {
-	switch res.Status {
-	case wire.StatusOK, wire.StatusAppError:
-		rs, derr := d.sp.pickler.UnmarshalView(res.Results, d.resultTypes, d.session, d.session.viewMin)
-		if derr != nil {
-			return fmt.Errorf("netobjects: unmarshaling results of %s: %w", d.method, derr)
-		}
-		d.results = rs
-		if res.Status == wire.StatusAppError {
-			d.appErr = &RemoteError{Msg: res.Err}
-		}
-		return nil
-	default:
+func (sp *Space) getDecoder(method string, session *callSession, typed bool, resultTypes []reflect.Type) *resultDecoder {
+	d := resultDecoderPool.Get().(*resultDecoder)
+	d.sp, d.method, d.session, d.typed, d.resultTypes = sp, method, session, typed, resultTypes
+	return d
+}
+
+func putDecoder(d *resultDecoder) {
+	*d = resultDecoder{}
+	resultDecoderPool.Put(d)
+}
+
+func (d *resultDecoder) decode(res *wire.Result) error {
+	if res.Status != wire.StatusOK && res.Status != wire.StatusAppError {
 		return statusError(res.Status, res.Err)
 	}
+	var err error
+	if d.typed {
+		d.tvals, err = d.sp.pickler.UnmarshalView(res.Results, d.resultTypes, d.session, d.session.viewMin)
+	} else {
+		d.vals, err = d.sp.pickler.UnmarshalAnyView(res.Results, d.session, d.session.viewMin)
+	}
+	if err != nil {
+		return fmt.Errorf("netobjects: unmarshaling results of %s: %w", d.method, err)
+	}
+	if res.Status == wire.StatusAppError {
+		d.appErr = &RemoteError{Msg: res.Err}
+	}
+	return nil
 }
 
 // exchange runs the lock-step call exchange on the stream: send the call,
@@ -368,24 +323,24 @@ func (d *typedDecoder) decode(res *wire.Result) error {
 // Borrowed: a large []byte argument is still in the caller's buffer
 // (call.ArgSegs) and is read from there by this Send, timeouts and
 // cancellations included; the caller has it back when exchange returns.
-func (sp *Space) exchange(c *transport.Stream, call *wire.Call, session *callSession, decode resultDecoder) (connOK bool, err error) {
+func (sp *Space) exchange(c *transport.Stream, call *wire.Call, session *callSession, decode *resultDecoder) error {
 	if err := sp.sendMsg(c, call); err != nil {
-		return false, err
+		return err
 	}
 	b, err := c.Recv(nil)
 	if err != nil {
-		return false, err
+		return err
 	}
 	sp.metrics.BytesRecv.Add(uint64(len(b)))
 	if op := wire.PeekOp(b); op != wire.OpResult {
-		return false, fmt.Errorf("netobjects: call answered with %v", op)
+		return fmt.Errorf("netobjects: call answered with %v", op)
 	}
 	res := resultPool.Get().(*wire.Result)
 	// res.Results aliases the receive buffer; zeroing on the way back to
 	// the pool (putResult) drops the alias before the buffer is recycled.
 	defer putResult(res)
 	if err := wire.UnmarshalInto(b, res); err != nil {
-		return false, err
+		return err
 	}
 	// A result frame in a slab of its own may lend its bytes to the large
 	// []byte results decoded from it.
@@ -402,21 +357,22 @@ func (sp *Space) exchange(c *transport.Stream, call *wire.Call, session *callSes
 		// calls for any references we did unmarshal have already
 		// completed, and the rest were never materialized here.
 		sp.metrics.ResultAcksSent.Inc()
-		if err := sp.sendMsg(c, &wire.ResultAck{}); err != nil {
-			return false, decodeErr
-		}
+		// A lost ack costs the owner only its bounded wait.
+		_ = sp.sendMsg(c, &wire.ResultAck{})
 	}
-	return true, decodeErr
+	return decodeErr
 }
 
-// callRemote performs one remote invocation exchange under ctx. The
+// callRemote performs one remote invocation exchange under ctx, on the
+// session s — a pipelined call's, which must go out on its promise's
+// session — or, when s is nil, on the pool's session to endpoints. The
 // call carries its remaining deadline budget so the owner can bound the
 // dispatch with its own clock, and a context fired mid-call is forwarded
 // to the owner as a CancelCall (alert propagation) while the blocked
 // receive is unblocked by aborting the exchange. It reads the clock
 // twice, at the start and the end; the deadline, the budget and the
 // latency all come from those two.
-func (sp *Space) callRemote(ctx context.Context, endpoints []string, call *wire.Call, session *callSession, decode resultDecoder) (err error) {
+func (sp *Space) callRemote(ctx context.Context, s *transport.Session, endpoints []string, call *wire.Call, session *callSession, decode *resultDecoder) (err error) {
 	if sp.isClosed() {
 		return ErrSpaceClosed
 	}
@@ -471,7 +427,7 @@ func (sp *Space) callRemote(ctx context.Context, endpoints []string, call *wire.
 		// remains the backstop if the watcher is wedged.
 		connDeadline = connDeadline.Add(250 * time.Millisecond)
 	}
-	return sp.callRemoteMux(ctx, endpoints, call, session, decode, connDeadline)
+	return sp.callRemoteMux(ctx, s, endpoints, call, session, decode, connDeadline)
 }
 
 // callRemoteMux runs the invocation exchange on a stream of the peer's
@@ -482,10 +438,11 @@ func (sp *Space) callRemote(ctx context.Context, endpoints []string, call *wire.
 // including the cancel itself, are untouched. The watcher names the
 // exchange by its id, never holding the stream, so a watcher that fires
 // as the call completes cannot touch the exchange that reuses the stream.
-func (sp *Space) callRemoteMux(ctx context.Context, endpoints []string, call *wire.Call, session *callSession, decode resultDecoder, connDeadline time.Time) error {
-	s, _, err := sp.pool.Session(ctx, endpoints)
-	if err != nil {
-		return err
+func (sp *Space) callRemoteMux(ctx context.Context, s *transport.Session, endpoints []string, call *wire.Call, session *callSession, decode *resultDecoder, connDeadline time.Time) (err error) {
+	if s == nil {
+		if s, _, err = sp.pool.Session(ctx, endpoints); err != nil {
+			return err
+		}
 	}
 	st, err := s.OpenID(call.ID)
 	if err != nil {
@@ -513,13 +470,13 @@ func (sp *Space) callRemoteMux(ctx context.Context, endpoints []string, call *wi
 			}
 		}()
 	}
-	_, err = sp.exchange(st, call, session, decode)
+	err = sp.exchange(st, call, session, decode)
 	cancelled := false
 	if w != nil {
 		cancelled = w.finish()
 	}
-	// The decoders copied what they kept of a pooled result frame, so
-	// Close may give it back to the pool; a slab they kept views of is not
+	// The decoder copied what it kept of a pooled result frame, so
+	// Close may give it back to the pool; a slab it kept views of is not
 	// the pool's.
 	_ = st.Close()
 	if cancelled {
@@ -555,16 +512,12 @@ func (sp *Space) dynamicCall(ctx context.Context, endpoints []string, index uint
 	call := callPool.Get().(*wire.Call)
 	call.Obj, call.Method, call.Args, call.ArgSegs = index, method, argBytes, argSegs
 	defer putCall(call)
-	dec := anyDecoderPool.Get().(*anyDecoder)
-	dec.sp, dec.method, dec.session = sp, method, session
-	defer func() {
-		*dec = anyDecoder{}
-		anyDecoderPool.Put(dec)
-	}()
-	if err := sp.callRemote(ctx, endpoints, call, session, dec); err != nil {
+	dec := sp.getDecoder(method, session, false, nil)
+	defer putDecoder(dec)
+	if err := sp.callRemote(ctx, nil, endpoints, call, session, dec); err != nil {
 		return nil, err
 	}
-	return dec.results, dec.appErr
+	return dec.vals, dec.appErr
 }
 
 // Call invokes a method dynamically: arguments and results travel as
@@ -646,14 +599,10 @@ func (r *Ref) InvokeTypedCtx(ctx context.Context, method string, fingerprint uin
 	call.Obj, call.Method, call.Fingerprint = r.key.Index, method, fingerprint
 	call.Typed, call.Args, call.ArgSegs = true, argBytes, argSegs
 	defer putCall(call)
-	dec := typedDecoderPool.Get().(*typedDecoder)
-	dec.sp, dec.method, dec.session, dec.resultTypes = sp, method, session, resultTypes
-	defer func() {
-		*dec = typedDecoder{}
-		typedDecoderPool.Put(dec)
-	}()
-	if err := sp.callRemote(ctx, r.endpoints, call, session, dec); err != nil {
+	dec := sp.getDecoder(method, session, true, resultTypes)
+	defer putDecoder(dec)
+	if err := sp.callRemote(ctx, nil, r.endpoints, call, session, dec); err != nil {
 		return nil, err
 	}
-	return dec.results, dec.appErr
+	return dec.tvals, dec.appErr
 }

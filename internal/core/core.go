@@ -121,17 +121,8 @@ type Options struct {
 	// PingMaxFailures is how many consecutive failed pings a client
 	// survives before its dirty entries are dropped (default 3).
 	PingMaxFailures int
-	// DisableSessionLiveness stops mux-session health from standing in
-	// for collector liveness traffic. By default, a healthy session whose
-	// keepalives are confirming a peer that identified itself as space X
-	// proves X alive: the owner's pinger skips probing X, a lease-mode
-	// owner renews X's lease implicitly, and a lease-mode client skips
-	// explicit renewals to X — collector control traffic approaches zero
-	// between peers that are already talking. Disable for A/B
-	// measurement, or to force the explicit protocol everywhere.
-	DisableSessionLiveness bool
-	// CycleDetect enables the cross-space cycle detector: a periodic
-	// trial-deletion pass over exports whose only liveness is their remote
+	// CycleDetect enables the cross-space cycle detector: a trial-deletion
+	// pass, once a minute, over exports whose only liveness is their remote
 	// dirty sets, querying each dirty-set member for the back-references
 	// behind its surrogates (see NetRefHolder). Detected dead cycles are
 	// counted and logged; they are reclaimed only when CycleCollect is
@@ -146,8 +137,6 @@ type Options struct {
 	// looking cycle invalidates it (subsequent calls fail with
 	// ErrNoSuchObject, exactly as if the owner had restarted).
 	CycleCollect bool
-	// CycleInterval paces detection passes (default 1 minute).
-	CycleInterval time.Duration
 	// CleanMaxAttempts bounds delivery attempts for one clean call
 	// (default 8).
 	CleanMaxAttempts int
@@ -161,7 +150,13 @@ type Options struct {
 	TableShards int
 	// KeepaliveInterval paces session keepalive probes on mux links; a
 	// peer silent for two intervals fails the session. Zero selects the
-	// default (10s); negative disables keepalives.
+	// default (10s); negative disables keepalives. A healthy session whose
+	// keepalives are confirming a peer that identified itself as space X
+	// proves X alive: the owner's pinger skips probing X, a lease-mode
+	// owner renews X's lease implicitly, and a lease-mode client skips
+	// explicit renewals to X — collector control traffic approaches zero
+	// between peers that are already talking. Disabling keepalives on
+	// every space forces the explicit liveness protocol everywhere.
 	KeepaliveInterval time.Duration
 	// Variant selects the collector protocol variant: VariantBirrell
 	// (default, correct over unordered channels) or VariantFIFO (the
@@ -187,10 +182,6 @@ type Options struct {
 	// dead). Fault-injection harnesses subscribe to correlate abandoned
 	// cleans with injected faults.
 	OnCleanAbandon func(key wire.Key, strong bool, err error)
-	// OnPingProbe, when non-nil, observes the outcome of every
-	// client-liveness probe (err == nil for a live client), before the
-	// failure policy decides whether to drop the client.
-	OnPingProbe func(id wire.SpaceID, err error)
 	// Logger receives runtime events; nil discards them.
 	Logger *slog.Logger
 }
@@ -409,8 +400,7 @@ func NewSpace(opts Options) (*Space, error) {
 
 	sp.cleaner = dgc.NewCleaner(dgc.CleanerConfig{
 		Begin:       sp.imports.BeginClean,
-		Send:        sp.sendClean,
-		SendBatch:   sp.sendCleanBatch,
+		SendBatch:   sp.sendCleans,
 		Finish:      sp.imports.FinishClean,
 		Redo:        sp.redoDirty,
 		OnAbandon:   opts.OnCleanAbandon,
@@ -420,11 +410,7 @@ func NewSpace(opts Options) (*Space, error) {
 		Obs:         sp.metrics,
 	})
 	// A healthy identified mux session subsumes explicit liveness traffic
-	// in both modes, unless the space opts out.
-	sessionAlive := sp.sessionAlive
-	if opts.DisableSessionLiveness {
-		sessionAlive = nil
-	}
+	// in both modes; without keepalives no session counts as healthy.
 	switch sp.opts.Liveness {
 	case LivenessLease:
 		sp.leases = dgc.NewLeases(sp.opts.LeaseTTL)
@@ -436,7 +422,7 @@ func NewSpace(opts Options) (*Space, error) {
 			Shards:       sp.exports.ShardCount,
 			ClientsShard: sp.exports.ClientsShard,
 			Leases:       sp.leases,
-			SessionAlive: sessionAlive,
+			SessionAlive: sp.sessionAlive,
 			Drop:         sp.dropClient,
 			Logger:       sp.log,
 			Obs:          sp.metrics,
@@ -445,16 +431,12 @@ func NewSpace(opts Options) (*Space, error) {
 		// renewal onto its keepalive instead: an off-schedule probe keeps
 		// the exchange (and thus the owner's implicit lease stamp) at
 		// renewal cadence even on an otherwise quiet link.
-		fold := sp.sessionFold
-		if opts.DisableSessionLiveness {
-			fold = nil
-		}
 		sp.renewer = dgc.NewRenewer(dgc.RenewerConfig{
 			Interval:     max(sp.leases.TTL()/3, 10*time.Millisecond),
 			Owners:       sp.imports.OwnersSnapshot,
 			Renew:        sp.sendLease,
-			SessionAlive: sessionAlive,
-			Fold:         fold,
+			SessionAlive: sp.sessionAlive,
+			Fold:         sp.sessionFold,
 			Logger:       sp.log,
 			Obs:          sp.metrics,
 		})
@@ -465,19 +447,14 @@ func NewSpace(opts Options) (*Space, error) {
 			Clients:      sp.exports.Clients,
 			Ping:         sp.sendPing,
 			Drop:         sp.dropClient,
-			OnProbe:      opts.OnPingProbe,
-			SessionAlive: sessionAlive,
+			SessionAlive: sp.sessionAlive,
 			Logger:       sp.log,
 			Obs:          sp.metrics,
 		})
 	}
 
 	if opts.CycleDetect {
-		sp.detector = dgc.NewDetector(dgc.DetectorConfig{
-			Interval: opts.CycleInterval,
-			Pass:     sp.cyclePass,
-			Logger:   sp.log,
-		})
+		sp.detector = dgc.NewDetector(dgc.DetectorConfig{Pass: sp.cyclePass, Logger: sp.log})
 	}
 
 	for _, l := range sp.listeners {
@@ -659,10 +636,11 @@ func (sp *Space) shutdown(graceful bool) error {
 		// not discover it by ping timeout.
 		for _, key := range sp.imports.Keys() {
 			if sp.imports.Release(key) {
-				// Deliver directly with one attempt each; the cleaner
-				// queue would also work but this bounds shutdown time.
+				// Deliver directly, one key to an exchange, errors
+				// discarded; the cleaner queue would also work but this
+				// bounds shutdown time.
 				if seq, eps, ok := sp.imports.BeginClean(key); ok {
-					_ = sp.sendCleanQuiet(key, eps, seq)
+					_ = sp.sendCleans(key.Owner, eps, []dgc.CleanItem{{Key: key, Seq: seq}})
 				}
 			}
 		}
@@ -760,10 +738,9 @@ func (sp *Space) sessionAlive(id wire.SpaceID, endpoints []string) bool {
 // sessions invoke it on every keepalive exchange with an identified
 // peer, and the stamp renews whatever lease that client holds here. It
 // runs on session reader goroutines, so it must stay cheap and
-// non-blocking. Spaces in ping mode, or opted out of session-subsumed
-// liveness, ignore the signal.
+// non-blocking. Spaces in ping mode ignore the signal.
 func (sp *Space) keepaliveRenewed(peer wire.SpaceID) {
-	if sp.leases == nil || sp.opts.DisableSessionLiveness {
+	if sp.leases == nil {
 		return
 	}
 	sp.leases.Renew(peer)

@@ -179,16 +179,9 @@ func (sp *Space) localDynamicCall(ctx context.Context, obj any, method string, a
 	if err != nil {
 		return nil, err
 	}
-	if len(args) != len(mi.params) {
-		return nil, fmt.Errorf("%w: %s takes %d arguments, got %d", ErrNoSuchMethod, method, len(mi.params), len(args))
-	}
-	argVals := make([]reflect.Value, len(args))
-	for i, a := range args {
-		v, err := sp.assignArg(mi.params[i], a)
-		if err != nil {
-			return nil, fmt.Errorf("netobjects: argument %d of %s: %w", i, method, err)
-		}
-		argVals[i] = v
+	argVals, err := sp.bindArgs(mi, method, args)
+	if err != nil {
+		return nil, err
 	}
 	outs, appErr, rerr := mi.invoke(ctx, reflect.ValueOf(obj), argVals)
 	if rerr != nil {
@@ -199,6 +192,24 @@ func (sp *Space) localDynamicCall(ctx context.Context, obj any, method string, a
 		results[i] = o.Interface()
 	}
 	return results, appErr
+}
+
+// bindArgs binds a dynamic call's decoded arguments to the parameters of
+// method mi, with the conversions assignArg applies. A wrong count is
+// ErrNoSuchMethod.
+func (sp *Space) bindArgs(mi *methodInfo, method string, args []any) ([]reflect.Value, error) {
+	if len(args) != len(mi.params) {
+		return nil, fmt.Errorf("%w: %s takes %d arguments, got %d", ErrNoSuchMethod, method, len(mi.params), len(args))
+	}
+	vals := make([]reflect.Value, len(args))
+	for i, a := range args {
+		v, err := sp.assignArg(mi.params[i], a)
+		if err != nil {
+			return nil, fmt.Errorf("netobjects: binding argument %d of %s: %w", i, method, err)
+		}
+		vals[i] = v
+	}
+	return vals, nil
 }
 
 // localTypedCall dispatches a typed (stub) call on a local concrete

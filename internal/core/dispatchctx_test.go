@@ -33,8 +33,8 @@ type invocations struct{ n int }
 
 func (c *invocations) Touch() { c.n++ }
 
-// servePaths are the two ways a call reaches a method: a plain call,
-// served by handleCall, and a pipelined one, served by handlePipeCall.
+// servePaths are the two kinds of call handleCall serves: a plain call,
+// and a pipelined one, which records its outcome for chained calls.
 var servePaths = []struct {
 	name string
 	call func(ctx context.Context, r *Ref, method string, args ...any) error
@@ -138,7 +138,9 @@ func TestDispatchWithoutContext(t *testing.T) {
 			return res.Status
 		}},
 		{"pipe", func(d *dispatch, session *callSession) wire.Status {
-			res, _ := owner.executePipeCall(d, &wire.PipeCall{Obj: w.Index, Method: "Touch", Args: args, Promise: 1}, session, state)
+			var res wire.Result
+			session.pipe = state
+			owner.executeCall(d, &wire.Call{Obj: w.Index, Method: "Touch", Args: args, Promise: 1}, session, &res, nil)
 			return res.Status
 		}},
 	} {

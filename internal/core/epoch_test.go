@@ -50,7 +50,11 @@ func TestStaleCleanDoesNotTouchNewIncarnation(t *testing.T) {
 	// anything the successor has issued. It must be acknowledged as done
 	// (its addressee's dirty sets no longer exist anywhere) and must not
 	// disturb the live registration.
-	ack := owner2.handleClean(&wire.Clean{Obj: staleIdx, Client: client.ID(), Seq: 99, Owner: staleOwner})
+	clean := func(seq uint64, addressee wire.SpaceID) *wire.CleanAck {
+		return owner2.handleCleanBatch(&wire.CleanBatch{Client: client.ID(),
+			Objs: []uint64{staleIdx}, Seqs: []uint64{seq}, Strongs: []bool{false}, Owner: addressee})
+	}
+	ack := clean(99, staleOwner)
 	if ack.Status != wire.StatusOK {
 		t.Fatalf("stale clean ack: %v (%s), want OK", ack.Status, ack.Err)
 	}
@@ -68,7 +72,7 @@ func TestStaleCleanDoesNotTouchNewIncarnation(t *testing.T) {
 	// The same clean addressed to the successor itself does apply: the
 	// object is withdrawn once the (forged) high-sequence clean empties
 	// its dirty set.
-	ack = owner2.handleClean(&wire.Clean{Obj: staleIdx, Client: client.ID(), Seq: 100, Owner: owner2.ID()})
+	ack = clean(100, owner2.ID())
 	if ack.Status != wire.StatusOK {
 		t.Fatalf("addressed clean ack: %v (%s), want OK", ack.Status, ack.Err)
 	}

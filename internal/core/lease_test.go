@@ -5,14 +5,15 @@ import (
 	"time"
 )
 
-// leaseSpace disables session-subsumed liveness: these tests exercise the
-// explicit lease protocol (renew messages, TTL expiry), which session
-// health would otherwise short-circuit. Subsumption has its own tests.
+// leaseSpace disables session keepalives, and with them session-subsumed
+// liveness: these tests exercise the explicit lease protocol (renew
+// messages, TTL expiry), which session health would otherwise
+// short-circuit. Subsumption has its own tests.
 func leaseSpace(tn *testNet, name string, ttl time.Duration) *Space {
 	return tn.space(name, func(o *Options) {
 		o.Liveness = LivenessLease
 		o.LeaseTTL = ttl
-		o.DisableSessionLiveness = true
+		o.KeepaliveInterval = -1
 	})
 }
 

@@ -66,6 +66,9 @@ type callSession struct {
 	// dispatch is the call's deadline and cancellation on the serving
 	// side; unused on the calling side.
 	dispatch dispatch
+	// pipe is the serving session's pipelining state when the call is
+	// pipelined (see handleCall); nil for a plain call.
+	pipe *pipeInbound
 }
 
 // callSessionPool recycles call sessions across dispatches; one session
@@ -91,6 +94,7 @@ func (s *callSession) recycle() {
 	s.pinnedImports = s.pinnedImports[:0]
 	s.pending = nil
 	s.viewMin = 0
+	s.pipe = nil
 	callSessionPool.Put(s)
 }
 

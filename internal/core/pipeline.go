@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
-	"time"
 
 	"netobjects/internal/obs"
 	"netobjects/internal/promise"
@@ -20,18 +19,18 @@ import (
 //
 // A pipelined call ships immediately and returns a Promise. Dependent
 // calls name the promise (as receiver or argument) instead of awaiting
-// it, so a K-deep dependent chain costs one round trip: every PipeCall
-// frame travels together and the owner chains them locally against its
+// it, so a K-deep dependent chain costs one round trip: every Call frame
+// travels together and the owner chains them locally against its
 // per-session completion table. A promise with no session behind it — an
 // owner-local receiver's, or a FailedPromise — chains by resolve-then-call
 // instead: the dependent call awaits it before going anywhere.
 
 // Promise is the client's handle on the result of a pipelined call. It
-// resolves when the owner's PromiseResolve frame arrives, when the chain
-// is poisoned by an upstream failure, or when the session dies (the
-// break-promise path). An unresolved Promise can be the receiver of the
-// next pipelined call (Promise.PipeCall) or an argument to one on the
-// same session; both ship without waiting.
+// resolves when the owner's Result arrives, when the chain is poisoned by
+// an upstream failure, or when the session dies (the break-promise path).
+// An unresolved Promise can be the receiver of the next pipelined call
+// (Promise.PipeCall) or an argument to one on the same session; both ship
+// without waiting.
 type Promise struct {
 	sp     *Space
 	method string
@@ -41,9 +40,6 @@ type Promise struct {
 	sess      *transport.Session
 	endpoints []string
 	id        uint64
-	// callID correlates the pipelined call with CancelCall and traces; it
-	// is also the call's stream id.
-	callID uint64
 
 	// resultTypes is non-nil for typed (stub-issued) promises and drives
 	// result decoding.
@@ -94,10 +90,8 @@ func (sp *Space) FailedPromise(method string, err error) *Promise {
 // (issued by generated ...Pipe stubs) resolve statically typed values;
 // Await unwraps them so callers can treat every promise uniformly.
 func (p *Promise) Await(ctx context.Context) ([]any, error) {
-	select {
-	case <-p.done:
-	case <-ctx.Done():
-		return nil, ctxCallError(ctx, p.method+" promise not awaited")
+	if err := p.wait(ctx); err != nil {
+		return nil, err
 	}
 	if p.vals == nil && p.tvals != nil {
 		out := make([]any, len(p.tvals))
@@ -112,26 +106,32 @@ func (p *Promise) Await(ctx context.Context) ([]any, error) {
 // AwaitTyped is Await for typed promises (issued by generated ...Pipe
 // stubs): it returns the method's statically typed results.
 func (p *Promise) AwaitTyped(ctx context.Context) ([]reflect.Value, error) {
-	select {
-	case <-p.done:
-	case <-ctx.Done():
-		return nil, ctxCallError(ctx, p.method+" promise not awaited")
+	if err := p.wait(ctx); err != nil {
+		return nil, err
 	}
 	return p.tvals, p.err
 }
 
-// resolved reports whether the promise has already settled.
-func (p *Promise) resolved() bool {
+// wait blocks until the promise resolves or ctx ends.
+func (p *Promise) wait(ctx context.Context) error {
 	select {
 	case <-p.done:
-		return true
-	default:
-		return false
+		return nil
+	case <-ctx.Done():
+		return ctxCallError(ctx, p.method+" promise not awaited")
 	}
 }
 
-// firstVal returns the promise's first result value, for substitution
-// into a dependent call issued outside the promise's own session.
+// awaitFirst waits for the promise and returns its first result value,
+// for substitution into a dependent call the promise's owner cannot chain.
+func (p *Promise) awaitFirst(ctx context.Context) (any, error) {
+	if err := p.wait(ctx); err != nil {
+		return nil, err
+	}
+	return p.firstVal()
+}
+
+// firstVal returns the promise's first result value once it has resolved.
 func (p *Promise) firstVal() (any, error) {
 	if p.err != nil {
 		return nil, p.err
@@ -218,13 +218,6 @@ func (sp *Space) pipePending() int {
 // heals and in-flight chains settle, it must return to zero.
 func (sp *Space) PromisesPending() int { return sp.pipePending() }
 
-// pipeTarget names a pipelined call's receiver: an export-table index, or
-// the promise whose resolved value is the receiver.
-type pipeTarget struct {
-	obj           uint64
-	targetPromise uint64
-}
-
 // PipeCall issues method as a pipelined call and returns its Promise
 // without waiting for the result. The arguments may include unresolved
 // Promises from earlier pipelined calls on the same session — they travel
@@ -233,11 +226,59 @@ type pipeTarget struct {
 // substituted here. Issuing the call may block briefly on first contact
 // with a peer (the dial), never for a round trip.
 func (r *Ref) PipeCall(ctx context.Context, method string, args ...any) *Promise {
+	return r.pipe(ctx, newPromise(r.sp, method, nil), 0, args, nil)
+}
+
+// PipeCall issues a dependent pipelined call whose receiver is this
+// promise's (possibly still unresolved) result. The call ships
+// immediately on the promise's session, naming the promise id; on a
+// session-less promise it awaits the parent and calls the resulting
+// reference.
+func (p *Promise) PipeCall(ctx context.Context, method string, args ...any) *Promise {
+	return p.chain(ctx, newPromise(p.sp, method, nil), 0, args, nil)
+}
+
+// InvokeTypedPipe is the generated-stub entry for pipelined calls: method
+// ships with statically typed arguments, and the promise decodes results
+// at resultTypes. Typed pipelined arguments cannot be promises (their
+// static types are concrete); chain through the returned promise instead.
+func (r *Ref) InvokeTypedPipe(ctx context.Context, method string, fingerprint uint64, args []reflect.Value, resultTypes []reflect.Type) *Promise {
+	return r.pipe(ctx, newPromise(r.sp, method, resultTypes), fingerprint, nil, typedArgs(args))
+}
+
+// InvokeTypedPipe chains a typed pipelined call on this promise's result.
+func (p *Promise) InvokeTypedPipe(ctx context.Context, method string, fingerprint uint64, args []reflect.Value, resultTypes []reflect.Type) *Promise {
+	return p.chain(ctx, newPromise(p.sp, method, resultTypes), fingerprint, nil, typedArgs(args))
+}
+
+// typedArgs keeps a stub's empty argument tuple non-nil: below, a nil
+// typed tuple means a dynamic call.
+func typedArgs(args []reflect.Value) []reflect.Value {
+	if args == nil {
+		return []reflect.Value{}
+	}
+	return args
+}
+
+// pipe issues p's call on r: run on a goroutine of its own when r is
+// local, and otherwise sent as a pipelined Call on r's session. targs is
+// a stub's argument tuple, at the declared types; a dynamic call's args
+// (targs nil) may include promises.
+func (r *Ref) pipe(ctx context.Context, p *Promise, fingerprint uint64, args []any, targs []reflect.Value) *Promise {
 	sp := r.sp
-	p := newPromise(sp, method, nil)
 	if r.IsOwner() {
 		go func() {
-			vals, err := sp.localDynamicCall(ctx, r.concrete, method, awaitLocalArgs(ctx, args))
+			if targs != nil {
+				vals, err := sp.localTypedCall(ctx, r.concrete, p.method, fingerprint, targs)
+				p.resolve(nil, vals, err)
+				return
+			}
+			args, err := awaitArgs(ctx, args)
+			if err != nil {
+				p.resolve(nil, nil, brokenError("argument promise of "+p.method+" failed", err))
+				return
+			}
+			vals, err := sp.localDynamicCall(ctx, r.concrete, p.method, args)
 			p.resolve(vals, nil, err)
 		}()
 		return p
@@ -251,352 +292,152 @@ func (r *Ref) PipeCall(ctx context.Context, method string, args ...any) *Promise
 		p.resolve(nil, nil, err)
 		return p
 	}
-	sp.startPipeCall(ctx, p, s, r.endpoints, pipeTarget{obj: r.key.Index}, 0, args, nil)
+	sp.startPipeCall(ctx, p, s, r.endpoints, &wire.Call{Obj: r.key.Index, Fingerprint: fingerprint}, args, targs)
 	return p
 }
 
-// PipeCall issues a dependent pipelined call whose receiver is this
-// promise's (possibly still unresolved) result. The call ships
-// immediately on the promise's session, naming the promise id; on a
-// session-less promise it awaits the parent and calls the resulting
-// reference.
-func (p *Promise) PipeCall(ctx context.Context, method string, args ...any) *Promise {
-	sp := p.sp
-	child := newPromise(sp, method, nil)
+// chain issues child's call on p's result: sent at once, naming p, on
+// p's session; or, for a promise with no session behind it, by
+// resolve-then-call.
+func (p *Promise) chain(ctx context.Context, child *Promise, fingerprint uint64, args []any, targs []reflect.Value) *Promise {
 	if p.sess == nil {
-		sp.chainResolved(ctx, child, p, method, args)
+		p.sp.chainResolved(ctx, child, p, fingerprint, args, targs)
 		return child
 	}
-	sp.startPipeCall(ctx, child, p.sess, p.endpoints, pipeTarget{targetPromise: p.id}, 0, args, nil)
+	p.sp.startPipeCall(ctx, child, p.sess, p.endpoints, &wire.Call{TargetPromise: p.id, Fingerprint: fingerprint}, args, targs)
 	return child
 }
 
-// InvokeTypedPipe is the generated-stub entry for pipelined calls: method
-// ships with statically typed arguments, and the promise decodes results
-// at resultTypes. Typed pipelined arguments cannot be promises (their
-// static types are concrete); chain through the returned promise instead.
-func (r *Ref) InvokeTypedPipe(ctx context.Context, method string, fingerprint uint64, args []reflect.Value, resultTypes []reflect.Type) *Promise {
-	sp := r.sp
-	p := newPromise(sp, method, resultTypes)
-	if r.IsOwner() {
-		go func() {
-			vals, err := sp.localTypedCall(ctx, r.concrete, method, fingerprint, args)
-			p.resolve(nil, vals, err)
-		}()
-		return p
-	}
-	if _, err := sp.imports.Use(r.key); err != nil {
-		p.resolve(nil, nil, err)
-		return p
-	}
-	s, _, err := sp.pool.Session(ctx, r.endpoints)
-	if err != nil {
-		p.resolve(nil, nil, err)
-		return p
-	}
-	sp.startPipeCall(ctx, p, s, r.endpoints, pipeTarget{obj: r.key.Index}, fingerprint, nil, args)
-	return p
-}
-
-// InvokeTypedPipe chains a typed pipelined call on this promise's result.
-func (p *Promise) InvokeTypedPipe(ctx context.Context, method string, fingerprint uint64, args []reflect.Value, resultTypes []reflect.Type) *Promise {
-	sp := p.sp
-	child := newPromise(sp, method, resultTypes)
-	if p.sess == nil {
-		sp.metrics.PipelineFallbacks.Inc()
-		go func() {
-			<-p.done
-			ref, err := p.firstRef()
-			if err != nil {
-				child.resolve(nil, nil, brokenError("dependency of "+method+" failed", err))
-				return
-			}
-			vals, err := ref.InvokeTypedCtx(ctx, method, fingerprint, args, resultTypes)
-			child.resolve(nil, vals, err)
-		}()
-		return child
-	}
-	sp.startPipeCall(ctx, child, p.sess, p.endpoints, pipeTarget{targetPromise: p.id}, fingerprint, nil, args)
-	return child
-}
-
-// awaitLocalArgs resolves promise arguments for a local (owner-side)
-// dynamic call; non-promise arguments pass through.
-func awaitLocalArgs(ctx context.Context, args []any) []any {
+// awaitArgs resolves the promises among a dynamic call's arguments to
+// their first values; the other arguments pass through.
+func awaitArgs(ctx context.Context, args []any) ([]any, error) {
 	out := make([]any, len(args))
-	for i, a := range args {
-		if q, ok := a.(*Promise); ok {
-			vals, err := q.Await(ctx)
-			if err == nil && len(vals) > 0 {
-				out[i] = vals[0]
-				continue
-			}
-			out[i] = nil
-			continue
-		}
-		out[i] = a
-	}
-	return out
-}
-
-// chainResolved chains a dynamic call on a promise that has no session
-// for the owner to chain against: await the parent and every promise
-// argument, then call the reference the parent resolved to.
-func (sp *Space) chainResolved(ctx context.Context, p *Promise, parent *Promise, method string, args []any) {
-	sp.metrics.PipelineFallbacks.Inc()
-	go func() {
-		<-parent.done
-		ref, err := parent.firstRef()
-		if err != nil {
-			p.resolve(nil, nil, brokenError("dependency of "+method+" failed", err))
-			return
-		}
-		resolved := make([]any, len(args))
-		for i, a := range args {
-			q, ok := a.(*Promise)
-			if !ok {
-				resolved[i] = a
-				continue
-			}
-			if _, err := q.Await(ctx); err != nil {
-				p.resolve(nil, nil, brokenError("argument promise of "+method+" failed", err))
-				return
-			}
-			v, err := q.firstVal()
-			if err != nil {
-				p.resolve(nil, nil, brokenError("argument promise of "+method+" failed", err))
-				return
-			}
-			resolved[i] = v
-		}
-		vals, err := ref.CallCtx(ctx, method, resolved...)
-		p.resolve(vals, nil, err)
-	}()
-}
-
-// startPipeCall registers the promise on its session and ships the
-// PipeCall frame, spawning the goroutine that receives its resolution.
-// Exactly one of dynArgs (dynamic) and typedArgs (stub) is used.
-func (sp *Space) startPipeCall(ctx context.Context, p *Promise, s *transport.Session, endpoints []string, target pipeTarget, fingerprint uint64, dynArgs []any, typedArgs []reflect.Value) {
-	p.sess = s
-	p.endpoints = endpoints
-	p.id = s.NextPromiseID()
-	p.callID = obs.NextCallID()
-	sp.metrics.PipelineCalls.Inc()
-	sp.metrics.CallsSent.Inc()
-	table := sp.pipeTableFor(s)
-	if !table.Add(p.id, p.breakWith) {
-		p.breakWith(brokenError(p.method+" not sent", table.Cause()))
-		return
-	}
-	// Barrier: order this call after every one-way already issued on the
-	// session, so a one-way followed by a pipelined call observes the
-	// one-way's effects.
-	barrier := s.OneWaysSent()
-	go func() {
-		defer table.Remove(p.id)
-		p.resolvePipeCall(ctx, s, target, fingerprint, dynArgs, typedArgs, barrier)
-	}()
-}
-
-// pipeArgs prepares a dynamic pipelined call's argument encoding:
-// same-session unresolved promises become nil placeholders named by
-// position and promise id; promises from elsewhere are awaited and their
-// first values substituted (the resolve-then-call path, client side).
-func (p *Promise) pipeArgs(ctx context.Context, args []any) ([]any, []uint64, []uint64, error) {
-	out := make([]any, len(args))
-	var pos, ids []uint64
 	for i, a := range args {
 		q, ok := a.(*Promise)
 		if !ok {
 			out[i] = a
 			continue
 		}
-		if q.sess == p.sess && q.id != 0 {
-			// The owner holds (or will hold) this promise's completion:
-			// ship a placeholder, let the owner substitute locally.
-			out[i] = nil
-			pos = append(pos, uint64(i))
-			ids = append(ids, q.id)
-			continue
-		}
-		// Third-space promise: its owner cannot resolve it for this call's
-		// owner, so await it here and pass the value.
-		if _, err := q.Await(ctx); err != nil {
-			return nil, nil, nil, err
-		}
-		v, err := q.firstVal()
+		v, err := q.awaitFirst(ctx)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		out[i] = v
 	}
-	return out, pos, ids, nil
+	return out, nil
 }
 
-// resolvePipeCall runs one pipelined exchange end to end: marshal, send,
-// await the PromiseResolve, decode, resolve. It mirrors callRemoteMux
-// (deadline budget, cancel forwarding via the shared inflight id, result
-// acks for reference-bearing results) with the promise as the output.
-func (p *Promise) resolvePipeCall(ctx context.Context, s *transport.Session, target pipeTarget, fingerprint uint64, dynArgs []any, typedArgs []reflect.Value, barrier uint64) {
+// chainResolved chains a call on a promise that has no session for the
+// owner to chain against: await the parent, then call the reference it
+// resolved to, with every promise among the arguments awaited.
+func (sp *Space) chainResolved(ctx context.Context, p *Promise, parent *Promise, fingerprint uint64, args []any, targs []reflect.Value) {
+	sp.metrics.PipelineFallbacks.Inc()
+	go func() {
+		<-parent.done
+		ref, err := parent.firstRef()
+		if err != nil {
+			p.resolve(nil, nil, brokenError("dependency of "+p.method+" failed", err))
+			return
+		}
+		if targs != nil {
+			vals, err := ref.InvokeTypedCtx(ctx, p.method, fingerprint, targs, p.resultTypes)
+			p.resolve(nil, vals, err)
+			return
+		}
+		args, err := awaitArgs(ctx, args)
+		if err != nil {
+			p.resolve(nil, nil, brokenError("argument promise of "+p.method+" failed", err))
+			return
+		}
+		vals, err := ref.CallCtx(ctx, p.method, args...)
+		p.resolve(vals, nil, err)
+	}()
+}
+
+// startPipeCall registers p on its session and starts the goroutine that
+// sends p's call — call names the receiver; the method, the promise and
+// the one-way barrier are added here — and resolves p with its Result.
+func (sp *Space) startPipeCall(ctx context.Context, p *Promise, s *transport.Session, endpoints []string, call *wire.Call, args []any, targs []reflect.Value) {
+	p.sess, p.endpoints, p.id = s, endpoints, s.NextPromiseID()
+	sp.metrics.PipelineCalls.Inc()
+	table := sp.pipeTableFor(s)
+	if !table.Add(p.id, p.breakWith) {
+		p.breakWith(brokenError(p.method+" not sent", table.Cause()))
+		return
+	}
+	call.Method, call.Promise, call.Typed = p.method, p.id, targs != nil
+	// Barrier: order this call after every one-way already issued on the
+	// session, so a one-way followed by a pipelined call observes the
+	// one-way's effects.
+	call.Barrier = s.OneWaysSent()
+	go func() {
+		defer table.Remove(p.id)
+		p.send(ctx, call, args, targs)
+	}()
+}
+
+// send runs p's call on the promise's goroutine: the same callRemote
+// exchange as a plain call's, on p's session, with p's result types.
+func (p *Promise) send(ctx context.Context, call *wire.Call, args []any, targs []reflect.Value) {
 	sp := p.sp
-	start := time.Now()
 	session := sp.getCallSession()
 	defer func() {
 		session.unpinAll()
 		session.recycle()
 	}()
-
-	call := &wire.PipeCall{
-		Obj:           target.obj,
-		TargetPromise: target.targetPromise,
-		Method:        p.method,
-		Fingerprint:   fingerprint,
-		Promise:       p.id,
-		ID:            p.callID,
-		Barrier:       barrier,
-	}
-	// Copied: this runs on the promise's goroutine after PipeCall has
-	// handed the promise back, so the caller's buffers are its own again
-	// and nothing here may go on reading them past the pickle.
+	// Copied: this runs after the promise was handed back, so the caller's
+	// buffers are its own again and nothing here may go on reading them
+	// past the pickle.
 	var err error
-	if typedArgs != nil {
-		call.Typed = true
-		call.Args, err = sp.pickler.MarshalSession(nil, typedArgs, session)
+	if targs != nil {
+		call.Args, err = sp.pickler.MarshalSession(nil, targs, session)
+	} else if args, err = p.pipeArgs(ctx, call, args); err != nil {
+		p.breakWith(brokenError("argument promise of "+p.method+" failed", err))
+		return
 	} else {
-		var args []any
-		args, call.ArgPromisePos, call.ArgPromiseIDs, err = p.pipeArgs(ctx, dynArgs)
-		if err != nil {
-			p.breakWith(brokenError("argument promise of "+p.method+" failed", err))
-			return
-		}
 		call.Args, err = sp.pickler.MarshalAnySession(nil, args, session)
 	}
 	if err != nil {
 		p.resolve(nil, nil, fmt.Errorf("netobjects: marshaling arguments for %s: %w", p.method, err))
 		return
 	}
-
-	deadline := start.Add(sp.opts.CallTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	ms := deadline.Sub(start).Milliseconds()
-	if ms < 1 {
-		ms = 1
-	}
-	call.DeadlineMillis = uint64(ms)
-	connDeadline := deadline
-	if ctx.Done() != nil {
-		connDeadline = connDeadline.Add(250 * time.Millisecond)
-	}
-	if sp.tracer != nil {
-		sp.tracer.Emit(obs.Event{Kind: obs.EvCallSend, Time: start, CallID: p.callID, Method: p.method})
-	}
-
-	st, err := s.OpenID(p.callID)
-	if err != nil {
-		p.breakWith(brokenError(p.method+" not sent", err))
-		return
-	}
-	_ = st.SetDeadline(connDeadline)
-	var w *cancelWatch
-	if ctx.Done() != nil {
-		w = newCancelWatch()
-		go func() {
-			select {
-			case <-ctx.Done():
-				if w.fire() {
-					sp.forwardCancel(p.callID, p.method, p.endpoints)
-					s.Abort(p.callID)
-				}
-			case <-w.stop:
-			}
-		}()
-	}
-	err = p.exchangePipe(st, call, session)
-	cancelled := false
-	if w != nil {
-		cancelled = w.finish()
-	}
-	_ = st.Close()
-	end := time.Now()
-	sp.metrics.CallLatency.Observe(end.Sub(start))
-	if sp.tracer != nil {
-		sp.tracer.Emit(obs.Event{Kind: obs.EvCallReply, Time: end,
-			CallID: p.callID, Method: p.method, Dur: end.Sub(start), Err: errString(err)})
-	}
-	if cancelled {
-		sp.metrics.CallsCancelled.Inc()
-		p.resolve(nil, nil, ctxCallError(ctx, p.method+" cancelled in flight"))
-		return
-	}
-	if err != nil {
+	dec := sp.getDecoder(p.method, session, call.Typed, p.resultTypes)
+	defer putDecoder(dec)
+	switch err := sp.callRemote(ctx, p.sess, p.endpoints, call, session, dec); {
+	case err == nil:
+		sp.metrics.PipelineResolved.Inc()
+		p.resolve(dec.vals, dec.tvals, dec.appErr)
+	case ctx.Err() != nil:
+		// The caller's own cancellation or deadline, not a broken chain.
+		p.resolve(nil, nil, err)
+	default:
 		p.breakWith(err)
 	}
 }
 
-// exchangePipe performs the wire legs of one pipelined call on its
-// stream: send, receive the PromiseResolve, decode and acknowledge. On
-// success it resolves the promise itself and returns nil.
-func (p *Promise) exchangePipe(st *transport.Stream, call *wire.PipeCall, session *callSession) error {
-	sp := p.sp
-	// call.Args is this goroutine's own copy (resolvePipeCall), so the
-	// frame may borrow it for the length of the Send like any other.
-	if err := sp.sendMsg(st, call); err != nil {
-		return brokenError(p.method+" not sent", err)
-	}
-	b, err := st.Recv(nil)
-	if err != nil {
-		return brokenError(p.method+" resolution lost", err)
-	}
-	sp.metrics.BytesRecv.Add(uint64(len(b)))
-	msg, err := wire.Unmarshal(b)
-	if err != nil {
-		return brokenError(p.method+" resolution corrupt", err)
-	}
-	res, ok := msg.(*wire.PromiseResolve)
-	if !ok {
-		return brokenError("", fmt.Errorf("netobjects: pipelined call answered with %v", msg.Op()))
-	}
-
-	var vals []any
-	var tvals []reflect.Value
-	var appErr, decodeErr error
-	switch res.Status {
-	case wire.StatusOK, wire.StatusAppError:
-		if p.resultTypes != nil {
-			tvals, decodeErr = sp.pickler.UnmarshalSession(res.Results, p.resultTypes, session)
-		} else {
-			vals, decodeErr = sp.pickler.UnmarshalAnySession(res.Results, session)
+// pipeArgs prepares a dynamic pipelined call's arguments: an unresolved
+// promise of the call's own session becomes a nil placeholder, named in
+// call by position and promise id, for the owner to fill in; a promise
+// from elsewhere (a third space's) is awaited and its value passed.
+func (p *Promise) pipeArgs(ctx context.Context, call *wire.Call, args []any) ([]any, error) {
+	out := make([]any, len(args))
+	for i, a := range args {
+		q, ok := a.(*Promise)
+		switch {
+		case !ok:
+			out[i] = a
+		case q.sess == p.sess && q.id != 0:
+			call.ArgPromisePos = append(call.ArgPromisePos, uint64(i))
+			call.ArgPromiseIDs = append(call.ArgPromiseIDs, q.id)
+		default:
+			v, err := q.awaitFirst(ctx)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = v
 		}
-		if decodeErr != nil {
-			decodeErr = fmt.Errorf("netobjects: unmarshaling results of %s: %w", p.method, decodeErr)
-		}
-		if res.Status == wire.StatusAppError {
-			appErr = &RemoteError{Msg: res.Err}
-		}
-	case wire.StatusPromiseBroken:
-		decodeErr = &CallError{Status: wire.StatusPromiseBroken, Msg: res.Err}
-	default:
-		decodeErr = statusError(res.Status, res.Err)
 	}
-	session.waitPending()
-	if res.NeedAck {
-		sp.metrics.ResultAcksSent.Inc()
-		_ = sp.sendMsg(st, &wire.ResultAck{})
-	}
-	if decodeErr != nil {
-		if ce, ok := decodeErr.(*CallError); ok && ce.Status == wire.StatusPromiseBroken {
-			sp.metrics.PipelineBroken.Inc()
-			p.resolve(nil, nil, decodeErr)
-			return nil
-		}
-		return decodeErr
-	}
-	sp.metrics.PipelineResolved.Inc()
-	p.resolve(vals, tvals, appErr)
-	return nil
+	return out, nil
 }
 
 // OneWay invokes method with no reply: no results, no error report, no

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"netobjects/internal/obs"
 	"netobjects/internal/pickle"
+	"netobjects/internal/promise"
 	"netobjects/internal/transport"
 	"netobjects/internal/wire"
 )
@@ -23,9 +25,11 @@ var (
 )
 
 // putCall zeroes and pools a decoded call frame. The zeroing matters:
-// Args aliases the receive buffer, which is recycled independently.
+// Args aliases the receive buffer, which is recycled independently. The
+// promise-argument lists keep their backing arrays, emptied, so the next
+// pipelined call decoded into the frame does not allocate them again.
 func putCall(call *wire.Call) {
-	*call = wire.Call{}
+	*call = wire.Call{ArgPromisePos: call.ArgPromisePos[:0], ArgPromiseIDs: call.ArgPromiseIDs[:0]}
 	callPool.Put(call)
 }
 
@@ -147,16 +151,11 @@ func (sp *Space) serveStream(st *transport.Stream) {
 	}
 	var reply wire.Message
 	switch m := msg.(type) {
-	case *wire.PipeCall:
-		sp.handlePipeCall(st, m)
-		return
 	case *wire.OneWay:
 		sp.handleOneWay(st, m)
 		return
 	case *wire.Dirty:
 		reply = sp.handleDirty(m)
-	case *wire.Clean:
-		reply = sp.handleClean(m)
 	case *wire.CleanBatch:
 		reply = sp.handleCleanBatch(m)
 	case *wire.Ping:
@@ -234,26 +233,6 @@ func (sp *Space) handleLease(m *wire.Lease) *wire.LeaseAck {
 	}
 }
 
-func (sp *Space) handleClean(m *wire.Clean) *wire.CleanAck {
-	sp.metrics.CleanServed.Inc()
-	if sp.tracer != nil {
-		sp.tracer.Emit(obs.Event{Kind: obs.EvCleanRecv, Time: time.Now(),
-			Key: fmt.Sprintf("%v/%d", sp.id, m.Obj), Peer: m.Client.String()})
-	}
-	// A clean addressed to a dead incarnation must not touch this one's
-	// dirty sets: the client's sequence counter for the old owner is
-	// unrelated to its counter here, so a stale clean could carry a
-	// larger Seq and cancel a live registration at the same index. The
-	// addressee's dirty sets died with it, so the clean is acknowledged
-	// as done — exactly like a clean for an absent entry.
-	if m.Owner != sp.id {
-		sp.metrics.StaleRejected.Inc()
-		return &wire.CleanAck{Status: wire.StatusOK}
-	}
-	sp.exports.Clean(m.Obj, m.Client, m.Seq, m.Strong)
-	return &wire.CleanAck{Status: wire.StatusOK}
-}
-
 func (sp *Space) handleCleanBatch(m *wire.CleanBatch) *wire.CleanAck {
 	sp.metrics.CleanServed.Add(uint64(len(m.Objs)))
 	if sp.tracer != nil {
@@ -266,7 +245,12 @@ func (sp *Space) handleCleanBatch(m *wire.CleanBatch) *wire.CleanAck {
 				Key: fmt.Sprintf("%v/%d", sp.id, obj), Peer: m.Client.String(), N: len(m.Objs)})
 		}
 	}
-	// Same incarnation check as handleClean, applied to the whole batch.
+	// Cleans addressed to a dead incarnation must not touch this one's
+	// dirty sets: the client's sequence counter for the old owner is
+	// unrelated to its counter here, so a stale clean could carry a
+	// larger Seq and cancel a live registration at the same index. The
+	// addressee's dirty sets died with it, so the batch is acknowledged
+	// as done — exactly like a clean for an absent entry.
 	if m.Owner != sp.id {
 		sp.metrics.StaleRejected.Inc()
 		return &wire.CleanAck{Status: wire.StatusOK}
@@ -301,11 +285,13 @@ func (sp *Space) handleCancel(m *wire.CancelCall) *wire.CancelAck {
 	return &wire.CancelAck{Status: wire.StatusNoSuchObject}
 }
 
-// handleCall dispatches one remote invocation and sends its Result. When
-// the result carries network references it waits for the caller's
-// ResultAck before releasing the transient dirty entries. It reads the
-// clock twice, at the start and once the result is encoded; the deadline
-// and the latency come from those two.
+// handleCall dispatches one remote invocation, pipelined or not, and
+// sends its Result. When the result carries network references it waits
+// for the caller's ResultAck before releasing the transient dirty
+// entries. It reads the clock twice, at the start and once the result is
+// encoded; the deadline and the latency come from those two. Only a
+// pipelined call touches the session's pipelining state: it records its
+// outcome in the completion table, for the calls chained on it.
 func (sp *Space) handleCall(c *transport.Stream, call *wire.Call) {
 	sp.metrics.CallsServed.Inc()
 	start := time.Now()
@@ -317,6 +303,9 @@ func (sp *Space) handleCall(c *transport.Stream, call *wire.Call) {
 	stat.Calls.Inc()
 	session := sp.getCallSession()
 	session.viewMin = viewMin(c)
+	if call.Pipelined() {
+		session.pipe = sp.pipeInboundFor(c.Session())
+	}
 	res := resultPool.Get().(*wire.Result)
 	rbp := wire.GetBuf()
 	defer func() {
@@ -331,6 +320,7 @@ func (sp *Space) handleCall(c *transport.Stream, call *wire.Call) {
 		session.recycle()
 	}()
 	var end time.Time
+	var first any
 	if sp.isClosed() {
 		// Draining: refuse new work, but keep the connection usable so the
 		// peer's parting clean calls still flow.
@@ -346,7 +336,7 @@ func (sp *Space) handleCall(c *transport.Stream, call *wire.Call) {
 			// never hard-closes a connection with an unsent result.
 			defer sp.inflight.remove(call.ID)
 		}
-		sp.executeCall(d, call, session, res, (*rbp)[:0])
+		first = sp.executeCall(d, call, session, res, (*rbp)[:0])
 		end = time.Now()
 		if res.Status == wire.StatusOK || res.Status == wire.StatusAppError {
 			if err := d.err(end); err != nil {
@@ -356,6 +346,17 @@ func (sp *Space) handleCall(c *transport.Stream, call *wire.Call) {
 				cancelResult(err, res)
 			}
 		}
+	}
+	if pipe := session.pipe; pipe != nil {
+		// Record the outcome before the reply leaves: a dependent call may
+		// already be waiting on this promise. Any failure poisons the
+		// chain, an application error included — a dependent call has no
+		// value to chain on.
+		out := promise.Outcome{Val: first}
+		if res.Status != wire.StatusOK {
+			out.Err = statusError(res.Status, res.Err)
+		}
+		pipe.comp.Resolve(call.Promise, out)
 	}
 	res.NeedAck = session.pinned()
 	sp.metrics.ServeLatency.Observe(end.Sub(start))
@@ -425,89 +426,125 @@ func cancelResult(err error, res *wire.Result) {
 // call's frame lies in a slab (session.viewMin), a large []byte argument
 // is a view of it: the method owns it like any other argument, and may
 // keep it.
-func (sp *Space) executeCall(d *dispatch, call *wire.Call, session *callSession, res *wire.Result, resBuf []byte) {
-	ent, ok := sp.exports.Lookup(call.Obj)
-	if !ok {
-		res.Status, res.Err = wire.StatusNoSuchObject, "object not in export table"
-		return
+//
+// A pipelined call (session.pipe set) first fences on the session's
+// one-way lane, its receiver may be a promise (TargetPromise) and its
+// arguments promises too; it waits for them under d's context, and a
+// failed one poisons the call, which then reports StatusPromiseBroken
+// without running. It returns the call's first result, for the
+// completion table.
+func (sp *Space) executeCall(d *dispatch, call *wire.Call, session *callSession, res *wire.Result, resBuf []byte) (first any) {
+	pipe := session.pipe
+	if pipe != nil && pipe.lane.Done() < call.Barrier {
+		// A pipelined call issued after N one-ways must observe their
+		// effects.
+		if err := pipe.lane.Wait(d.context(), call.Barrier); err != nil {
+			cancelResult(err, res)
+			return nil
+		}
 	}
-	if call.Fingerprint != 0 && !ent.AcceptsFingerprint(call.Fingerprint) {
-		res.Status = wire.StatusBadFingerprint
-		res.Err = "stub was generated from a different interface version"
-		return
+	var obj any
+	var proxy *Ref
+	if call.TargetPromise == 0 {
+		ent, ok := sp.exports.Lookup(call.Obj)
+		if !ok {
+			res.Status, res.Err = wire.StatusNoSuchObject, "object not in export table"
+			return nil
+		}
+		if call.Fingerprint != 0 && !ent.AcceptsFingerprint(call.Fingerprint) {
+			res.Status = wire.StatusBadFingerprint
+			res.Err = "stub was generated from a different interface version"
+			return nil
+		}
+		obj = ent.Obj
+	} else if obj, proxy = sp.promisedReceiver(d, call, res, pipe); obj == nil && proxy == nil {
+		return nil
 	}
-	mi, err := lookupMethod(ent.Obj, call.Method)
+	if call.TargetPromise != 0 || len(call.ArgPromiseIDs) > 0 {
+		sp.metrics.PipelineChained.Inc()
+	}
+	if proxy != nil {
+		return sp.proxyPipeCall(d, call, session, res, resBuf, proxy)
+	}
+	mi, err := lookupMethod(obj, call.Method)
 	if err != nil {
 		res.Status, res.Err = wire.StatusNoSuchMethod, err.Error()
-		return
+		return nil
 	}
 
 	var args []reflect.Value
 	if call.Typed {
-		vals, err := sp.pickler.UnmarshalView(call.Args, mi.params, session, session.viewMin)
-		if err != nil {
-			res.Status, res.Err = wire.StatusMarshal, "decoding arguments: "+err.Error()
-			return
+		if len(call.ArgPromiseIDs) > 0 {
+			res.Status, res.Err = wire.StatusMarshal, "typed pipelined call "+call.Method+" cannot carry promise arguments"
+			return nil
 		}
-		args = vals
+		if args, err = sp.pickler.UnmarshalView(call.Args, mi.params, session, session.viewMin); err != nil {
+			res.Status, res.Err = wire.StatusMarshal, "decoding arguments: "+err.Error()
+			return nil
+		}
 	} else {
-		anys, err := sp.pickler.UnmarshalAnyView(call.Args, session, session.viewMin)
-		if err != nil {
-			res.Status, res.Err = wire.StatusMarshal, "decoding arguments: "+err.Error()
-			return
+		anys, ok := sp.dynamicArgs(d, call, session, res)
+		if !ok {
+			return nil
 		}
-		if len(anys) != len(mi.params) {
-			res.Status, res.Err = wire.StatusNoSuchMethod, "wrong argument count for "+call.Method
-			return
-		}
-		args = make([]reflect.Value, len(anys))
-		for i, a := range anys {
-			v, err := sp.assignArg(mi.params[i], a)
-			if err != nil {
-				res.Status, res.Err = wire.StatusMarshal, "binding arguments: "+err.Error()
-				return
+		if args, err = sp.bindArgs(mi, call.Method, anys); err != nil {
+			res.Status, res.Err = wire.StatusMarshal, err.Error()
+			if errors.Is(err, ErrNoSuchMethod) {
+				res.Status = wire.StatusNoSuchMethod
 			}
-			args[i] = v
+			return nil
 		}
 	}
 
 	if err := d.err(d.start); err != nil {
 		session.unpinAll()
 		cancelResult(err, res)
-		return
+		return nil
 	}
 	var ctx context.Context
 	if mi.hasCtx {
 		ctx = d.context()
 	}
-	outs, appErr, rerr := mi.invoke(ctx, reflect.ValueOf(ent.Obj), args)
+	outs, appErr, rerr := mi.invoke(ctx, reflect.ValueOf(obj), args)
 	if rerr != nil {
 		sp.log.Error("method panicked", "method", call.Method, "err", rerr)
 		res.Status, res.Err = wire.StatusInternal, rerr.Error()
-		return
+		return nil
 	}
 
 	var resultBytes []byte
 	var resultSegs [][]byte
-	if call.Typed {
-		resultBytes, resultSegs, err = sp.pickler.MarshalBorrowed(resBuf, outs, session)
-	} else {
+	vals := outs
+	if !call.Typed {
+		// A dynamic call's results travel self-describing.
 		anys := make([]any, len(outs))
 		for i, o := range outs {
 			anys[i] = o.Interface()
 		}
-		resultBytes, resultSegs, err = sp.pickler.MarshalAnyBorrowed(resBuf, anys, session)
+		vals = pickle.AnyValues(anys)
+	}
+	if pipe == nil {
+		resultBytes, resultSegs, err = sp.pickler.MarshalBorrowed(resBuf, vals, session)
+	} else {
+		// Copied, not borrowed: a call chained on this one gets its first
+		// result as a value, and may run while the reply's send is still
+		// reading it.
+		resultBytes, err = sp.pickler.MarshalSession(resBuf, vals, session)
 	}
 	if err != nil {
 		session.unpinAll()
 		res.Status, res.Err = wire.StatusMarshal, "encoding results: "+err.Error()
-		return
+		return nil
 	}
 	res.Status, res.Results, res.ResultSegs = wire.StatusOK, resultBytes, resultSegs
 	if appErr != nil {
 		res.Status = wire.StatusAppError
 		res.Err = appErr.Error()
 	}
+	if pipe != nil && len(outs) > 0 {
+		return outs[0].Interface()
+	}
+	return nil
 }
 
 // acceptsFingerprint reports whether a typed call bearing fp may dispatch
@@ -521,5 +558,3 @@ func acceptsFingerprint(sp *Space, obj any, fp uint64) bool {
 	}
 	return false
 }
-
-var _ = pickle.Fingerprint // fingerprints are computed in ref.go

@@ -31,8 +31,11 @@ type CleanerConfig struct {
 	// skipped. Strong cleans bypass Begin: their sequence number was
 	// allocated when the failed dirty call was abandoned.
 	Begin func(key wire.Key) (seq uint64, endpoints []string, ok bool)
-	// Send delivers one clean call and waits for its acknowledgement.
-	Send func(key wire.Key, endpoints []string, seq uint64, strong bool) error
+	// SendBatch delivers the clean calls of one owner — one, or as many as
+	// the cleaner found queued for it, up to maxCleanBatch — in a single
+	// exchange, and waits for its acknowledgement. Batching them is the
+	// message batching the paper lists among its cost reductions.
+	SendBatch func(owner wire.SpaceID, endpoints []string, items []CleanItem) error
 	// Finish is the receive_clean_ack transition for entry-bearing cleans:
 	// err == nil acknowledges the clean; non-nil abandons the reference.
 	// It returns redo=true with a fresh sequence number when a copy of the
@@ -42,11 +45,6 @@ type CleanerConfig struct {
 	// Redo performs the dirty call demanded by a ccitnil redo and reports
 	// its outcome to the import table.
 	Redo func(key wire.Key, endpoints []string, seq uint64)
-	// SendBatch, when non-nil, delivers several clean calls addressed to
-	// one owner in a single exchange — the message batching the paper
-	// lists among its cost reductions. The cleaner groups queued cleans
-	// by owner opportunistically; batches of one still go through Send.
-	SendBatch func(owner wire.SpaceID, endpoints []string, items []CleanItem) error
 
 	// OnAbandon, when non-nil, observes every clean call given up after
 	// exhausting its retries. Fault-injection harnesses subscribe here to
@@ -204,12 +202,7 @@ func (c *Cleaner) run() {
 		owner := c.rr[0]
 		c.rr = c.rr[1:]
 		q := c.queues[owner]
-		take := len(q)
-		if c.cfg.SendBatch == nil {
-			take = 1 // no batch exchange available: deliver singly
-		} else if take > maxCleanBatch {
-			take = maxCleanBatch
-		}
+		take := min(len(q), maxCleanBatch)
 		batch := append([]cleanItem(nil), q[:take]...)
 		if take == len(q) {
 			delete(c.queues, owner)
@@ -220,16 +213,12 @@ func (c *Cleaner) run() {
 		c.queued -= take
 		c.idle = false
 		c.mu.Unlock()
-		if len(batch) == 1 {
-			c.process(batch[0])
-		} else {
-			c.processBatch(batch)
-		}
+		c.processBatch(batch)
 	}
 }
 
-// processBatch delivers several cleans to one owner in a single exchange,
-// then settles each member individually.
+// processBatch delivers the cleans taken for one owner in a single
+// exchange, then settles each member individually.
 func (c *Cleaner) processBatch(items []cleanItem) {
 	var ready []cleanItem // with seq/endpoints resolved
 	var eps []string
@@ -240,7 +229,9 @@ func (c *Cleaner) processBatch(items []cleanItem) {
 			var ok bool
 			seq, itEps, ok = c.cfg.Begin(it.key)
 			if !ok {
-				continue // resurrected: skip silently
+				// Resurrected (receive_copy cancelled the clean) or already
+				// gone: nothing to send.
+				continue
 			}
 		}
 		if len(itEps) > 0 {
@@ -253,10 +244,6 @@ func (c *Cleaner) processBatch(items []cleanItem) {
 	if len(ready) == 0 {
 		return
 	}
-	if len(ready) == 1 {
-		c.finishOne(ready[0], c.deliver(ready[0].key, eps, ready[0].seq, ready[0].strong))
-		return
-	}
 	err := c.deliverBatch(ready[0].key.Owner, eps, wireItems)
 	for _, it := range ready {
 		c.finishOne(it, err)
@@ -266,6 +253,8 @@ func (c *Cleaner) processBatch(items []cleanItem) {
 // finishOne settles one clean outcome, handling the ccitnil redo.
 func (c *Cleaner) finishOne(it cleanItem, err error) {
 	if it.strong {
+		// Strong cleans have no import entry to settle; an abandoned one
+		// means the owner is unreachable and will reclaim via pinging.
 		if err != nil {
 			c.cfg.Logger.Warn("dgc: strong clean abandoned", "key", it.key.String(), "err", err)
 		}
@@ -277,8 +266,10 @@ func (c *Cleaner) finishOne(it cleanItem, err error) {
 	}
 }
 
-// deliverBatch sends one batched clean exchange with the same retry
-// policy as single cleans.
+// deliverBatch sends one clean exchange, retrying with exponential
+// backoff and the same sequence numbers, exactly as the paper prescribes
+// ("the cleanup demon merely leaves the request on its queue, keeping the
+// same sequence number").
 func (c *Cleaner) deliverBatch(owner wire.SpaceID, eps []string, items []CleanItem) error {
 	backoff := c.cfg.Backoff
 	var lastErr error
@@ -290,7 +281,7 @@ func (c *Cleaner) deliverBatch(owner wire.SpaceID, eps []string, items []CleanIt
 		if lastErr == nil {
 			return nil
 		}
-		c.cfg.Logger.Debug("dgc: batched clean failed",
+		c.cfg.Logger.Debug("dgc: clean call failed",
 			"owner", owner.String(), "count", len(items), "attempt", attempt, "err", lastErr)
 		if attempt == c.cfg.MaxAttempts {
 			break
@@ -310,70 +301,6 @@ func (c *Cleaner) deliverBatch(owner wire.SpaceID, eps []string, items []CleanIt
 		for _, it := range items {
 			c.cfg.OnAbandon(it.Key, it.Strong, lastErr)
 		}
-	}
-	return errors.Join(ErrAbandoned, lastErr)
-}
-
-func (c *Cleaner) process(it cleanItem) {
-	seq := it.seq
-	eps := it.endpoints
-	if !it.strong {
-		var ok bool
-		seq, eps, ok = c.cfg.Begin(it.key)
-		if !ok {
-			// Resurrected (receive_copy cancelled the clean) or already
-			// gone: nothing to send.
-			return
-		}
-	}
-	err := c.deliver(it.key, eps, seq, it.strong)
-	if it.strong {
-		// Strong cleans have no import entry to settle; an abandoned one
-		// means the owner is unreachable and will reclaim via pinging.
-		if err != nil {
-			c.cfg.Logger.Warn("dgc: strong clean abandoned", "key", it.key.String(), "err", err)
-		}
-		return
-	}
-	redo, redoSeq := c.cfg.Finish(it.key, err)
-	if redo {
-		c.cfg.Redo(it.key, eps, redoSeq)
-	}
-}
-
-// deliver sends one clean call, retrying with exponential backoff and the
-// same sequence number, exactly as the paper prescribes ("the cleanup
-// demon merely leaves the request on its queue, keeping the same sequence
-// number").
-func (c *Cleaner) deliver(key wire.Key, eps []string, seq uint64, strong bool) error {
-	backoff := c.cfg.Backoff
-	var lastErr error
-	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
-		if c.isClosed() {
-			return ErrAbandoned
-		}
-		lastErr = c.cfg.Send(key, eps, seq, strong)
-		if lastErr == nil {
-			return nil
-		}
-		c.cfg.Logger.Debug("dgc: clean call failed",
-			"key", key.String(), "attempt", attempt, "err", lastErr)
-		if attempt == c.cfg.MaxAttempts {
-			break
-		}
-		if c.cfg.Obs != nil {
-			c.cfg.Obs.CleanRetries.Inc()
-		}
-		time.Sleep(backoff)
-		if backoff < 32*c.cfg.Backoff {
-			backoff *= 2
-		}
-	}
-	if c.cfg.Obs != nil {
-		c.cfg.Obs.CleansAbandoned.Inc()
-	}
-	if c.cfg.OnAbandon != nil {
-		c.cfg.OnAbandon(key, strong, lastErr)
 	}
 	return errors.Join(ErrAbandoned, lastErr)
 }

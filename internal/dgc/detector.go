@@ -6,11 +6,12 @@ import (
 	"time"
 )
 
+// cycleInterval is the pause between detection passes: cycles are rare
+// garbage, so the pass is deliberately lazy. Tests and demos Poke it.
+const cycleInterval = time.Minute
+
 // DetectorConfig wires a Detector to the runtime.
 type DetectorConfig struct {
-	// Interval is the pause between detection passes (default 1 minute —
-	// cycles are rare garbage, so the pass is deliberately lazy).
-	Interval time.Duration
 	// Pass runs one trial-deletion pass: snapshot suspects, query their
 	// holders, apply GarbageCycles, act on the verdicts.
 	Pass func()
@@ -35,9 +36,6 @@ type Detector struct {
 
 // NewDetector starts a cycle-detection daemon.
 func NewDetector(cfg DetectorConfig) *Detector {
-	if cfg.Interval <= 0 {
-		cfg.Interval = time.Minute
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
@@ -62,7 +60,7 @@ func (d *Detector) Poke() {
 
 func (d *Detector) run() {
 	defer d.wg.Done()
-	t := time.NewTicker(d.cfg.Interval)
+	t := time.NewTicker(cycleInterval)
 	defer t.Stop()
 	for {
 		select {

@@ -31,14 +31,16 @@ func (r *cleanRecorder) config() CleanerConfig {
 			}
 			return 7, []string{"inmem:o"}, true
 		},
-		Send: func(k wire.Key, eps []string, seq uint64, strong bool) error {
+		SendBatch: func(owner wire.SpaceID, eps []string, items []CleanItem) error {
 			if r.failFirst.Load() > 0 {
 				r.failFirst.Add(-1)
 				return errors.New("synthetic send failure")
 			}
 			r.mu.Lock()
-			r.sent = append(r.sent, seq)
-			r.strong = append(r.strong, strong)
+			for _, it := range items {
+				r.sent = append(r.sent, it.Seq)
+				r.strong = append(r.strong, it.Strong)
+			}
 			r.mu.Unlock()
 			return nil
 		},
@@ -175,9 +177,11 @@ func TestCleanerOrdering(t *testing.T) {
 	var order []uint64
 	c := NewCleaner(CleanerConfig{
 		Begin: func(k wire.Key) (uint64, []string, bool) { return 0, nil, false },
-		Send: func(k wire.Key, eps []string, seq uint64, strong bool) error {
+		SendBatch: func(owner wire.SpaceID, eps []string, items []CleanItem) error {
 			mu.Lock()
-			order = append(order, seq)
+			for _, it := range items {
+				order = append(order, it.Seq)
+			}
 			mu.Unlock()
 			return nil
 		},
@@ -205,7 +209,7 @@ func TestCleanerCloseStopsWork(t *testing.T) {
 	block := make(chan struct{})
 	c := NewCleaner(CleanerConfig{
 		Begin: func(k wire.Key) (uint64, []string, bool) { return 1, nil, true },
-		Send: func(wire.Key, []string, uint64, bool) error {
+		SendBatch: func(wire.SpaceID, []string, []CleanItem) error {
 			close(started)
 			<-block
 			return nil
@@ -327,24 +331,12 @@ func TestPingerForgetsDepartedClients(t *testing.T) {
 	}
 }
 
-func TestCleanerBatchesSameOwner(t *testing.T) {
-	// Hold the worker on a first (other-owner) clean, queue several cleans
-	// for one owner, then release: they must arrive as one batch.
-	block := make(chan struct{})
-	started := make(chan struct{})
-	var mu sync.Mutex
-	var batches [][]CleanItem
-	var singles []wire.Key
-	seq := uint64(0)
-	c := NewCleaner(CleanerConfig{
-		Begin: func(k wire.Key) (uint64, []string, bool) {
-			seq++
-			return seq, []string{"inmem:o"}, true
-		},
-		Send: func(k wire.Key, eps []string, s uint64, strong bool) error {
-			mu.Lock()
-			singles = append(singles, k)
-			mu.Unlock()
+// blockingSendBatch returns a SendBatch that holds the worker on owner
+// 99's cleans until block closes (closing started when it first does),
+// and hands every other owner's exchange to record.
+func blockingSendBatch(started, block chan struct{}, record func(owner wire.SpaceID, items []CleanItem)) func(wire.SpaceID, []string, []CleanItem) error {
+	return func(owner wire.SpaceID, eps []string, items []CleanItem) error {
+		if owner == 99 {
 			select {
 			case <-started:
 			default:
@@ -352,13 +344,30 @@ func TestCleanerBatchesSameOwner(t *testing.T) {
 			}
 			<-block
 			return nil
+		}
+		record(owner, items)
+		return nil
+	}
+}
+
+func TestCleanerBatchesSameOwner(t *testing.T) {
+	// Hold the worker on a first (other-owner) clean, queue several cleans
+	// for one owner, then release: they must arrive as one batch.
+	block := make(chan struct{})
+	started := make(chan struct{})
+	var mu sync.Mutex
+	var batches [][]CleanItem
+	seq := uint64(0)
+	c := NewCleaner(CleanerConfig{
+		Begin: func(k wire.Key) (uint64, []string, bool) {
+			seq++
+			return seq, []string{"inmem:o"}, true
 		},
-		SendBatch: func(owner wire.SpaceID, eps []string, items []CleanItem) error {
+		SendBatch: blockingSendBatch(started, block, func(_ wire.SpaceID, items []CleanItem) {
 			mu.Lock()
 			batches = append(batches, append([]CleanItem(nil), items...))
 			mu.Unlock()
-			return nil
-		},
+		}),
 		Finish: func(wire.Key, error) (bool, uint64) { return false, 0 },
 		Redo:   func(wire.Key, []string, uint64) {},
 	})
@@ -377,9 +386,6 @@ func TestCleanerBatchesSameOwner(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(singles) != 1 || singles[0] != other {
-		t.Fatalf("singles: %v", singles)
-	}
 	if len(batches) != 1 || len(batches[0]) != 4 {
 		t.Fatalf("batches: %v", batches)
 	}
@@ -394,7 +400,7 @@ func TestCleanerBatchSkipsResurrected(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{})
 	var mu sync.Mutex
-	var batched, singled int
+	var batched int
 	alive := map[uint64]bool{1: true, 3: true} // index 2 resurrected
 	c := NewCleaner(CleanerConfig{
 		Begin: func(k wire.Key) (uint64, []string, bool) {
@@ -403,24 +409,11 @@ func TestCleanerBatchSkipsResurrected(t *testing.T) {
 			}
 			return k.Index, []string{"inmem:o"}, alive[k.Index]
 		},
-		Send: func(k wire.Key, eps []string, s uint64, strong bool) error {
-			mu.Lock()
-			singled++
-			mu.Unlock()
-			select {
-			case <-started:
-			default:
-				close(started)
-			}
-			<-block
-			return nil
-		},
-		SendBatch: func(owner wire.SpaceID, eps []string, items []CleanItem) error {
+		SendBatch: blockingSendBatch(started, block, func(_ wire.SpaceID, items []CleanItem) {
 			mu.Lock()
 			batched += len(items)
 			mu.Unlock()
-			return nil
-		},
+		}),
 		Finish: func(wire.Key, error) (bool, uint64) { return false, 0 },
 		Redo:   func(wire.Key, []string, uint64) {},
 	})
@@ -518,21 +511,11 @@ func TestCleanerBatchCap(t *testing.T) {
 			seq++
 			return seq, []string{"inmem:o"}, true
 		},
-		Send: func(k wire.Key, eps []string, s uint64, strong bool) error {
-			select {
-			case <-started:
-			default:
-				close(started)
-			}
-			<-block
-			return nil
-		},
-		SendBatch: func(owner wire.SpaceID, eps []string, items []CleanItem) error {
+		SendBatch: blockingSendBatch(started, block, func(_ wire.SpaceID, items []CleanItem) {
 			mu.Lock()
 			batches = append(batches, append([]CleanItem(nil), items...))
 			mu.Unlock()
-			return nil
-		},
+		}),
 		Finish: func(wire.Key, error) (bool, uint64) { return false, 0 },
 		Redo:   func(wire.Key, []string, uint64) {},
 	})
@@ -576,27 +559,11 @@ func TestCleanerRoundRobinAcrossOwners(t *testing.T) {
 			seq++
 			return seq, []string{"inmem:o"}, true
 		},
-		Send: func(k wire.Key, eps []string, s uint64, strong bool) error {
-			if k.Owner == 99 {
-				select {
-				case <-started:
-				default:
-					close(started)
-				}
-				<-block
-				return nil
-			}
-			mu.Lock()
-			turns = append(turns, k.Owner)
-			mu.Unlock()
-			return nil
-		},
-		SendBatch: func(owner wire.SpaceID, eps []string, items []CleanItem) error {
+		SendBatch: blockingSendBatch(started, block, func(owner wire.SpaceID, _ []CleanItem) {
 			mu.Lock()
 			turns = append(turns, owner)
 			mu.Unlock()
-			return nil
-		},
+		}),
 		Finish: func(wire.Key, error) (bool, uint64) { return false, 0 },
 		Redo:   func(wire.Key, []string, uint64) {},
 	})

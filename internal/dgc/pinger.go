@@ -31,10 +31,6 @@ type PingerConfig struct {
 	// clears the client's failure count, so the Pinger degrades to a
 	// fallback for session-less peers only.
 	SessionAlive func(id wire.SpaceID, endpoints []string) bool
-	// OnProbe, when non-nil, observes every ping outcome (err == nil for a
-	// live client) before the failure policy is applied. Fault-injection
-	// harnesses subscribe here to watch liveness detection under faults.
-	OnProbe func(id wire.SpaceID, err error)
 	// Logger receives liveness events; nil discards them.
 	Logger *slog.Logger
 	// Obs, when non-nil, counts ping failures.
@@ -125,18 +121,12 @@ func (p *Pinger) round() {
 			if p.cfg.Obs != nil {
 				p.cfg.Obs.PingsSubsumed.Inc()
 			}
-			if p.cfg.OnProbe != nil {
-				p.cfg.OnProbe(id, nil)
-			}
 			p.mu.Lock()
 			delete(p.failures, id)
 			p.mu.Unlock()
 			continue
 		}
 		err := p.cfg.Ping(id, eps)
-		if p.cfg.OnProbe != nil {
-			p.cfg.OnProbe(id, err)
-		}
 		p.mu.Lock()
 		if err == nil {
 			delete(p.failures, id)

@@ -335,18 +335,20 @@ func (p *Pickler) UnmarshalView(data []byte, types []reflect.Type, session any, 
 // session visible to the NetRefs hook. It is the encoding of dynamic call
 // tuples: the receiver needs no static type information to decode.
 func (p *Pickler) MarshalAnySession(buf []byte, vals []any, session any) ([]byte, error) {
-	out, _, err := p.marshal(buf, anyValues(vals), session, false)
+	out, _, err := p.marshal(buf, AnyValues(vals), session, false)
 	return out, err
 }
 
 // MarshalAnyBorrowed is MarshalAnySession leaving large []byte values in
 // place, as MarshalBorrowed does.
 func (p *Pickler) MarshalAnyBorrowed(buf []byte, vals []any, session any) (out []byte, segs [][]byte, err error) {
-	return p.marshal(buf, anyValues(vals), session, true)
+	return p.marshal(buf, AnyValues(vals), session, true)
 }
 
-// anyValues holds each of vals as an interface-typed value.
-func anyValues(vals []any) []reflect.Value {
+// AnyValues holds each of vals as an interface-typed value: what
+// MarshalSession and MarshalBorrowed pickle self-describing, as the
+// MarshalAny forms do.
+func AnyValues(vals []any) []reflect.Value {
 	rvs := make([]reflect.Value, len(vals))
 	for i := range vals {
 		rvs[i] = reflect.ValueOf(&vals[i]).Elem()

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -120,7 +121,7 @@ func TestFlowChunkedRoundTrip(t *testing.T) {
 		t.Fatalf("frame of %d bytes on the wire, want ≤ chunk %d + header", max, p.ChunkSize)
 	}
 
-	if got, want := client.Stats().Hello, "v1 "+wire.SpaceID(0).String(); got != want {
+	if got, want := client.Stats().Hello, fmt.Sprintf("v%d %v", wire.Version, wire.SpaceID(0)); got != want {
 		t.Fatalf("stats report the peer's hello as %q, want %q", got, want)
 	}
 }

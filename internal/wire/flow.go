@@ -44,8 +44,9 @@ const (
 var ErrNotFlow = errors.New("wire: frame is not a flow frame")
 
 // Version is the one protocol version this tree speaks. A Hello carrying
-// any other fails the session.
-const Version = 1
+// any other fails the session. Version 2 carries a pipelined call as a
+// Call answered by a Result, and every clean as a CleanBatch.
+const Version = 2
 
 // Hello is the first frame each endpoint of a session sends. It settles
 // compatibility once, as the type fingerprint does at bind time, and

@@ -19,7 +19,7 @@ func FuzzUnmarshal(f *testing.F) {
 		&Result{Status: StatusAppError, Err: "e", Results: []byte{1}, NeedAck: true},
 		&Dirty{Obj: 2, Client: 3, ClientEndpoints: []string{"tcp:a:1"}, Seq: 4, Owner: 11},
 		&DirtyAck{Status: StatusOK},
-		&Clean{Obj: 1, Client: 2, Seq: 3, Strong: true, Owner: 11},
+		&CleanBatch{Client: 2, Objs: []uint64{1}, Seqs: []uint64{3}, Strongs: []bool{true}, Owner: 11},
 		&CleanAck{},
 		&Ping{From: 9},
 		&PingAck{From: 9},
@@ -28,11 +28,12 @@ func FuzzUnmarshal(f *testing.F) {
 		&Lease{Client: 7, ClientEndpoints: []string{"tcp:a:1", "inmem:b"}, Owner: 11},
 		&LeaseAck{Status: StatusOK, GrantedMillis: 30000},
 		&Hello{Version: Version, Space: 11, StreamWindow: 256 << 10, SessionWindow: 1 << 20, ChunkSize: 64 << 10},
-		&PipeCall{Obj: 5, Method: "M", Args: []byte("abc"), Promise: 3, ID: 42, DeadlineMillis: 250, Barrier: 2},
-		&PipeCall{TargetPromise: 3, Method: "N", Typed: true, Fingerprint: 7, Args: []byte{1}, Promise: 4, ID: 43},
-		&PipeCall{Obj: 1, Method: "P", Args: []byte{0, 0}, ArgPromisePos: []uint64{0, 1}, ArgPromiseIDs: []uint64{3, 4}, Promise: 5, ID: 44},
-		&PromiseResolve{Promise: 3, Status: StatusOK, Results: []byte{9}, NeedAck: true},
-		&PromiseResolve{Promise: 4, Status: StatusPromiseBroken, Err: "dependency failed"},
+		// Pipelined calls: the promise fields, alone and all together.
+		&Call{Obj: 5, Method: "M", Args: []byte("abc"), Promise: 3, ID: 42, DeadlineMillis: 250, Barrier: 2},
+		&Call{TargetPromise: 3, Method: "N", Typed: true, Fingerprint: 7, Args: []byte{1}, Promise: 4, ID: 43},
+		&Call{Obj: 1, TargetPromise: 2, Method: "P", Args: []byte{0, 0}, ArgPromisePos: []uint64{0, 1}, ArgPromiseIDs: []uint64{3, 4}, Promise: 5, ID: 44, DeadlineMillis: 9, Barrier: 1},
+		&Result{Status: StatusPromiseBroken, Err: "dependency failed"},
+		&Result{Status: StatusSpaceClosed, Err: "space closing"},
 		&OneWay{Obj: 5, Method: "Log", Args: []byte("abc"), Seq: 7},
 		// Tuples handed over in pieces, as a borrowing sender's are.
 		&Call{Obj: 5, Method: "M", Typed: true, ArgSegs: [][]byte{{1, 1}, blob(borrowMin, 3), {7}}, ID: 9},
@@ -86,9 +87,9 @@ func TestUnmarshalTruncationDeterministic(t *testing.T) {
 		&CancelCall{ID: 42},
 		&CancelAck{Status: StatusNoSuchObject},
 		&Hello{Version: Version, Space: 11, StreamWindow: 256 << 10, SessionWindow: 1 << 20, ChunkSize: 64 << 10},
-		&PipeCall{Obj: 5, Method: "Method", Typed: true, Fingerprint: 0xfeed, Args: []byte("payload"),
+		&Call{Obj: 5, TargetPromise: 2, Method: "Method", Typed: true, Fingerprint: 0xfeed, Args: []byte("payload"),
 			ArgPromisePos: []uint64{1}, ArgPromiseIDs: []uint64{3}, Promise: 9, ID: 77, DeadlineMillis: 100, Barrier: 4},
-		&PromiseResolve{Promise: 9, Status: StatusPromiseBroken, Err: "dependency failed", Results: []byte{1, 2}, NeedAck: true},
+		&Result{Status: StatusPromiseBroken, Err: "dependency failed", Results: []byte{1, 2}, NeedAck: true},
 		&OneWay{Obj: 5, Method: "Log", Args: []byte("payload"), Seq: 12},
 	}
 	for _, m := range msgs {

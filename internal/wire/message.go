@@ -11,16 +11,21 @@ import (
 type Op uint8
 
 // The protocol message set. A remote method invocation is a Call/Result
-// pair. The distributed collector uses Dirty/DirtyAck to register a client
-// in an object's dirty set and Clean/CleanAck to remove it; Ping/PingAck
-// let an owner probe clients that hold surrogates for its objects.
+// pair, pipelined or not. The distributed collector uses Dirty/DirtyAck to
+// register a client in an object's dirty set and CleanBatch/CleanAck to
+// remove it; Ping/PingAck let an owner probe clients that hold surrogates
+// for its objects.
 const (
 	OpInvalid Op = iota
 	OpCall
 	OpResult
 	OpDirty
 	OpDirtyAck
-	OpClean
+	// Op 5 was version 1's single-key Clean; every clean is a CleanBatch
+	// now. Retired numbers are not reused, so the ops that remain keep
+	// their numbers and a version-1 frame never decodes as another message.
+	_
+	// OpCleanAck acknowledges a CleanBatch or a CycleCollect.
 	OpCleanAck
 	OpPing
 	OpPingAck
@@ -29,9 +34,9 @@ const (
 	// the ack arrives, closing the window Birrell's presentation left open
 	// for references returned as results.
 	OpResultAck
-	// OpCleanBatch carries several clean calls from one client in a single
-	// message — the batching cost reduction of the paper. Answered with a
-	// CleanAck.
+	// OpCleanBatch carries the clean calls of one client to one owner — a
+	// single key or several, the batching cost reduction of the paper.
+	// Answered with a CleanAck.
 	OpCleanBatch
 	// OpLease renews a client's liveness lease at an owner — the
 	// RMI-style alternative to owner-driven pinging.
@@ -81,20 +86,14 @@ const (
 	// and its receive windows. A session whose first inbound frame is
 	// anything else, or a Hello of another version, fails at once.
 	OpHello
-	// OpPipeCall requests invocation of a method whose receiver or
-	// arguments may be unresolved promises from earlier pipelined calls on
-	// the same session. The owner chains it against its per-session
-	// completion table instead of making the client wait a round trip per
-	// dependency. Answered with an OpPromiseResolve on the same stream.
-	OpPipeCall
-	// OpPromiseResolve carries the outcome of a pipelined call back to the
-	// client, resolving the promise id the client assigned to it. Shaped
-	// like a Result plus the promise id.
-	OpPromiseResolve
+	// Ops 20 and 21 were version 1's PipeCall and PromiseResolve: a
+	// pipelined call is a Call answered by a Result now.
+	_
+	_
 	// OpOneWay requests invocation with no reply at all: no result frame,
 	// no error report, no acknowledgement. One-way calls on a session are
 	// executed in send order relative to each other, and a later pipelined
-	// call can fence on them via PipeCall.Barrier.
+	// call can fence on them via Call.Barrier.
 	OpOneWay
 	// OpCycleQuery asks a client space for the back-references behind its
 	// surrogates of the sender's objects — the cross-space cycle
@@ -124,8 +123,6 @@ func (o Op) String() string {
 		return "dirty"
 	case OpDirtyAck:
 		return "dirty-ack"
-	case OpClean:
-		return "clean"
 	case OpCleanAck:
 		return "clean-ack"
 	case OpPing:
@@ -156,10 +153,6 @@ func (o Op) String() string {
 		return "flow-pong"
 	case OpHello:
 		return "hello"
-	case OpPipeCall:
-		return "pipe-call"
-	case OpPromiseResolve:
-		return "promise-resolve"
 	case OpOneWay:
 		return "one-way"
 	case OpCycleQuery:
@@ -240,9 +233,16 @@ type Message interface {
 	decode(*Decoder)
 }
 
-// Call requests invocation of a method on an exported object.
+// Call requests invocation of a method on an exported object. A pipelined
+// call is a Call whose promise fields are set (see Pipelined): it resolves
+// a session-scoped promise the client allocated, and its receiver or
+// arguments may be earlier promises on the same session, which the owner
+// chains against its per-session completion table, so a K-deep dependent
+// chain costs one round trip instead of K. Either way the answer is a
+// Result on the call's own stream.
 type Call struct {
-	// Obj is the target's index in the receiving space's export table.
+	// Obj is the target's index in the receiving space's export table,
+	// meaningful only when TargetPromise is zero.
 	Obj uint64
 	// Method is the method name on the exported object.
 	Method string
@@ -270,10 +270,35 @@ type Call struct {
 	// relative budget rather than an absolute time, so the two spaces'
 	// clocks need not agree.
 	DeadlineMillis uint64
+
+	// TargetPromise, when nonzero, names the promise whose resolved value
+	// is the call's receiver: the owner waits for that promise's completion
+	// and invokes the method on its first result.
+	TargetPromise uint64
+	// ArgPromisePos and ArgPromiseIDs are parallel: the argument at
+	// position ArgPromisePos[i] (0-based, excluding any leading context) is
+	// pickled as nil and stands for the resolved value of promise
+	// ArgPromiseIDs[i], which the owner substitutes before invoking.
+	ArgPromisePos []uint64
+	ArgPromiseIDs []uint64
+	// Promise is the session-scoped promise id this call resolves. The
+	// client allocates it; the owner records the call's outcome under it in
+	// the session's completion table, for the calls chained on it.
+	Promise uint64
+	// Barrier is the number of one-way calls sent on this session before
+	// this call; the owner delays invocation until that many one-ways have
+	// finished executing, giving one-way → two-way ordering.
+	Barrier uint64
 }
 
 // Op returns OpCall.
 func (*Call) Op() Op { return OpCall }
+
+// Pipelined reports whether any promise field is set: the call resolves a
+// promise, chains on one or fences on one-way calls.
+func (m *Call) Pipelined() bool {
+	return m.Promise != 0 || m.TargetPromise != 0 || m.Barrier != 0 || len(m.ArgPromiseIDs) != 0
+}
 
 func (m *Call) encode(e *Encoder) {
 	e.Uint(m.Obj)
@@ -283,6 +308,15 @@ func (m *Call) encode(e *Encoder) {
 	e.tupleField(m.Args, m.ArgSegs)
 	e.Uint(m.ID)
 	e.Uint(m.DeadlineMillis)
+	// The promise fields: a byte each when zero, as on a plain call.
+	e.Uint(m.TargetPromise)
+	e.Uint(uint64(len(m.ArgPromisePos)))
+	for i := range m.ArgPromisePos {
+		e.Uint(m.ArgPromisePos[i])
+		e.Uint(m.ArgPromiseIDs[i])
+	}
+	e.Uint(m.Promise)
+	e.Uint(m.Barrier)
 }
 
 func (m *Call) decode(d *Decoder) {
@@ -297,6 +331,21 @@ func (m *Call) decode(d *Decoder) {
 	m.Args = d.BytesField()
 	m.ID = d.Uint()
 	m.DeadlineMillis = d.Uint()
+	m.TargetPromise = d.Uint()
+	n := d.Uint()
+	if n > MaxStringLen/2 {
+		d.fail("call promise-argument list too large")
+		return
+	}
+	// Appended into what a pooled frame kept, so a decode that reuses one
+	// allocates nothing for them.
+	m.ArgPromisePos, m.ArgPromiseIDs = m.ArgPromisePos[:0], m.ArgPromiseIDs[:0]
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		m.ArgPromisePos = append(m.ArgPromisePos, d.Uint())
+		m.ArgPromiseIDs = append(m.ArgPromiseIDs, d.Uint())
+	}
+	m.Promise = d.Uint()
+	m.Barrier = d.Uint()
 }
 
 // Result carries the outcome of a Call.
@@ -398,47 +447,7 @@ func (m *DirtyAck) decode(d *Decoder) {
 	m.Err = d.String()
 }
 
-// Clean removes the calling client from the dirty set of an exported
-// object. A strong clean additionally invalidates any dirty call from this
-// client still in flight (sent after a dirty call whose fate is unknown).
-type Clean struct {
-	// Obj is the object's index at the owner.
-	Obj uint64
-	// Client identifies the space dropping the reference.
-	Client SpaceID
-	// Seq orders this client's dirty and clean calls for the object.
-	Seq uint64
-	// Strong marks a clean issued after a dirty call failed with unknown
-	// outcome; it must take effect even if the dirty call never arrived.
-	Strong bool
-	// Owner names the space this clean is addressed to. A receiver with
-	// a different id is a later incarnation at a reused endpoint; it must
-	// not apply the clean (the client's sequence counter for the dead
-	// owner is unrelated to any counter at the new one, so a stale clean
-	// could otherwise cancel a live registration).
-	Owner SpaceID
-}
-
-// Op returns OpClean.
-func (*Clean) Op() Op { return OpClean }
-
-func (m *Clean) encode(e *Encoder) {
-	e.Uint(m.Obj)
-	e.Uint(uint64(m.Client))
-	e.Uint(m.Seq)
-	e.Bool(m.Strong)
-	e.Uint(uint64(m.Owner))
-}
-
-func (m *Clean) decode(d *Decoder) {
-	m.Obj = d.Uint()
-	m.Client = SpaceID(d.Uint())
-	m.Seq = d.Uint()
-	m.Strong = d.Bool()
-	m.Owner = SpaceID(d.Uint())
-}
-
-// CleanAck acknowledges a Clean call.
+// CleanAck acknowledges a CleanBatch.
 type CleanAck struct {
 	// Status is StatusOK on success. A clean for an absent entry is a
 	// no-op and still reports StatusOK, as the paper specifies.
@@ -487,18 +496,25 @@ func (*PingAck) Op() Op { return OpPingAck }
 func (m *PingAck) encode(e *Encoder) { e.Uint(uint64(m.From)) }
 func (m *PingAck) decode(d *Decoder) { m.From = SpaceID(d.Uint()) }
 
-// CleanBatch removes the calling client from the dirty sets of several
-// objects at once. Semantically identical to the corresponding sequence of
-// Clean messages, at a fraction of the exchanges.
+// CleanBatch removes the calling client from the dirty sets of one or
+// more objects at one owner — the clean call of the paper, several to an
+// exchange where the cleaning daemon has them queued.
 type CleanBatch struct {
 	// Client identifies the space dropping the references.
 	Client SpaceID
 	// Objs, Seqs and Strongs are parallel: entry i cleans object Objs[i]
-	// with sequence number Seqs[i], strongly if Strongs[i].
+	// with sequence number Seqs[i], strongly if Strongs[i]. Seq orders
+	// this client's dirty and clean calls for the object. A strong clean,
+	// issued after a dirty call failed with unknown outcome, takes effect
+	// even if that dirty call never arrived.
 	Objs    []uint64
 	Seqs    []uint64
 	Strongs []bool
-	// Owner names the space the batch is addressed to; see Clean.Owner.
+	// Owner names the space the batch is addressed to. A receiver with a
+	// different id is a later incarnation at a reused endpoint; it must not
+	// apply the cleans (the client's sequence counter for the dead owner is
+	// unrelated to any counter at the new one, so a stale clean could
+	// otherwise cancel a live registration).
 	Owner SpaceID
 }
 
@@ -694,8 +710,7 @@ func PeekOp(frame []byte) Op {
 		return OpInvalid
 	}
 	// Inside the envelope only ordinary messages appear — plus the
-	// stream-0 Hello and the pipelined invocation messages, which are
-	// muxed like calls. Envelopes do not nest; naked session-control ops
+	// stream-0 Hello. Envelopes do not nest; naked session-control ops
 	// never appear wrapped.
 	if inner > uint64(maxOp) {
 		return OpInvalid
@@ -721,8 +736,6 @@ func Unmarshal(b []byte) (Message, error) {
 		m = new(Dirty)
 	case OpDirtyAck:
 		m = new(DirtyAck)
-	case OpClean:
-		m = new(Clean)
 	case OpCleanAck:
 		m = new(CleanAck)
 	case OpPing:
@@ -743,10 +756,6 @@ func Unmarshal(b []byte) (Message, error) {
 		m = new(CancelAck)
 	case OpHello:
 		m = new(Hello)
-	case OpPipeCall:
-		m = new(PipeCall)
-	case OpPromiseResolve:
-		m = new(PromiseResolve)
 	case OpOneWay:
 		m = new(OneWay)
 	case OpCycleQuery:

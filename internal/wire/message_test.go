@@ -41,8 +41,10 @@ func TestMessageRoundTrips(t *testing.T) {
 		&Dirty{Obj: 9, Client: 77, ClientEndpoints: []string{"tcp:1.2.3.4:9", "inmem:x"}, Seq: 12, Owner: 501},
 		&DirtyAck{Status: StatusOK},
 		&DirtyAck{Status: StatusNoSuchObject, Err: "object withdrawn"},
-		&Clean{Obj: 3, Client: 42, Seq: 13, Strong: true, Owner: 501},
-		&Clean{Obj: 3, Client: 42, Seq: 14},
+		&Call{Obj: 5, TargetPromise: 2, Method: "Deposit", Args: []byte("a"), ID: 78,
+			ArgPromisePos: []uint64{0}, ArgPromiseIDs: []uint64{1}, Promise: 3, Barrier: 4},
+		&Result{Status: StatusPromiseBroken, Err: "dependency failed"},
+		&CleanBatch{Client: 42, Objs: []uint64{3}, Seqs: []uint64{13}, Strongs: []bool{true}, Owner: 501},
 		&CleanAck{Status: StatusOK},
 		&Ping{From: 1234},
 		&PingAck{From: 4321},
@@ -113,8 +115,8 @@ func TestMarshalReusesBuffer(t *testing.T) {
 }
 
 func TestOpAndStatusStrings(t *testing.T) {
-	ops := []Op{OpCall, OpResult, OpDirty, OpDirtyAck, OpClean, OpCleanAck, OpPing, OpPingAck,
-		OpCancelCall, OpCancelAck, Op(99)}
+	ops := []Op{OpCall, OpResult, OpDirty, OpDirtyAck, OpCleanBatch, OpCleanAck, OpPing, OpPingAck,
+		OpCancelCall, OpCancelAck, OpOneWay, Op(99)}
 	seen := map[string]bool{}
 	for _, o := range ops {
 		s := o.String()
@@ -125,7 +127,7 @@ func TestOpAndStatusStrings(t *testing.T) {
 	}
 	sts := []Status{StatusOK, StatusAppError, StatusNoSuchObject, StatusNoSuchMethod,
 		StatusBadFingerprint, StatusMarshal, StatusInternal,
-		StatusCancelled, StatusDeadlineExceeded, StatusSpaceClosed, Status(99)}
+		StatusCancelled, StatusDeadlineExceeded, StatusSpaceClosed, StatusPromiseBroken, Status(99)}
 	seen = map[string]bool{}
 	for _, s := range sts {
 		str := s.String()

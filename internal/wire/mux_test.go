@@ -57,7 +57,7 @@ func TestPeekOpUnwrapsMux(t *testing.T) {
 		&Call{Obj: 1, Method: "M"},
 		&Result{Status: StatusOK},
 		&Dirty{Obj: 2, Client: 3},
-		&Clean{Obj: 2, Client: 3},
+		&CleanBatch{Client: 3, Objs: []uint64{2}, Seqs: []uint64{1}, Strongs: []bool{false}},
 		&Ping{From: 4},
 		&Lease{Client: 5},
 		&CancelCall{ID: 6},

@@ -2,17 +2,21 @@ package wire
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
+// TestPipeMessageRoundTrips: a pipelined call is a Call with its promise
+// fields set, answered by a plain Result; both, and the one-way message,
+// survive a round trip field for field.
 func TestPipeMessageRoundTrips(t *testing.T) {
 	msgs := []Message{
-		&PipeCall{Obj: 9, Method: "Lookup", Fingerprint: 0xbeef, Typed: true,
+		&Call{Obj: 9, Method: "Lookup", Fingerprint: 0xbeef, Typed: true,
 			Args: []byte("args"), Promise: 1, ID: 10, DeadlineMillis: 5000, Barrier: 3},
-		&PipeCall{TargetPromise: 1, Method: "Read", Args: []byte{0},
+		&Call{TargetPromise: 1, Method: "Read", Args: []byte{0},
 			ArgPromisePos: []uint64{0, 2}, ArgPromiseIDs: []uint64{1, 2}, Promise: 2, ID: 11},
-		&PromiseResolve{Promise: 2, Status: StatusOK, Results: []byte("out"), NeedAck: true},
-		&PromiseResolve{Promise: 2, Status: StatusPromiseBroken, Err: "dependency of Read failed"},
+		&Result{Status: StatusOK, Results: []byte("out"), NeedAck: true},
+		&Result{Status: StatusPromiseBroken, Err: "dependency of Read failed"},
 		&OneWay{Obj: 9, Method: "Log", Typed: true, Fingerprint: 1, Args: []byte("line"), Seq: 4},
 	}
 	for _, m := range msgs {
@@ -27,23 +31,55 @@ func TestPipeMessageRoundTrips(t *testing.T) {
 		if !bytes.Equal(Marshal(nil, got), frame) {
 			t.Fatalf("%v: unstable round trip", m.Op())
 		}
+		if !reflect.DeepEqual(normalize(got), normalize(m)) {
+			t.Fatalf("%v: got %+v, want %+v", m.Op(), got, m)
+		}
+	}
+}
+
+// TestPipeCallCostsPlainCallFourBytes: the promise fields of a plain call
+// are four zero bytes on the wire, and a pipelined call is flagged as such
+// by any one of them.
+func TestPipeCallCostsPlainCallFourBytes(t *testing.T) {
+	plain := &Call{Obj: 5, Method: "M", Args: []byte{0}, ID: 300, DeadlineMillis: 30000}
+	e := NewEncoder(nil)
+	e.Uint(uint64(OpCall))
+	e.Uint(plain.Obj)
+	e.String(plain.Method)
+	e.Uint(plain.Fingerprint)
+	e.Bool(plain.Typed)
+	e.BytesField(plain.Args)
+	e.Uint(plain.ID)
+	e.Uint(plain.DeadlineMillis)
+	if got, before := len(Marshal(nil, plain)), len(e.Bytes()); got != before+4 {
+		t.Fatalf("plain call frame is %d bytes, want %d + 4", got, before)
+	}
+	if plain.Pipelined() {
+		t.Fatal("a plain call reports itself pipelined")
+	}
+	for _, c := range []Call{{Promise: 1}, {TargetPromise: 1}, {Barrier: 1}, {ArgPromisePos: []uint64{0}, ArgPromiseIDs: []uint64{1}}} {
+		if !c.Pipelined() {
+			t.Fatalf("%+v does not report itself pipelined", c)
+		}
 	}
 }
 
 func TestPipeCallPromiseArgListBound(t *testing.T) {
 	// A frame claiming an absurd promise-argument count must fail cleanly
 	// instead of allocating unboundedly.
-	m := &PipeCall{Obj: 1, Method: "M", Promise: 2}
+	m := &Call{Obj: 1, Method: "M", Promise: 2}
 	frame := Marshal(nil, m)
 	// Re-encode with a forged huge count: encode by hand up to the count.
 	e := NewEncoder(nil)
-	e.Uint(uint64(OpPipeCall))
+	e.Uint(uint64(OpCall))
 	e.Uint(1)            // Obj
-	e.Uint(0)            // TargetPromise
 	e.String("M")        // Method
 	e.Uint(0)            // Fingerprint
 	e.Bool(false)        // Typed
 	e.BytesField(nil)    // Args
+	e.Uint(0)            // ID
+	e.Uint(0)            // DeadlineMillis
+	e.Uint(0)            // TargetPromise
 	e.Uint(MaxStringLen) // forged promise-arg count
 	forged := e.Bytes()
 	if _, err := Unmarshal(forged); err == nil {

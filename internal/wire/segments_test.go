@@ -94,8 +94,8 @@ func TestMarshalSegmentsEqualMarshal(t *testing.T) {
 				&Result{Status: StatusAppError, Err: "e", ResultSegs: inPieces, NeedAck: true}},
 			{&OneWay{Obj: 5, Method: "Log", Args: tuple, Seq: 7},
 				&OneWay{Obj: 5, Method: "Log", ArgSegs: inPieces, Seq: 7}},
-			{&PromiseResolve{Promise: 3, Results: tuple}, nil},
-			{&PipeCall{Obj: 1, Method: "P", Args: tuple, Promise: 5}, nil},
+			{&Call{TargetPromise: 3, Method: "P", Args: tuple, ArgPromisePos: []uint64{0}, ArgPromiseIDs: []uint64{2}, Promise: 5, Barrier: 1},
+				&Call{TargetPromise: 3, Method: "P", ArgSegs: inPieces, ArgPromisePos: []uint64{0}, ArgPromiseIDs: []uint64{2}, Promise: 5, Barrier: 1}},
 		} {
 			want := Marshal(nil, tc.whole)
 			for _, m := range []Message{tc.whole, tc.pieces} {
