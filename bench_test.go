@@ -507,50 +507,6 @@ func BenchmarkT4_ModelExploration(b *testing.B) {
 	}
 }
 
-// BenchmarkT5_ImportReleaseByVariant measures the full reference life
-// cycle under both runtime collector variants (the §5 ablation, live).
-func BenchmarkT5_ImportReleaseByVariant(b *testing.B) {
-	for _, variant := range []netobjects.CollectorVariant{netobjects.VariantBirrell, netobjects.VariantFIFO} {
-		b.Run(variant.String(), func(b *testing.B) {
-			mem := netobjects.NewMem()
-			mk := func(name string) *netobjects.Space {
-				sp, err := netobjects.New(netobjects.Options{
-					Name:         name,
-					Transports:   []netobjects.Transport{mem},
-					PingInterval: time.Hour,
-					Variant:      variant,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Cleanup(func() { _ = sp.Close() })
-				return sp
-			}
-			owner, client := mk("owner"), mk("client")
-			reps := make([]netobjects.WireRep, b.N)
-			for i := range reps {
-				r, err := owner.Export(&benchService{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				reps[i], err = r.WireRep()
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ref, err := client.Import(reps[i])
-				if err != nil {
-					b.Fatal(err)
-				}
-				ref.Release()
-			}
-		})
-	}
-}
-
 // BenchmarkT6_LeaseRenewal measures one lease renewal exchange — the
 // steady-state cost a client pays per owner per interval in lease mode.
 func BenchmarkT6_LeaseRenewal(b *testing.B) {

@@ -193,14 +193,6 @@ func (s *benchService) TakeRef(r *netobjects.Ref) error {
 	return nil
 }
 
-// TakeRefSlow simulates a method whose execution time can absorb the
-// dirty round trip of its reference argument (the FIFO variant's win).
-func (s *benchService) TakeRefSlow(r *netobjects.Ref) error {
-	time.Sleep(10 * time.Millisecond)
-	s.held = append(s.held, r)
-	return nil
-}
-
 func newEnv(proto string) (*env, error) {
 	var tr netobjects.Transport
 	switch proto {
@@ -583,83 +575,6 @@ func runT5() error {
 	for _, r := range prows {
 		fmt.Printf("  %-16s %9d %18d\n", r.Protocol, r.Messages, r.OwnerRoundTrips)
 	}
-	return runT5Live()
-}
-
-// runT5Live measures the FIFO variant in the runtime itself: a call whose
-// argument is a fresh third-party reference, on a transport with injected
-// latency, so the dirty round trip is visible. The classic variant pays
-// it before the method; the FIFO variant overlaps it with execution.
-func runT5Live() error {
-	fmt.Println("\nT5 (live runtime): third-party call with a 10ms method body,")
-	fmt.Println("3ms injected per message leg; the argument is a fresh reference the")
-	fmt.Println("receiver must register with a third space")
-	n := iters(30)
-	for _, variant := range []netobjects.CollectorVariant{netobjects.VariantBirrell, netobjects.VariantFIFO} {
-		mem := netobjects.NewMem()
-		mem.Latency = 3 * time.Millisecond
-		var spaces []*netobjects.Space
-		mk := func(name string) (*netobjects.Space, error) {
-			opts := netobjects.Options{
-				Name:         name,
-				Transports:   []netobjects.Transport{mem},
-				PingInterval: time.Hour,
-				Variant:      variant,
-			}
-			withObs(&opts)
-			sp, err := netobjects.New(opts)
-			if err == nil {
-				spaces = append(spaces, sp)
-			}
-			return sp, err
-		}
-		a, err := mk("A")
-		if err != nil {
-			return err
-		}
-		b, err := mk("B")
-		if err != nil {
-			return err
-		}
-		c, err := mk("C")
-		if err != nil {
-			return err
-		}
-		relay, err := b.Export(&benchService{})
-		if err != nil {
-			return err
-		}
-		w, _ := relay.WireRep()
-		relayAtA, err := a.Import(w)
-		if err != nil {
-			return err
-		}
-		med, err := measure(n, func() error {
-			obj := &benchService{}
-			ref, err := c.Export(obj)
-			if err != nil {
-				return err
-			}
-			cw, err := ref.WireRep()
-			if err != nil {
-				return err
-			}
-			refAtA, err := a.Import(cw)
-			if err != nil {
-				return err
-			}
-			_, err = relayAtA.Call("TakeRefSlow", refAtA)
-			return err
-		})
-		for i := len(spaces) - 1; i >= 0; i-- {
-			_ = spaces[i].Close()
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  %-8s median call latency: %v\n", variant, med)
-	}
-	fmt.Println("shape check: fifo should save roughly one dirty round trip per fresh reference.")
 	return nil
 }
 

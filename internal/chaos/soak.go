@@ -391,15 +391,12 @@ func (h *harness) startSpace(n *soakNode) error {
 		Registry:        pickle.NewRegistry(),
 		// Tight timeouts keep faulted operations from stalling the run;
 		// liveness detection is fast enough to notice scripted crashes
-		// within the soak. The trace checker needs VariantBirrell (the
-		// FIFO variant emits surrogate-made before the dirty outcome is
-		// known); batched cleans are fine since the serve side emits one
-		// keyed event per batch member.
+		// within the soak. Batched cleans suit the trace checker, since
+		// the serve side emits one keyed event per batch member.
 		// AutoRelease is load-bearing, not a convenience: a call that
 		// times out after its arguments were decoded leaves the decoded
 		// surrogates held by nobody, and only the weak-reference design
 		// reclaims them — the paper's client-side GC role.
-		Variant:         core.VariantBirrell,
 		AutoRelease:     true,
 		CallTimeout:     500 * time.Millisecond,
 		DrainTimeout:    time.Second,

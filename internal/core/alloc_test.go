@@ -73,7 +73,6 @@ func TestNullCallLoopAllocFree(t *testing.T) {
 			t.Fatalf("null call failed: %v %s", res.Status, res.Err)
 		}
 		res.NeedAck = ssess.pinned()
-		ssess.waitPending()
 		ssess.unpinAll()
 		ssess.recycle()
 		putCall(scall)
@@ -95,7 +94,6 @@ func TestNullCallLoopAllocFree(t *testing.T) {
 		if _, err := sp.pickler.UnmarshalSession(cres.Results, nil, csess); err != nil {
 			t.Fatal(err)
 		}
-		csess.waitPending()
 		csess.unpinAll()
 		csess.recycle()
 		putResult(cres)

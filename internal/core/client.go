@@ -66,14 +66,7 @@ func (sp *Space) rpc(endpoints []string, req wire.Message, timeout time.Duration
 // only transport failures are. Method calls never go through here: the
 // runtime cannot assume application methods are idempotent.
 func (sp *Space) rpcRetry(endpoints []string, req wire.Message, timeout time.Duration) (wire.Message, error) {
-	attempts := sp.opts.RetryAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	backoff := sp.opts.RetryBackoff
-	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
-	}
+	attempts, backoff := sp.opts.RetryAttempts, sp.opts.RetryBackoff
 	var lastErr error
 	for attempt := 1; ; attempt++ {
 		resp, err := sp.rpc(endpoints, req, timeout)
@@ -115,11 +108,6 @@ func (sp *Space) doSendDirty(key wire.Key, endpoints []string, seq uint64) error
 		Seq:             seq,
 		Owner:           key.Owner,
 	}
-	if sp.opts.Variant == VariantFIFO {
-		// All collector traffic to one owner flows through its ordered
-		// queue so cleans can never overtake dirties.
-		return sp.gcQueueFor(key.Owner, endpoints).enqueue(req, endpoints).wait()
-	}
 	resp, err := sp.rpcRetry(endpoints, req, sp.opts.CallTimeout)
 	if err != nil {
 		return err
@@ -137,8 +125,7 @@ func (sp *Space) doSendDirty(key wire.Key, endpoints []string, seq uint64) error
 // sendCleans removes this space from the dirty sets of items at their
 // owner: one CleanBatch exchange, whether it carries one key or many. Any
 // acknowledgement counts as success: a clean for an absent entry is a
-// no-op by specification. The FIFO variant routes it through the owner's
-// ordered queue like any other collector message.
+// no-op by specification.
 func (sp *Space) sendCleans(owner wire.SpaceID, endpoints []string, items []dgc.CleanItem) error {
 	sp.metrics.CleanSent.Add(uint64(len(items)))
 	if len(items) > 1 {
@@ -151,12 +138,8 @@ func (sp *Space) sendCleans(owner wire.SpaceID, endpoints []string, items []dgc.
 		req.Seqs = append(req.Seqs, it.Seq)
 		req.Strongs = append(req.Strongs, it.Strong)
 	}
-	var err error
-	if sp.opts.Variant == VariantFIFO {
-		err = sp.gcQueueFor(owner, endpoints).enqueue(req, endpoints).wait()
-	} else if resp, rerr := sp.rpcRetry(endpoints, req, sp.opts.CallTimeout); rerr != nil {
-		err = rerr
-	} else if _, ok := resp.(*wire.CleanAck); !ok {
+	resp, err := sp.rpcRetry(endpoints, req, sp.opts.CallTimeout)
+	if _, ok := resp.(*wire.CleanAck); err == nil && !ok {
 		err = fmt.Errorf("netobjects: clean call answered with %v", resp.Op())
 	}
 	end := time.Now()
@@ -346,11 +329,6 @@ func (sp *Space) exchange(c *transport.Stream, call *wire.Call, session *callSes
 	// []byte results decoded from it.
 	session.viewMin = viewMin(c)
 	decodeErr := decode.decode(res)
-	// Under the FIFO variant decoding may have queued registrations whose
-	// dirty calls are still in flight; the result acknowledgement asserts
-	// they are registered, so wait here (overlapped with nothing on the
-	// client, but the server overlapped them with its method execution).
-	session.waitPending()
 	if res.NeedAck {
 		// The owner holds the returned references transiently dirty until
 		// this ack; send it even when decoding failed, because our dirty
@@ -461,7 +439,12 @@ func (sp *Space) callRemoteMux(ctx context.Context, s *transport.Session, endpoi
 			select {
 			case <-ctx.Done():
 				if w.fire() {
-					sp.forwardCancel(id, method, endpoints)
+					// A deadline is not a cancel: the owner holds it as
+					// DeadlineMillis and ends the dispatch on its own clock,
+					// so forwarding it would only race that ending.
+					if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
+						sp.forwardCancel(id, method, endpoints)
+					}
 					// Aborting the exchange unblocks the receive below; the
 					// shared connection stays up for everyone else.
 					s.Abort(id)

@@ -116,7 +116,8 @@ type Options struct {
 	// PingInterval is the owner's client-liveness probe period
 	// (default 15s).
 	PingInterval time.Duration
-	// PingTimeout bounds one ping exchange (default 3s).
+	// PingTimeout bounds one ping exchange, one lease renewal and one
+	// forwarded CancelCall (default 3s).
 	PingTimeout time.Duration
 	// PingMaxFailures is how many consecutive failed pings a client
 	// survives before its dirty entries are dropped (default 3).
@@ -158,11 +159,6 @@ type Options struct {
 	// between peers that are already talking. Disabling keepalives on
 	// every space forces the explicit liveness protocol everywhere.
 	KeepaliveInterval time.Duration
-	// Variant selects the collector protocol variant: VariantBirrell
-	// (default, correct over unordered channels) or VariantFIFO (the
-	// paper's §5.1 optimisation: per-owner ordered collector traffic and
-	// non-blocking registration of received references).
-	Variant CollectorVariant
 	// AutoRelease holds surrogates weakly and schedules their clean calls
 	// when the application lets go of them — the paper's weak-reference
 	// design. Without it, surrogates live until Release is called
@@ -224,7 +220,6 @@ type Space struct {
 	// fingerprints caches fingerprintsFor by concrete type; made on first
 	// use, dropped by RegisterRemoteInterface.
 	fingerprints map[reflect.Type][]uint64
-	gcQueues     map[wire.SpaceID]*gcQueue
 	// muxServers tracks the inbound multiplexed sessions being served,
 	// for the per-link gauges and the debug page.
 	muxServers map[*transport.Session]struct{}
@@ -283,7 +278,6 @@ func NewSpace(opts Options) (*Space, error) {
 		opts:       opts,
 		ownedRefs:  make(map[any]*Ref),
 		remote:     make(map[string]*remoteIface),
-		gcQueues:   make(map[wire.SpaceID]*gcQueue),
 		muxServers: make(map[*transport.Session]struct{}),
 		pipeOut:    make(map[*transport.Session]*promise.Table),
 		pipeIn:     make(map[*transport.Session]*pipeInbound),
@@ -535,7 +529,6 @@ func (sp *Space) debugSnapshot() obs.DebugData {
 		Name:      sp.opts.Name,
 		ID:        sp.id.String(),
 		Liveness:  sp.opts.Liveness.String(),
-		Variant:   sp.opts.Variant.String(),
 		Endpoints: sp.Endpoints(),
 		Exports:   sp.exports.Snapshot(),
 		Imports:   sp.imports.Snapshot(),
@@ -661,7 +654,6 @@ func (sp *Space) shutdown(graceful bool) error {
 	if sp.renewer != nil {
 		sp.renewer.Close()
 	}
-	sp.closeGCQueues()
 	sp.pool.Close()
 	sp.wg.Wait()
 	sp.log.Debug("space closed", "graceful", graceful)

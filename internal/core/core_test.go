@@ -262,6 +262,45 @@ func TestReimportAfterRelease(t *testing.T) {
 	}
 }
 
+// TestImportCallReleaseCycles runs the reference life cycle many times
+// over: every import, call and release must leave the tables consistent,
+// and the final state empty.
+func TestImportCallReleaseCycles(t *testing.T) {
+	tn := newTestNet(t)
+	owner := tn.space("owner", nil)
+	client := tn.space("client", nil)
+	cnt := &counter{}
+	ref, _ := owner.Export(cnt)
+
+	for i := 0; i < 200; i++ {
+		// A wireRep handed over out of band, with no sender pinning the
+		// export, dies when the dirty set empties: let the previous cycle's
+		// clean be served (reclaiming the export) before taking the next.
+		client.cleaner.Drain(time.Second)
+		w, err := ref.WireRep()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := client.Import(w)
+		if err != nil {
+			t.Fatalf("iter %d: %v", i, err)
+		}
+		if _, err := r.Call("Incr", int64(1)); err != nil {
+			t.Fatalf("iter %d: %v", i, err)
+		}
+		r.Release()
+	}
+	if !waitFor(5*time.Second, func() bool {
+		return client.Imports().Len() == 0 && owner.Exports().Len() == 0
+	}) {
+		t.Fatalf("leftover state: imports=%d exports=%d",
+			client.Imports().Len(), owner.Exports().Len())
+	}
+	if cnt.n != 200 {
+		t.Fatalf("n=%d", cnt.n)
+	}
+}
+
 // remote interface used for typed reference passing.
 type Adder interface {
 	Incr(delta int64) (int64, error)

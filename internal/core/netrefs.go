@@ -56,9 +56,6 @@ type callSession struct {
 	pinnedExports []uint64
 	pinnedImports []wire.Key
 
-	mu      sync.Mutex
-	pending []*gcFuture
-
 	// viewMin is what the unpickler may leave as views of this call's
 	// received frame: see viewMin in serve.go. Zero copies everything.
 	viewMin int
@@ -84,41 +81,16 @@ func (sp *Space) getCallSession() *callSession {
 }
 
 // recycle returns the session to the pool. Callers must be past
-// unpinAll/waitPending: the session must hold no pins and no pending
-// registrations, its call must have left the inflight table, and no other
-// goroutine may still reference it.
+// unpinAll: the session must hold no pins, its call must have left the
+// inflight table, and no other goroutine may still reference it.
 func (s *callSession) recycle() {
 	s.dispatch.end()
 	s.sp = nil
 	s.pinnedExports = s.pinnedExports[:0]
 	s.pinnedImports = s.pinnedImports[:0]
-	s.pending = nil
 	s.viewMin = 0
 	s.pipe = nil
 	callSessionPool.Put(s)
-}
-
-// addPending records an in-flight registration (FIFO variant) that must
-// settle before this call's acknowledgement is sent.
-func (s *callSession) addPending(f *gcFuture) {
-	s.mu.Lock()
-	s.pending = append(s.pending, f)
-	s.mu.Unlock()
-}
-
-// waitPending blocks until every recorded registration settles. A nil
-// session is a no-op so call sites need not special-case it.
-func (s *callSession) waitPending() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	fs := s.pending
-	s.pending = nil
-	s.mu.Unlock()
-	for _, f := range fs {
-		_ = f.wait()
-	}
 }
 
 func (s *callSession) pinned() bool {
@@ -239,7 +211,7 @@ func (nr *netRefs) FromWire(session any, w wire.WireRep, t reflect.Type) (reflec
 	if w.IsZero() {
 		return reflect.Zero(t), nil
 	}
-	ref, err := sp.resolve(w, session)
+	ref, err := sp.resolve(w)
 	if err != nil {
 		return reflect.Value{}, err
 	}
@@ -248,9 +220,7 @@ func (nr *netRefs) FromWire(session any, w wire.WireRep, t reflect.Type) (reflec
 
 // resolve maps a wireRep to this space's handle for the object: the owner
 // handle when the object is local, or the (possibly new) surrogate.
-// session, when it is a *callSession, lets the FIFO variant hand the
-// reference out before its dirty call completes.
-func (sp *Space) resolve(w wire.WireRep, session any) (*Ref, error) {
+func (sp *Space) resolve(w wire.WireRep) (*Ref, error) {
 	if w.Owner == sp.id {
 		// The owner unmarshals its own wireRep to the concrete object; no
 		// surrogate, no dirty call.
@@ -270,9 +240,6 @@ func (sp *Space) resolve(w wire.WireRep, session any) (*Ref, error) {
 		}
 		return sp.surrogateRef(key, w.Endpoints, s)
 	case objtable.ActionRegister:
-		if sp.opts.Variant == VariantFIFO {
-			return sp.registerAsync(key, w.Endpoints, seq, session)
-		}
 		return sp.register(key, w.Endpoints, seq)
 	default:
 		panic(fmt.Sprintf("netobjects: unknown acquire action %v", act))

@@ -494,8 +494,5 @@ func (r *Ref) OneWayCtx(ctx context.Context, method string, args ...any) error {
 		return err
 	}
 	sp.metrics.OneWaysSent.Inc()
-	// No reply leg: registration futures for any references in the
-	// arguments still settle before the pins release below.
-	session.waitPending()
 	return nil
 }

@@ -180,7 +180,6 @@ func (sp *Space) handleOneWay(st *transport.Stream, m *wire.OneWay) {
 	}
 	session := sp.getCallSession()
 	defer func() {
-		session.waitPending()
 		session.unpinAll()
 		session.recycle()
 	}()
@@ -217,9 +216,6 @@ func (sp *Space) handleOneWay(st *transport.Stream, m *wire.OneWay) {
 		sp.log.Debug("one-way call arguments undecodable", "method", m.Method, "err", err)
 		return
 	}
-	// Registration futures for received references settle before the
-	// invoke, mirroring the ordinary call path's pre-reply wait.
-	session.waitPending()
 	if d.err(d.start) != nil {
 		return
 	}

@@ -226,7 +226,7 @@ func (sp *Space) Import(w wire.WireRep) (*Ref, error) {
 	if w.IsZero() {
 		return nil, fmt.Errorf("netobjects: importing the zero wireRep")
 	}
-	return sp.resolve(w, nil)
+	return sp.resolve(w)
 }
 
 // remoteIface records a registered remote interface type: values

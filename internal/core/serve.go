@@ -309,9 +309,9 @@ func (sp *Space) handleCall(c *transport.Stream, call *wire.Call) {
 	res := resultPool.Get().(*wire.Result)
 	rbp := wire.GetBuf()
 	defer func() {
-		// By here every path has passed unpinAll (or never pinned) and
-		// waitPending, so the session holds nothing. The result's byte
-		// payload goes back to the buffer pool it was encoded into.
+		// By here every path has passed unpinAll (or never pinned), so
+		// the session holds nothing. The result's byte payload goes back
+		// to the buffer pool it was encoded into.
 		if cap(res.Results) != 0 {
 			*rbp = res.Results[:0]
 		}
@@ -375,11 +375,6 @@ func (sp *Space) handleCall(c *transport.Stream, call *wire.Call) {
 			CallID: call.ID, Method: call.Method, Dur: end.Sub(start), Err: res.Err})
 	}
 
-	// Under the FIFO variant, argument decoding may have queued
-	// registrations that ran concurrently with the method; the reply
-	// asserts this space is registered for every reference it received,
-	// so settle them before answering.
-	session.waitPending()
 	// Borrowed: a large []byte the method returned is read from where the
 	// method left it, by this Send, which is over before anything else
 	// here runs. A method that returns a slice of state it goes on

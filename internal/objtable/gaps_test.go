@@ -33,30 +33,6 @@ func TestExportsIndexOfAndFingerprints(t *testing.T) {
 	}
 }
 
-func TestImportsKill(t *testing.T) {
-	im := NewImports()
-	register(t, im, testKey)
-	// A waiter blocked on a second acquire must be woken with the error.
-	ent, act, _ := im.Acquire(testKey, nil)
-	if act != ActionUse {
-		t.Fatalf("action %v", act)
-	}
-	im.Kill(testKey, errors.New("async dirty failed"))
-	if _, err := im.Wait(ent); !errors.Is(err, ErrRegistration) {
-		t.Fatalf("wait after kill: %v", err)
-	}
-	if im.StateOf(testKey) != StateNone {
-		t.Fatal("entry survived kill")
-	}
-	// Killing a dead key is a no-op.
-	im.Kill(testKey, errors.New("again"))
-	// A fresh lifecycle starts cleanly after a kill.
-	_, act, seq := im.Acquire(testKey, nil)
-	if act != ActionRegister || seq < 2 {
-		t.Fatalf("fresh lifecycle after kill: %v seq=%d", act, seq)
-	}
-}
-
 func TestImportsNextSeqStandalone(t *testing.T) {
 	im := NewImports()
 	s1 := im.NextSeq(testKey)

@@ -520,24 +520,6 @@ func (im *Imports) FinishClean(key wire.Key, err error) (redo bool, seq uint64) 
 	}
 }
 
-// Kill retroactively fails a reference whose asynchronous registration
-// (FIFO variant) did not reach the owner: the entry dies regardless of its
-// current state, waiters and future users get the error, and the caller
-// issues the strong clean.
-func (im *Imports) Kill(key wire.Key, err error) {
-	s := im.shardFor(key)
-	im.lock(s)
-	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	if !ok {
-		return
-	}
-	e.dead = true
-	e.err = fmt.Errorf("%w: %v", ErrRegistration, err)
-	s.dropLocked(key, e)
-	s.cond.Broadcast()
-}
-
 // StateOf reports the current life-cycle state of key (StateNone when the
 // entry is absent). Exposed for tests, tracing and the gcdemo example.
 func (im *Imports) StateOf(key wire.Key) State {

@@ -15,8 +15,6 @@ type DebugData struct {
 	ID string
 	// Liveness names the client-liveness mode ("ping" or "lease").
 	Liveness string
-	// Variant names the collector protocol variant.
-	Variant string
 	// Endpoints are the endpoints the space listens on.
 	Endpoints []string
 	// Exports is the export table: one entry per concrete object this

@@ -96,8 +96,8 @@ func (o *Observability) serveDebug(w http.ResponseWriter, _ *http.Request) {
 		d = o.Debug()
 	}
 	fmt.Fprintf(w, "<h1>space %s</h1>\n", esc(d.Name))
-	fmt.Fprintf(w, "<p>id %s · liveness %s · variant %s · endpoints %s · <a href=\"/metrics\">/metrics</a></p>\n",
-		esc(d.ID), esc(d.Liveness), esc(d.Variant), esc(strings.Join(d.Endpoints, ", ")))
+	fmt.Fprintf(w, "<p>id %s · liveness %s · endpoints %s · <a href=\"/metrics\">/metrics</a></p>\n",
+		esc(d.ID), esc(d.Liveness), esc(strings.Join(d.Endpoints, ", ")))
 
 	fmt.Fprintf(w, "<h2>export table (%d entries)</h2>\n", len(d.Exports))
 	fmt.Fprint(w, "<table><tr><th>index</th><th>type</th><th>pins</th><th>pinned</th><th>dirty set</th></tr>\n")

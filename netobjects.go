@@ -88,9 +88,6 @@ type (
 	// MemTransport is the in-process transport, for tests, examples and
 	// same-machine composition.
 	MemTransport = transport.Mem
-	// CollectorVariant selects the distributed collector protocol variant
-	// (see Options.Variant).
-	CollectorVariant = core.CollectorVariant
 	// LivenessMode selects how owners detect dead clients (see
 	// Options.Liveness).
 	LivenessMode = core.LivenessMode
@@ -110,16 +107,8 @@ type (
 	Observability = obs.Observability
 )
 
-// Collector protocol variants.
+// Liveness modes.
 const (
-	// VariantBirrell is the base algorithm: registration of a received
-	// reference blocks until its dirty call is acknowledged. Correct over
-	// channels with no ordering guarantees.
-	VariantBirrell = core.VariantBirrell
-	// VariantFIFO is the paper's §5.1 optimisation: collector traffic to
-	// each owner is delivered in order, received references are usable
-	// immediately, and the dirty round trip overlaps method execution.
-	VariantFIFO = core.VariantFIFO
 	// LivenessPing is the paper's design: owners ping clients.
 	LivenessPing = core.LivenessPing
 	// LivenessLease is the RMI-style design: clients renew leases.
