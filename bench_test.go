@@ -506,37 +506,3 @@ func BenchmarkT4_ModelExploration(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkT6_LeaseRenewal measures one lease renewal exchange — the
-// steady-state cost a client pays per owner per interval in lease mode.
-func BenchmarkT6_LeaseRenewal(b *testing.B) {
-	mem := netobjects.NewMem()
-	mk := func(name string) *netobjects.Space {
-		sp, err := netobjects.New(netobjects.Options{
-			Name:         name,
-			Transports:   []netobjects.Transport{mem},
-			PingInterval: time.Hour,
-			Liveness:     netobjects.LivenessLease,
-			LeaseTTL:     time.Hour, // renewals driven by the bench, not the daemon
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { _ = sp.Close() })
-		return sp
-	}
-	owner, client := mk("owner"), mk("client")
-	ref, err := owner.Export(&benchService{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	w, _ := ref.WireRep()
-	if _, err := client.Import(w); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		client.Renewer().Poke()
-	}
-}

@@ -681,42 +681,6 @@ func runT6() error {
 	fmt.Printf("  clean call retried across partition -> owner reclaimed %v after heal\n",
 		time.Since(start).Round(time.Microsecond))
 
-	// (d) Lease-based liveness (the RMI-style alternative): a crashed
-	// client expires after one TTL of silence, with no owner-to-client
-	// traffic at all.
-	lo, err := mk("lease-owner", func(o *netobjects.Options) {
-		o.Liveness = netobjects.LivenessLease
-		o.LeaseTTL = 60 * time.Millisecond
-	})
-	if err != nil {
-		return err
-	}
-	defer lo.Close()
-	lc, err := mk("lease-client", func(o *netobjects.Options) {
-		o.Liveness = netobjects.LivenessLease
-		o.LeaseTTL = 60 * time.Millisecond
-	})
-	if err != nil {
-		return err
-	}
-	lref, err := lo.Export(&benchService{})
-	if err != nil {
-		return err
-	}
-	lw, _ := lref.WireRep()
-	if _, err := lc.Import(lw); err != nil {
-		return err
-	}
-	lc.Abort()
-	start = time.Now()
-	for lo.Exports().Len() > 0 && time.Since(start) < 10*time.Second {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if lo.Exports().Len() != 0 {
-		return fmt.Errorf("lease expiry never reclaimed")
-	}
-	fmt.Printf("  lease mode: crashed client expired in %v (ttl 60ms, zero owner->client messages)\n",
-		time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
@@ -1765,15 +1729,13 @@ func runE5() error {
 }
 
 // runE6 measures what the collector's liveness traffic costs as importers
-// multiply, across the three owner/client liveness designs: explicit
-// pings (the paper's), aggregated per-peer leases, and session-subsumed
-// liveness (healthy mux keepalives stand in for both). Each cell builds
-// one owner and N importer spaces all holding the same export, lets the
-// daemons run over a fixed window counting explicit liveness exchanges
-// (pings + lease renewals; each exchange is one request and one ack), and
-// then crashes one importer and times how long the owner takes to drop
-// its registration — the control-cost vs reclamation-latency trade the
-// designs differ on.
+// multiply, with explicit pings (the paper's design) and with
+// session-subsumed liveness (healthy mux keepalives stand in for the
+// ping). Each cell builds one owner and N importer spaces all holding the
+// same export, lets the daemons run over a fixed window counting explicit
+// pings (each one request and one ack), and then crashes one importer and
+// times how long the owner takes to drop its registration — the
+// control-cost vs reclamation-latency trade the two differ on.
 func runE6() error {
 	counts := []int{1, 64, 1024}
 	window := 4 * time.Second
@@ -1784,13 +1746,11 @@ func runE6() error {
 	const (
 		pingInterval = 200 * time.Millisecond
 		pingFailures = 3
-		leaseTTL     = 6 * time.Second // renewed at TTL/3 = 2s
 		keepalive    = time.Second
 	)
 	fmt.Printf("E6: liveness traffic and reclamation latency vs importer count (inmem)\n")
 	fmt.Printf("host: NumCPU=%d GOMAXPROCS=%d\n", runtime.NumCPU(), runtime.GOMAXPROCS(0))
-	fmt.Printf("ping %v x%d failures | lease ttl %v renew every %v | keepalive %v\n\n",
-		pingInterval, pingFailures, leaseTTL, leaseTTL/3, keepalive)
+	fmt.Printf("ping %v x%d failures | keepalive %v\n\n", pingInterval, pingFailures, keepalive)
 
 	type mode struct {
 		name  string
@@ -1798,13 +1758,8 @@ func runE6() error {
 	}
 	modes := []mode{
 		// Without keepalives no session counts as healthy, so the ping
-		// and lease cells measure the fallback, not the subsumption.
+		// cell measures the fallback, not the subsumption.
 		{"pings", func(o *netobjects.Options) {
-			o.KeepaliveInterval = -1
-		}},
-		{"leases", func(o *netobjects.Options) {
-			o.Liveness = netobjects.LivenessLease
-			o.LeaseTTL = leaseTTL
 			o.KeepaliveInterval = -1
 		}},
 		{"session", func(o *netobjects.Options) {
@@ -1867,9 +1822,9 @@ func runE6() error {
 		}
 		// Let registration traffic settle out of the window.
 		time.Sleep(500 * time.Millisecond)
-		before := m.PingsSent.Load() + m.LeasesSent.Load()
+		before := m.PingsSent.Load()
 		time.Sleep(window)
-		exchanges := m.PingsSent.Load() + m.LeasesSent.Load() - before
+		exchanges := m.PingsSent.Load() - before
 		rate := float64(exchanges) / window.Seconds()
 
 		// Reclamation: crash the last importer (no parting cleans) and
@@ -1903,10 +1858,9 @@ func runE6() error {
 		}
 		fmt.Println()
 	}
-	fmt.Printf("reading: pings pay per importer per interval forever; aggregated leases pay one renewal\n")
-	fmt.Printf("per importer per TTL/3 (and would cover any number of entries per importer); the\n")
-	fmt.Printf("subsumed mode pays nothing explicit while sessions stay healthy — its cost rides on\n")
-	fmt.Printf("keepalives the transport already sends — and falls back to pings on session loss.\n")
+	fmt.Printf("reading: pings pay per importer per interval forever; the subsumed mode pays\n")
+	fmt.Printf("nothing explicit while sessions stay healthy — its cost rides on keepalives the\n")
+	fmt.Printf("transport already sends — and falls back to pings on session loss.\n")
 	return nil
 }
 

@@ -49,7 +49,7 @@ type Rules struct {
 	// the retry and connection-discard paths.
 	Reset float64
 	// Duplicate is the probability that a collector message (dirty,
-	// clean, ping, lease — the idempotent, sequence-numbered ops) is
+	// clean, ping — the idempotent, sequence-numbered ops) is
 	// replayed once on a fresh connection, exercising the sequence-number
 	// defences. Method calls are never duplicated: the runtime does not
 	// promise they are idempotent.

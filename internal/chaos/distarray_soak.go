@@ -98,13 +98,6 @@ func runDistArraySoak(cfg SoakConfig) (*SoakReport, error) {
 	if cfg.HealTimeout <= 0 {
 		cfg.HealTimeout = 30 * time.Second
 	}
-	switch cfg.Liveness {
-	case "":
-		cfg.Liveness = "ping"
-	case "ping", "lease":
-	default:
-		return nil, fmt.Errorf("chaos: unknown soak liveness %q (want ping or lease)", cfg.Liveness)
-	}
 	var inner transport.Transport
 	switch cfg.Transport {
 	case "", "inmem":
@@ -125,7 +118,6 @@ func runDistArraySoak(cfg SoakConfig) (*SoakReport, error) {
 			Seed:      cfg.Seed,
 			Profile:   cfg.Profile,
 			Transport: cfg.Transport,
-			Liveness:  cfg.Liveness,
 		},
 		sorters: make([]*core.Ref, cfg.Spaces),
 		mirrors: make([]*core.Ref, cfg.Spaces),
@@ -179,10 +171,6 @@ func runDistArraySoak(cfg SoakConfig) (*SoakReport, error) {
 }
 
 func (h *daHarness) spaceOptions(name string, ts transport.Transport, eps []string) core.Options {
-	liveness := core.LivenessPing
-	if h.cfg.Liveness == "lease" {
-		liveness = core.LivenessLease
-	}
 	return core.Options{
 		Name:            name,
 		Transports:      []transport.Transport{ts},
@@ -196,8 +184,6 @@ func (h *daHarness) spaceOptions(name string, ts transport.Transport, eps []stri
 		PingInterval:    150 * time.Millisecond,
 		PingTimeout:     300 * time.Millisecond,
 		PingMaxFailures: 4,
-		Liveness:        liveness,
-		LeaseTTL:        600 * time.Millisecond,
 		// A clean retried against a crashed worker must survive the
 		// restart window; the reborn incarnation acknowledges it as stale.
 		CleanMaxAttempts: 60,

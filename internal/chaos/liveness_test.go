@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -103,71 +102,5 @@ func TestKeepaliveSubsumedLiveness(t *testing.T) {
 	}
 	if owner.Stats().ClientsDropped != 0 {
 		t.Fatal("live client dropped despite heal")
-	}
-}
-
-// TestSoakLease runs the fault matrix with lease-mode collectors: the
-// aggregated per-peer leases plus session subsumption must deliver the
-// same zero-leak convergence the ping-mode soak does.
-func TestSoakLease(t *testing.T) {
-	for _, profile := range []string{"loss", "partition", "crash"} {
-		profile := profile
-		t.Run(profile, func(t *testing.T) {
-			rep, err := RunSoak(SoakConfig{
-				Spaces:      3,
-				Ops:         soakOps(t),
-				Seed:        4,
-				Profile:     profile,
-				Liveness:    "lease",
-				HealTimeout: 30 * time.Second,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Log(rep)
-			if rep.Failed() {
-				t.Fatalf("lease soak failed:\nviolations: %v\nleaks: %v\ntable leaks: %v",
-					rep.Violations, rep.Leaks, rep.TableLeaks)
-			}
-			if rep.Faults.Faults() == 0 && rep.Crashes == 0 {
-				t.Errorf("profile %s injected no faults", profile)
-			}
-		})
-	}
-}
-
-// TestSoakLeaseNightly is the long lease-mode matrix for the nightly
-// lane: many seeds per profile. Guarded by -short so the regular lanes
-// keep their runtime.
-func TestSoakLeaseNightly(t *testing.T) {
-	if testing.Short() {
-		t.Skip("nightly matrix: skipped in short mode")
-	}
-	if testing.Verbose() {
-		t.Log("running extended lease-mode seed matrix")
-	}
-	seeds := []uint64{1, 2, 3, 5, 8}
-	for _, profile := range []string{"partition", "crash"} {
-		for _, seed := range seeds {
-			profile, seed := profile, seed
-			t.Run(fmt.Sprintf("%s/seed=%d", profile, seed), func(t *testing.T) {
-				rep, err := RunSoak(SoakConfig{
-					Spaces:      3,
-					Ops:         200,
-					Seed:        seed,
-					Profile:     profile,
-					Liveness:    "lease",
-					HealTimeout: 30 * time.Second,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Log(rep)
-				if rep.Failed() {
-					t.Fatalf("lease soak failed:\nviolations: %v\nleaks: %v\ntable leaks: %v",
-						rep.Violations, rep.Leaks, rep.TableLeaks)
-				}
-			})
-		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"netobjects/internal/core"
@@ -41,11 +40,6 @@ type SoakConfig struct {
 	// nodes reserve a fixed loopback port up front so a crashed node
 	// restarts at the same endpoint, as the collector protocol assumes.
 	Transport string
-	// Liveness selects the collector's dead-client detection for the
-	// soaked spaces: "ping" (default, owner-driven probing) or "lease"
-	// (client-renewed leases with owner-side stripe expiry). Both run with
-	// session-subsumed liveness on, as production would.
-	Liveness string
 	// HealTimeout bounds the post-heal quiescence wait (default 30s).
 	HealTimeout time.Duration
 	// Metrics, when non-nil, receives the chaos fault counters
@@ -66,7 +60,6 @@ type SoakReport struct {
 	Seed      uint64
 	Profile   string
 	Transport string
-	Liveness  string
 	Elapsed   time.Duration
 	// Faults aggregates the fault counters across every wrapper.
 	Faults Stats
@@ -115,8 +108,8 @@ func (r *SoakReport) String() string {
 	}
 	if r.Profile == "distarray" {
 		return fmt.Sprintf(
-			"chaos soak %s/%s/%s seed=%d: %d workers, %d verified sorts (%d shuffle bytes), %d replicas, %d crashes, %d faults (%d drops, %d reorders), %v — %s",
-			r.Profile, r.Transport, r.Liveness, r.Seed, r.Spaces,
+			"chaos soak %s/%s seed=%d: %d workers, %d verified sorts (%d shuffle bytes), %d replicas, %d crashes, %d faults (%d drops, %d reorders), %v — %s",
+			r.Profile, r.Transport, r.Seed, r.Spaces,
 			r.DistSorts, r.DistShuffledBytes, r.DistMirrors, r.Crashes,
 			r.Faults.Faults(), r.Faults.Drops, r.Faults.Reorders,
 			r.Elapsed.Round(time.Millisecond), verdict)
@@ -130,8 +123,8 @@ func (r *SoakReport) String() string {
 			r.Elapsed.Round(time.Millisecond), verdict)
 	}
 	return fmt.Sprintf(
-		"chaos soak %s/%s/%s seed=%d: %d spaces, %d ops, %d crashes, %d faults (%d drops, %d resets, %d dups, %d reorders, %d refusals), %d abandoned cleans, %v — %s",
-		r.Profile, r.Transport, r.Liveness, r.Seed, r.Spaces, r.Ops, r.Crashes,
+		"chaos soak %s/%s seed=%d: %d spaces, %d ops, %d crashes, %d faults (%d drops, %d resets, %d dups, %d reorders, %d refusals), %d abandoned cleans, %v — %s",
+		r.Profile, r.Transport, r.Seed, r.Spaces, r.Ops, r.Crashes,
 		r.Faults.Faults(), r.Faults.Drops, r.Faults.Resets, r.Faults.Duplicates,
 		r.Faults.Reorders, r.Faults.Refusals, r.AbandonedCleans,
 		r.Elapsed.Round(time.Millisecond), verdict)
@@ -208,13 +201,15 @@ type soakNode struct {
 }
 
 type harness struct {
-	cfg       SoakConfig
-	log       *slog.Logger
-	inner     transport.Transport
-	checker   *refmodel.TraceChecker
-	nodes     []*soakNode
-	abandoned atomic.Uint64
-	crashes   int
+	cfg     SoakConfig
+	log     *slog.Logger
+	inner   transport.Transport
+	checker *refmodel.TraceChecker
+	nodes   []*soakNode
+	crashes int
+	// abandoned sums the cleans given up by incarnations crash has
+	// aborted; the live ones are read at report time.
+	abandoned uint64
 }
 
 // reserveLoopbackAddr has the kernel pick a free loopback port, then
@@ -267,13 +262,6 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	}
 	if cfg.Profile == "" {
 		cfg.Profile = "mixed"
-	}
-	switch cfg.Liveness {
-	case "":
-		cfg.Liveness = "ping"
-	case "ping", "lease":
-	default:
-		return nil, fmt.Errorf("chaos: unknown soak liveness %q (want ping or lease)", cfg.Liveness)
 	}
 	var inner transport.Transport
 	switch cfg.Transport {
@@ -348,7 +336,6 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		Seed:      cfg.Seed,
 		Profile:   cfg.Profile,
 		Transport: cfg.Transport,
-		Liveness:  cfg.Liveness,
 		Crashes:   h.crashes,
 	}
 	h.quiesce(report)
@@ -364,7 +351,12 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		report.Faults.Throttles += s.Throttles
 		report.Faults.Refusals += s.Refusals
 	}
-	report.AbandonedCleans = h.abandoned.Load()
+	report.AbandonedCleans = h.abandoned
+	for _, n := range h.nodes {
+		if !n.down {
+			report.AbandonedCleans += n.sp.Metrics().CleansAbandoned.Load()
+		}
+	}
 	report.Violations = h.checker.Violations()
 	report.Leaks = h.checker.Leaks()
 	h.stopAll()
@@ -379,10 +371,6 @@ func (h *harness) startSpace(n *soakNode) error {
 	tracer := obs.Tracer(mirror)
 	if h.cfg.Tracer != nil {
 		tracer = obs.MultiTracer(mirror, h.cfg.Tracer)
-	}
-	liveness := core.LivenessPing
-	if h.cfg.Liveness == "lease" {
-		liveness = core.LivenessLease
 	}
 	sp, err := core.NewSpace(core.Options{
 		Name:            n.name,
@@ -405,11 +393,6 @@ func (h *harness) startSpace(n *soakNode) error {
 		PingInterval:    150 * time.Millisecond,
 		PingTimeout:     300 * time.Millisecond,
 		PingMaxFailures: 4,
-		// Lease mode (when selected): a TTL in the same band as the ping
-		// policy's drop latency (4 failures x 150ms), so partitioned-dead
-		// clients reclaim on a comparable clock.
-		Liveness: liveness,
-		LeaseTTL: 600 * time.Millisecond,
 		// Abandoning a clean is how a client concludes an owner is dead,
 		// and it must not happen merely because a fault window outlasted
 		// the retry budget: under an asymmetric partition the owner still
@@ -422,7 +405,6 @@ func (h *harness) startSpace(n *soakNode) error {
 		CleanMaxAttempts: 60,
 		CleanBackoff:     25 * time.Millisecond,
 		Tracer:           tracer,
-		OnCleanAbandon:   func(wire.Key, bool, error) { h.abandoned.Add(1) },
 		Logger:           h.log,
 	})
 	if err != nil {
@@ -451,6 +433,7 @@ func (h *harness) crash(n *soakNode) {
 	}
 	h.log.Info("chaos: crashing space", "space", n.name)
 	n.sp.Abort()
+	h.abandoned += n.sp.Metrics().CleansAbandoned.Load()
 	n.down = true
 	h.crashes++
 }
@@ -702,8 +685,8 @@ func (h *harness) quiesce(report *SoakReport) {
 		}
 		// Drive the collector: orphaned surrogates (arguments of calls
 		// that timed out before dispatch) are reclaimed by GC cleanups,
-		// and an immediate liveness round (ping or lease-expiry sweep)
-		// notices crashed incarnations without waiting out the ticker.
+		// and an immediate ping round notices crashed incarnations
+		// without waiting out the ticker.
 		runtime.GC()
 		quiet := true
 		for _, n := range h.nodes {

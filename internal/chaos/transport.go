@@ -362,7 +362,7 @@ func (t *Transport) emitFault(kind string, op wire.Op, addr string) {
 // once per session.
 func duplicable(op wire.Op) bool {
 	switch op {
-	case wire.OpDirty, wire.OpCleanBatch, wire.OpPing, wire.OpLease:
+	case wire.OpDirty, wire.OpCleanBatch, wire.OpPing:
 		return true
 	}
 	return false

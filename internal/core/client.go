@@ -59,7 +59,7 @@ func (sp *Space) rpc(endpoints []string, req wire.Message, timeout time.Duration
 }
 
 // rpcRetry is rpc with bounded, jittered retry for idempotent collector
-// traffic. Dirty, clean, ping and lease exchanges are all idempotent — the
+// traffic. Dirty, clean and ping exchanges are all idempotent — the
 // sequence-number discipline makes replayed dirties and cleans no-ops —
 // so a transport hiccup need not fail the operation. Protocol-level
 // refusals (non-OK acks) come back as (resp, nil) and are never retried;
@@ -155,27 +155,6 @@ func (sp *Space) sendCleans(owner wire.SpaceID, endpoints []string, items []dgc.
 		sp.tracer.Emit(ev)
 	}
 	return err
-}
-
-// sendLease renews this space's lease at an owner.
-func (sp *Space) sendLease(owner wire.SpaceID, endpoints []string) error {
-	sp.metrics.LeasesSent.Inc()
-	if sp.tracer != nil {
-		sp.tracer.Emit(obs.Event{Kind: obs.EvLeaseSend, Time: time.Now(), Peer: owner.String()})
-	}
-	resp, err := sp.rpcRetry(endpoints, &wire.Lease{Client: sp.id, ClientEndpoints: sp.endpoints, Owner: owner},
-		sp.opts.PingTimeout)
-	if err != nil {
-		return err
-	}
-	ack, ok := resp.(*wire.LeaseAck)
-	if !ok {
-		return fmt.Errorf("netobjects: lease answered with %v", resp.Op())
-	}
-	if ack.Status != wire.StatusOK {
-		return statusError(ack.Status, "lease refused")
-	}
-	return nil
 }
 
 // sendPing probes a client, verifying the responder carries the expected

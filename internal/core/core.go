@@ -52,28 +52,6 @@ var (
 	ErrForeignRef = errors.New("netobjects: reference belongs to another space")
 )
 
-// LivenessMode selects how owners detect dead clients.
-type LivenessMode int
-
-// Liveness modes.
-const (
-	// LivenessPing is the paper's design: owners periodically ping every
-	// client holding surrogates and drop unresponsive ones.
-	LivenessPing LivenessMode = iota
-	// LivenessLease is the RMI-style design: clients periodically renew a
-	// lease with every owner; owners expire lapsed leases. No
-	// owner-to-client connectivity is required.
-	LivenessLease
-)
-
-// String names the mode.
-func (m LivenessMode) String() string {
-	if m == LivenessLease {
-		return "lease"
-	}
-	return "ping"
-}
-
 // Options configures a Space. The zero value is usable: it listens on an
 // ephemeral loopback TCP port with default timeouts.
 type Options struct {
@@ -90,34 +68,25 @@ type Options struct {
 	Registry *pickle.Registry
 	// CallTimeout bounds one remote exchange (default 30s). For method
 	// calls it is the default budget when the caller's context carries no
-	// deadline; a tighter context deadline wins.
+	// deadline; a tighter context deadline wins. It also caps how long this
+	// space lets one inbound dispatch run, whatever deadline the caller
+	// proposed — the "no trust in remote deadlines" bound.
 	CallTimeout time.Duration
-	// MaxServeTime caps how long this space lets one inbound dispatch run,
-	// regardless of the deadline the caller proposed — the "no trust in
-	// remote deadlines" bound. Defaults to CallTimeout.
-	MaxServeTime time.Duration
 	// DrainTimeout bounds the graceful phase of Close: how long in-flight
 	// dispatches may keep running before they are cancelled (default 5s).
 	DrainTimeout time.Duration
 	// RetryAttempts bounds delivery attempts for one idempotent collector
-	// RPC (dirty, clean, ping, lease; default 3). Method calls are never
+	// RPC (dirty, clean, ping; default 3). Method calls are never
 	// retried — the runtime cannot know they are idempotent.
 	RetryAttempts int
 	// RetryBackoff is the initial delay between collector RPC attempts
 	// (default 10ms); it doubles per attempt with ±50% jitter.
 	RetryBackoff time.Duration
-	// Liveness selects how owners detect dead clients: LivenessPing
-	// (default, the paper's owner-driven pinging) or LivenessLease (the
-	// RMI-style design: clients renew leases, owners expire them).
-	Liveness LivenessMode
-	// LeaseTTL is the lease duration granted to clients in lease mode;
-	// clients renew at a third of it (default 30s).
-	LeaseTTL time.Duration
 	// PingInterval is the owner's client-liveness probe period
 	// (default 15s).
 	PingInterval time.Duration
-	// PingTimeout bounds one ping exchange, one lease renewal and one
-	// forwarded CancelCall (default 3s).
+	// PingTimeout bounds one ping exchange and one forwarded CancelCall
+	// (default 3s).
 	PingTimeout time.Duration
 	// PingMaxFailures is how many consecutive failed pings a client
 	// survives before its dirty entries are dropped (default 3).
@@ -153,11 +122,10 @@ type Options struct {
 	// peer silent for two intervals fails the session. Zero selects the
 	// default (10s); negative disables keepalives. A healthy session whose
 	// keepalives are confirming a peer that identified itself as space X
-	// proves X alive: the owner's pinger skips probing X, a lease-mode
-	// owner renews X's lease implicitly, and a lease-mode client skips
-	// explicit renewals to X — collector control traffic approaches zero
-	// between peers that are already talking. Disabling keepalives on
-	// every space forces the explicit liveness protocol everywhere.
+	// proves X alive, so the owner's pinger skips probing X — collector
+	// control traffic approaches zero between peers that are already
+	// talking. Disabling keepalives on every space forces explicit pings
+	// everywhere.
 	KeepaliveInterval time.Duration
 	// AutoRelease holds surrogates weakly and schedules their clean calls
 	// when the application lets go of them — the paper's weak-reference
@@ -173,11 +141,6 @@ type Options struct {
 	// Tracing is strictly opt-in: with a nil Tracer the event sites cost
 	// one branch.
 	Tracer obs.Tracer
-	// OnCleanAbandon, when non-nil, observes every clean call the cleaning
-	// daemon gave up on after exhausting retries (the owner is presumed
-	// dead). Fault-injection harnesses subscribe to correlate abandoned
-	// cleans with injected faults.
-	OnCleanAbandon func(key wire.Key, strong bool, err error)
 	// Logger receives runtime events; nil discards them.
 	Logger *slog.Logger
 }
@@ -194,10 +157,6 @@ type Space struct {
 	imports *objtable.Imports
 	cleaner *dgc.Cleaner
 	pinger  *dgc.Pinger
-
-	leases  *dgc.Leases
-	renewer *dgc.Renewer
-	expirer *dgc.Expirer
 
 	detector *dgc.Detector
 
@@ -260,8 +219,6 @@ type Stats struct {
 	CleanBatches          uint64
 	CleanServed           uint64
 	PingsSent             uint64
-	LeasesSent            uint64
-	LeasesServed          uint64
 	ResultAcksSent        uint64
 	ResultAcksWaited      uint64
 	SurrogatesMade        uint64
@@ -288,9 +245,6 @@ func NewSpace(opts Options) (*Space, error) {
 	sp.serveCtx, sp.serveCancel = context.WithCancel(context.Background())
 	if sp.opts.CallTimeout <= 0 {
 		sp.opts.CallTimeout = 30 * time.Second
-	}
-	if sp.opts.MaxServeTime <= 0 {
-		sp.opts.MaxServeTime = sp.opts.CallTimeout
 	}
 	if sp.opts.DrainTimeout <= 0 {
 		sp.opts.DrainTimeout = 5 * time.Second
@@ -331,7 +285,6 @@ func NewSpace(opts Options) (*Space, error) {
 	sp.pool.SetObserver(sp.metrics, sp.tracer)
 	sp.pool.SetFlow(sp.flowParams())
 	sp.pool.SetLocalSpace(sp.id)
-	sp.pool.SetOnKeepalive(sp.keepaliveRenewed)
 
 	listenEPs := opts.ListenEndpoints
 	if len(listenEPs) == 0 {
@@ -397,55 +350,23 @@ func NewSpace(opts Options) (*Space, error) {
 		SendBatch:   sp.sendCleans,
 		Finish:      sp.imports.FinishClean,
 		Redo:        sp.redoDirty,
-		OnAbandon:   opts.OnCleanAbandon,
 		MaxAttempts: opts.CleanMaxAttempts,
 		Backoff:     opts.CleanBackoff,
 		Logger:      sp.log,
 		Obs:         sp.metrics,
 	})
-	// A healthy identified mux session subsumes explicit liveness traffic
-	// in both modes; without keepalives no session counts as healthy.
-	switch sp.opts.Liveness {
-	case LivenessLease:
-		sp.leases = dgc.NewLeases(sp.opts.LeaseTTL)
-		// The expiry sweep walks the export table one stripe per tick, so
-		// a full pass completes in about half the TTL however large the
-		// table is, and no tick holds more than one shard's lock.
-		sp.expirer = dgc.NewExpirer(dgc.ExpirerConfig{
-			Interval:     max(sp.leases.TTL()/(2*time.Duration(sp.exports.ShardCount())), time.Millisecond),
-			Shards:       sp.exports.ShardCount,
-			ClientsShard: sp.exports.ClientsShard,
-			Leases:       sp.leases,
-			SessionAlive: sp.sessionAlive,
-			Drop:         sp.dropClient,
-			Logger:       sp.log,
-			Obs:          sp.metrics,
-		})
-		// When a healthy session subsumes the explicit renewal, fold the
-		// renewal onto its keepalive instead: an off-schedule probe keeps
-		// the exchange (and thus the owner's implicit lease stamp) at
-		// renewal cadence even on an otherwise quiet link.
-		sp.renewer = dgc.NewRenewer(dgc.RenewerConfig{
-			Interval:     max(sp.leases.TTL()/3, 10*time.Millisecond),
-			Owners:       sp.imports.OwnersSnapshot,
-			Renew:        sp.sendLease,
-			SessionAlive: sp.sessionAlive,
-			Fold:         sp.sessionFold,
-			Logger:       sp.log,
-			Obs:          sp.metrics,
-		})
-	default:
-		sp.pinger = dgc.NewPinger(dgc.PingerConfig{
-			Interval:     sp.opts.PingInterval,
-			MaxFailures:  opts.PingMaxFailures,
-			Clients:      sp.exports.Clients,
-			Ping:         sp.sendPing,
-			Drop:         sp.dropClient,
-			SessionAlive: sp.sessionAlive,
-			Logger:       sp.log,
-			Obs:          sp.metrics,
-		})
-	}
+	// A healthy identified mux session subsumes the explicit ping; without
+	// keepalives no session counts as healthy.
+	sp.pinger = dgc.NewPinger(dgc.PingerConfig{
+		Interval:     sp.opts.PingInterval,
+		MaxFailures:  opts.PingMaxFailures,
+		Clients:      sp.exports.Clients,
+		Ping:         sp.sendPing,
+		Drop:         sp.dropClient,
+		SessionAlive: sp.sessionAlive,
+		Logger:       sp.log,
+		Obs:          sp.metrics,
+	})
 
 	if opts.CycleDetect {
 		sp.detector = dgc.NewDetector(dgc.DetectorConfig{Pass: sp.cyclePass, Logger: sp.log})
@@ -477,10 +398,6 @@ func (sp *Space) Imports() *objtable.Imports { return sp.imports }
 // harness (read-only use).
 func (sp *Space) Exports() *objtable.Exports { return sp.exports }
 
-// Renewer exposes the lease renewal daemon (nil outside lease mode) for
-// tests and the benchmark harness.
-func (sp *Space) Renewer() *dgc.Renewer { return sp.renewer }
-
 // Stats snapshots the space's event counters. The live counters are the
 // space's obs metrics; Stats assembles the legacy view from them.
 func (sp *Space) Stats() Stats {
@@ -499,8 +416,6 @@ func (sp *Space) Stats() Stats {
 		CleanBatches:          m.CleanBatches.Load(),
 		CleanServed:           m.CleanServed.Load(),
 		PingsSent:             m.PingsSent.Load(),
-		LeasesSent:            m.LeasesSent.Load(),
-		LeasesServed:          m.LeasesServed.Load(),
 		ResultAcksSent:        m.ResultAcksSent.Load(),
 		ResultAcksWaited:      m.ResultAcksWaited.Load(),
 		SurrogatesMade:        m.SurrogatesMade.Load(),
@@ -528,7 +443,6 @@ func (sp *Space) debugSnapshot() obs.DebugData {
 	return obs.DebugData{
 		Name:      sp.opts.Name,
 		ID:        sp.id.String(),
-		Liveness:  sp.opts.Liveness.String(),
 		Endpoints: sp.Endpoints(),
 		Exports:   sp.exports.Snapshot(),
 		Imports:   sp.imports.Snapshot(),
@@ -645,15 +559,7 @@ func (sp *Space) shutdown(graceful bool) error {
 		sp.detector.Close()
 	}
 	sp.cleaner.Close()
-	if sp.pinger != nil {
-		sp.pinger.Close()
-	}
-	if sp.expirer != nil {
-		sp.expirer.Close()
-	}
-	if sp.renewer != nil {
-		sp.renewer.Close()
-	}
+	sp.pinger.Close()
 	sp.pool.Close()
 	sp.wg.Wait()
 	sp.log.Debug("space closed", "graceful", graceful)
@@ -699,9 +605,6 @@ func (sp *Space) dropClient(id wire.SpaceID) {
 		sp.tracer.Emit(obs.Event{Kind: obs.EvClientDropped, Time: time.Now(), Peer: id.String()})
 	}
 	withdrawn := sp.exports.DropClient(id)
-	if sp.leases != nil {
-		sp.leases.Forget(id)
-	}
 	sp.log.Info("dropped dead client", "client", id.String(), "withdrawn", len(withdrawn))
 }
 
@@ -726,45 +629,6 @@ func (sp *Space) sessionAlive(id wire.SpaceID, endpoints []string) bool {
 	return false
 }
 
-// keepaliveRenewed is the owner-side half of piggybacked lease renewal:
-// sessions invoke it on every keepalive exchange with an identified
-// peer, and the stamp renews whatever lease that client holds here. It
-// runs on session reader goroutines, so it must stay cheap and
-// non-blocking. Spaces in ping mode ignore the signal.
-func (sp *Space) keepaliveRenewed(peer wire.SpaceID) {
-	if sp.leases == nil {
-		return
-	}
-	sp.leases.Renew(peer)
-	sp.metrics.LeasesImplicit.Inc()
-}
-
-// sessionFold is the client-side half: when the renewer suppresses an
-// explicit renewal because a healthy session stands in for it, it nudges
-// that session's keepalive instead, so the owner sees an exchange — and
-// stamps the lease — at renewal cadence even if the link would otherwise
-// have stayed quiet until the next keepalive tick.
-func (sp *Space) sessionFold(id wire.SpaceID, endpoints []string) {
-	if s := sp.pool.Cached(endpoints); s != nil && s.PeerSpace() == id && s.PokeKeepalive() {
-		return
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	for s := range sp.muxServers {
-		if s.PeerSpace() == id && s.PokeKeepalive() {
-			return
-		}
-	}
-}
-
-// PokeLiveness runs one immediate round of the owner-side liveness
-// machinery — a full ping round, or a sweep of every lease stripe —
-// so tests and drain harnesses need not wait out an interval.
-func (sp *Space) PokeLiveness() {
-	if sp.pinger != nil {
-		sp.pinger.Poke()
-	}
-	if sp.expirer != nil {
-		sp.expirer.Poke()
-	}
-}
+// PokeLiveness runs one immediate ping round, so tests and drain
+// harnesses need not wait out an interval.
+func (sp *Space) PokeLiveness() { sp.pinger.Poke() }

@@ -240,7 +240,7 @@ func (sp *Space) cyclePass() {
 		if err != nil {
 			// Peer unreachable or refused: everything it was asked about is
 			// conservatively rooted; liveness of the peer itself is the
-			// pinger's/expirer's business, not the detector's.
+			// pinger's business, not the detector's.
 			sp.log.Debug("cycle query failed", "peer", id.String(), "err", err)
 			for _, ix := range pq.indices {
 				nodes[dgc.CycleKey{Space: sp.id, Index: ix}].Rooted = true

@@ -112,7 +112,7 @@ func TestDispatchContextEnds(t *testing.T) {
 // answered StatusDeadlineExceeded and counted as such.
 func TestDispatchWithoutContext(t *testing.T) {
 	tn := newTestNet(t)
-	owner := tn.space("owner", func(o *Options) { o.MaxServeTime = 50 * time.Millisecond })
+	owner := tn.space("owner", func(o *Options) { o.CallTimeout = 50 * time.Millisecond })
 	client := tn.space("client", nil)
 	inv := &invocations{}
 	ref, err := owner.Export(inv)

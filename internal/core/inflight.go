@@ -121,11 +121,11 @@ type dispatch struct {
 
 // beginDispatch starts the dispatch, in session, of a call that arrived
 // at start with the caller's remaining budget. It may run for the tighter
-// of that budget and this space's MaxServeTime — a space never trusts a
+// of that budget and this space's CallTimeout — a space never trusts a
 // remote deadline beyond its own cap — and Close alerts it through the
 // space's serve context.
 func (sp *Space) beginDispatch(session *callSession, start time.Time, deadlineMillis uint64) *dispatch {
-	budget := sp.opts.MaxServeTime
+	budget := sp.opts.CallTimeout
 	if deadlineMillis != 0 {
 		if r := time.Duration(deadlineMillis) * time.Millisecond; r < budget {
 			budget = r

@@ -97,11 +97,10 @@ func (sp *Space) acceptLoop(l transport.Listener) {
 func (sp *Space) serveConn(c transport.Conn) {
 	defer sp.wg.Done()
 	s := transport.NewSession(c, transport.SessionOptions{
-		Accept:      sp.serveStream,
-		Flow:        sp.flowParams(),
-		Metrics:     sp.metrics,
-		LocalSpace:  sp.id,
-		OnKeepalive: sp.keepaliveRenewed,
+		Accept:     sp.serveStream,
+		Flow:       sp.flowParams(),
+		Metrics:    sp.metrics,
+		LocalSpace: sp.id,
 	})
 	sp.mu.Lock()
 	sp.muxServers[s] = struct{}{}
@@ -164,8 +163,6 @@ func (sp *Space) serveStream(st *transport.Stream) {
 			sp.tracer.Emit(obs.Event{Kind: obs.EvPingRecv, Time: time.Now(), Peer: m.From.String()})
 		}
 		reply = &wire.PingAck{From: sp.id}
-	case *wire.Lease:
-		reply = sp.handleLease(m)
 	case *wire.CycleQuery:
 		reply = sp.handleCycleQuery(m)
 	case *wire.CycleCollect:
@@ -202,35 +199,7 @@ func (sp *Space) handleDirty(m *wire.Dirty) *wire.DirtyAck {
 	if err := sp.exports.Dirty(m.Obj, m.Client, m.Seq, m.ClientEndpoints); err != nil {
 		return &wire.DirtyAck{Status: wire.StatusNoSuchObject, Err: err.Error()}
 	}
-	// A dirty call implicitly starts the client's lease.
-	if sp.leases != nil {
-		sp.leases.Renew(m.Client)
-	}
 	return &wire.DirtyAck{Status: wire.StatusOK}
-}
-
-func (sp *Space) handleLease(m *wire.Lease) *wire.LeaseAck {
-	sp.metrics.LeasesServed.Inc()
-	if sp.tracer != nil {
-		sp.tracer.Emit(obs.Event{Kind: obs.EvLeaseRecv, Time: time.Now(), Peer: m.Client.String()})
-	}
-	// A renewal addressed to a dead incarnation must fail: this space
-	// holds none of the client's dirty entries, and an OK here would let
-	// the client believe its (vanished) registrations stay covered.
-	if m.Owner != sp.id {
-		sp.metrics.StaleRejected.Inc()
-		return &wire.LeaseAck{Status: wire.StatusNoSuchObject}
-	}
-	if sp.leases == nil {
-		// Not in lease mode: renewals are harmless no-ops so mixed
-		// deployments interoperate.
-		return &wire.LeaseAck{Status: wire.StatusOK}
-	}
-	sp.leases.Renew(m.Client)
-	return &wire.LeaseAck{
-		Status:        wire.StatusOK,
-		GrantedMillis: uint64(sp.leases.TTL().Milliseconds()),
-	}
 }
 
 func (sp *Space) handleCleanBatch(m *wire.CleanBatch) *wire.CleanAck {

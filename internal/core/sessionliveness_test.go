@@ -6,9 +6,8 @@ import (
 )
 
 // These tests pin session-subsumed liveness: a healthy mux session whose
-// peer identified itself stands in for explicit collector liveness
-// traffic — pings in ping mode, renewals and expiry checks in lease mode
-// — and losing the session falls back to the explicit protocol.
+// peer identified itself stands in for the owner's explicit ping, and
+// losing the session falls back to pinging.
 
 func TestSessionSubsumesPings(t *testing.T) {
 	tn := newTestNet(t)
@@ -53,57 +52,5 @@ func TestSessionSubsumesPings(t *testing.T) {
 	}
 	if owner.Stats().PingsSent == 0 {
 		t.Fatal("fallback probing never kicked in")
-	}
-}
-
-func TestSessionSubsumesLeases(t *testing.T) {
-	tn := newTestNet(t)
-	mk := func(name string) *Space {
-		return tn.space(name, func(o *Options) {
-			o.Liveness = LivenessLease
-			o.LeaseTTL = 100 * time.Millisecond
-		})
-	}
-	owner := mk("owner")
-	client := mk("client")
-
-	ref, _ := owner.Export(&counter{})
-	w, _ := ref.WireRep()
-	cref, err := client.Import(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cref.Call("Incr", int64(1)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Client side: explicit renewals are suppressed while the session is
-	// healthy.
-	client.renewer.Poke()
-	if n := client.Stats().LeasesSent; n != 0 {
-		t.Fatalf("client sent %d explicit renewals despite a live session", n)
-	}
-	if client.metrics.LeasesSuppressed.Load() == 0 {
-		t.Fatal("no renewal recorded as suppressed")
-	}
-
-	// Owner side: well past the TTL with zero renewal messages, session
-	// health renews the lease implicitly and the entry survives.
-	time.Sleep(150 * time.Millisecond)
-	owner.PokeLiveness()
-	if !owner.Exports().HoldsDirty(w.Index, client.ID()) {
-		t.Fatal("session-covered client expired")
-	}
-	if owner.metrics.LeasesImplicit.Load() == 0 {
-		t.Fatal("no implicit renewal recorded")
-	}
-
-	// Session gone: the lease stops being renewed and lapses normally.
-	client.Abort()
-	if !waitFor(5*time.Second, func() bool {
-		owner.PokeLiveness()
-		return owner.Exports().Len() == 0
-	}) {
-		t.Fatal("crashed client's lease never expired after session loss")
 	}
 }

@@ -46,11 +46,6 @@ type CleanerConfig struct {
 	// its outcome to the import table.
 	Redo func(key wire.Key, endpoints []string, seq uint64)
 
-	// OnAbandon, when non-nil, observes every clean call given up after
-	// exhausting its retries. Fault-injection harnesses subscribe here to
-	// correlate abandoned cleans with the faults that caused them.
-	OnAbandon func(key wire.Key, strong bool, err error)
-
 	// MaxAttempts bounds delivery attempts per clean call (default 8).
 	MaxAttempts int
 	// Backoff is the delay before the first retry, doubling per attempt
@@ -296,11 +291,6 @@ func (c *Cleaner) deliverBatch(owner wire.SpaceID, eps []string, items []CleanIt
 	}
 	if c.cfg.Obs != nil {
 		c.cfg.Obs.CleansAbandoned.Add(uint64(len(items)))
-	}
-	if c.cfg.OnAbandon != nil {
-		for _, it := range items {
-			c.cfg.OnAbandon(it.Key, it.Strong, lastErr)
-		}
 	}
 	return errors.Join(ErrAbandoned, lastErr)
 }

@@ -434,69 +434,6 @@ func TestCleanerBatchSkipsResurrected(t *testing.T) {
 	}
 }
 
-func TestLeasesExpiry(t *testing.T) {
-	l := NewLeases(50 * time.Millisecond)
-	const a, b = wire.SpaceID(1), wire.SpaceID(2)
-	// Unknown clients get a grace lease instead of instant eviction.
-	if exp := l.Expired([]wire.SpaceID{a, b}); len(exp) != 0 {
-		t.Fatalf("grace violated: %v", exp)
-	}
-	l.Renew(a)
-	time.Sleep(70 * time.Millisecond)
-	l.Renew(b) // b renewed late but within its grace window
-	exp := l.Expired([]wire.SpaceID{a, b})
-	if len(exp) != 1 || exp[0] != a {
-		t.Fatalf("expired %v, want [a]", exp)
-	}
-	// A re-appears without a renewal: no fresh grace — an unknown
-	// candidate's grace is bounded by the table's creation time, which is
-	// already past. (A genuine re-appearance arrives via a dirty call,
-	// which renews the lease itself.)
-	if exp := l.Expired([]wire.SpaceID{a}); len(exp) != 1 || exp[0] != a {
-		t.Fatalf("unrenewed reappearance granted fresh grace: %v", exp)
-	}
-	l.Renew(a)
-	if exp := l.Expired([]wire.SpaceID{a}); len(exp) != 0 {
-		t.Fatalf("renewed reappearance evicted: %v", exp)
-	}
-}
-
-func TestLeasesDefaultTTL(t *testing.T) {
-	if ttl := NewLeases(0).TTL(); ttl <= 0 {
-		t.Fatalf("ttl=%v", ttl)
-	}
-}
-
-func TestRenewerRounds(t *testing.T) {
-	var mu sync.Mutex
-	renewed := map[wire.SpaceID]int{}
-	var failOne atomic.Bool
-	r := NewRenewer(RenewerConfig{
-		Interval: time.Hour, // driven by Poke
-		Owners: func() map[wire.SpaceID][]string {
-			return map[wire.SpaceID][]string{1: {"inmem:a"}, 2: {"inmem:b"}}
-		},
-		Renew: func(owner wire.SpaceID, eps []string) error {
-			if failOne.Load() && owner == 1 {
-				return errors.New("down")
-			}
-			mu.Lock()
-			renewed[owner]++
-			mu.Unlock()
-			return nil
-		},
-	})
-	defer r.Close()
-	r.Poke()
-	failOne.Store(true)
-	r.Poke() // owner 1 fails; owner 2 still renewed
-	mu.Lock()
-	defer mu.Unlock()
-	if renewed[1] != 1 || renewed[2] != 2 {
-		t.Fatalf("renewed=%v", renewed)
-	}
-}
-
 func TestCleanerBatchCap(t *testing.T) {
 	// Queue far more same-owner cleans than one batch may carry while the
 	// worker is held on an unrelated clean: they must drain in capped

@@ -9,83 +9,6 @@ import (
 	"netobjects/internal/wire"
 )
 
-// fakeClock is an injectable clock for lease-table tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *fakeClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-func newTestLeases(ttl time.Duration) (*Leases, *fakeClock) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	l := NewLeases(ttl)
-	l.now = clk.now
-	l.created = clk.now()
-	return l, clk
-}
-
-func TestLeaseExpiry(t *testing.T) {
-	l, clk := newTestLeases(time.Second)
-	l.Renew(7)
-	if got := l.Expired([]wire.SpaceID{7}); len(got) != 0 {
-		t.Fatalf("fresh lease reported expired: %v", got)
-	}
-	clk.advance(1500 * time.Millisecond)
-	if got := l.Expired([]wire.SpaceID{7}); len(got) != 1 || got[0] != 7 {
-		t.Fatalf("lapsed lease not reported: %v", got)
-	}
-}
-
-// TestLeaseRestartGraceBounded is the regression test for the
-// grant-on-unknown policy window: a candidate with no lease record must
-// get grace bounded by the table's creation time (the owner's restart),
-// not a fresh full TTL stamped whenever the first sweep happens to reach
-// it. Before the fix, every owner restart extended a dead client's
-// entries by created→first-sweep + TTL, unbounded by anything.
-func TestLeaseRestartGraceBounded(t *testing.T) {
-	l, clk := newTestLeases(time.Second)
-
-	// Owner has been up 3s (well past TTL) before the sweep first reaches
-	// this never-renewed client: no grace left, dropped immediately.
-	clk.advance(3 * time.Second)
-	if got := l.Expired([]wire.SpaceID{9}); len(got) != 1 || got[0] != 9 {
-		t.Fatalf("unknown client past restart grace survived: %v", got)
-	}
-
-	// A client first observed inside the grace window keeps only the
-	// remainder of it, measured from restart.
-	l2, clk2 := newTestLeases(time.Second)
-	clk2.advance(600 * time.Millisecond)
-	if got := l2.Expired([]wire.SpaceID{9}); len(got) != 0 {
-		t.Fatalf("unknown client inside restart grace dropped: %v", got)
-	}
-	clk2.advance(600 * time.Millisecond) // 1.2s since restart > TTL
-	if got := l2.Expired([]wire.SpaceID{9}); len(got) != 1 {
-		t.Fatalf("restart grace not bounded by creation time: %v", got)
-	}
-
-	// A renewal inside the window resets the clock as usual.
-	l3, clk3 := newTestLeases(time.Second)
-	clk3.advance(600 * time.Millisecond)
-	l3.Expired([]wire.SpaceID{9}) // first observation
-	l3.Renew(9)
-	clk3.advance(900 * time.Millisecond)
-	if got := l3.Expired([]wire.SpaceID{9}); len(got) != 0 {
-		t.Fatalf("renewed client dropped: %v", got)
-	}
-}
-
 // TestPingerSessionSubsumption: a healthy identified session stands in
 // for the probe — no ping is sent, failure counts clear, and losing the
 // session falls back to explicit pinging with a fresh failure budget.
@@ -190,147 +113,5 @@ func TestPingerSessionHealCancelsFailures(t *testing.T) {
 	defer mu.Unlock()
 	if dropped != 0 {
 		t.Fatal("healed session did not cancel pending expiry")
-	}
-}
-
-// TestRenewerSessionSuppression: renewals piggyback on a healthy session
-// to the owner; only session-less owners get explicit lease messages.
-func TestRenewerSessionSuppression(t *testing.T) {
-	var mu sync.Mutex
-	renewed := map[wire.SpaceID]int{}
-
-	r := NewRenewer(RenewerConfig{
-		Interval: time.Hour,
-		Owners: func() map[wire.SpaceID][]string {
-			return map[wire.SpaceID][]string{1: {"inmem:a"}, 2: {"inmem:b"}}
-		},
-		Renew: func(owner wire.SpaceID, eps []string) error {
-			mu.Lock()
-			renewed[owner]++
-			mu.Unlock()
-			return nil
-		},
-		SessionAlive: func(owner wire.SpaceID, eps []string) bool { return owner == 1 },
-	})
-	defer r.Close()
-
-	r.Poke()
-	mu.Lock()
-	defer mu.Unlock()
-	if renewed[1] != 0 || renewed[2] != 1 {
-		t.Fatalf("renewals = %v, want owner 1 suppressed and owner 2 renewed", renewed)
-	}
-}
-
-// TestRenewerKeepaliveFold: when a healthy session suppresses the
-// explicit renewal, the fold hook nudges that session's keepalive
-// instead; session-less owners get the explicit message and no fold.
-func TestRenewerKeepaliveFold(t *testing.T) {
-	var mu sync.Mutex
-	renewed := map[wire.SpaceID]int{}
-	folded := map[wire.SpaceID]int{}
-
-	r := NewRenewer(RenewerConfig{
-		Interval: time.Hour,
-		Owners: func() map[wire.SpaceID][]string {
-			return map[wire.SpaceID][]string{1: {"inmem:a"}, 2: {"inmem:b"}}
-		},
-		Renew: func(owner wire.SpaceID, eps []string) error {
-			mu.Lock()
-			renewed[owner]++
-			mu.Unlock()
-			return nil
-		},
-		SessionAlive: func(owner wire.SpaceID, eps []string) bool { return owner == 1 },
-		Fold: func(owner wire.SpaceID, eps []string) {
-			mu.Lock()
-			folded[owner]++
-			mu.Unlock()
-		},
-	})
-	defer r.Close()
-
-	r.Poke()
-	mu.Lock()
-	defer mu.Unlock()
-	if folded[1] != 1 || renewed[1] != 0 {
-		t.Fatalf("owner 1: folded %d, renewed %d; want the renewal folded onto the session", folded[1], renewed[1])
-	}
-	if folded[2] != 0 || renewed[2] != 1 {
-		t.Fatalf("owner 2: folded %d, renewed %d; want an explicit renewal, no fold", folded[2], renewed[2])
-	}
-}
-
-// TestLeasePrune: records quiet past maxAge are shed, fresh ones kept.
-func TestLeasePrune(t *testing.T) {
-	l, clk := newTestLeases(time.Second)
-	l.Renew(1)
-	clk.advance(3 * time.Second)
-	l.Renew(2)
-	l.Prune(2 * time.Second)
-	l.mu.Lock()
-	_, has1 := l.renewed[1]
-	_, has2 := l.renewed[2]
-	l.mu.Unlock()
-	if has1 {
-		t.Fatal("stale record survived Prune")
-	}
-	if !has2 {
-		t.Fatal("fresh record pruned")
-	}
-}
-
-// TestExpirerStripes: the expirer sweeps stripes independently, renews
-// implicitly over live sessions, and drops only truly lapsed clients.
-func TestExpirerStripes(t *testing.T) {
-	l, clk := newTestLeases(time.Second)
-	l.Renew(1)
-	l.Renew(2)
-
-	var mu sync.Mutex
-	dropped := []wire.SpaceID{}
-	// Client 1 lives in stripe 0 with a healthy session; client 2 in
-	// stripe 1 with none.
-	shards := map[int]map[wire.SpaceID][]string{
-		0: {1: {"inmem:a"}},
-		1: {2: {"inmem:b"}},
-	}
-
-	x := NewExpirer(ExpirerConfig{
-		Interval:     time.Hour,
-		Shards:       func() int { return 2 },
-		ClientsShard: func(i int) map[wire.SpaceID][]string { return shards[i] },
-		Leases:       l,
-		SessionAlive: func(id wire.SpaceID, eps []string) bool { return id == 1 },
-		Drop: func(id wire.SpaceID) {
-			mu.Lock()
-			dropped = append(dropped, id)
-			for _, m := range shards {
-				delete(m, id)
-			}
-			mu.Unlock()
-		},
-	})
-	defer x.Close()
-
-	// Past the TTL: client 1's session renews it implicitly, client 2
-	// lapses.
-	clk.advance(1500 * time.Millisecond)
-	x.Poke()
-	mu.Lock()
-	if len(dropped) != 1 || dropped[0] != 2 {
-		mu.Unlock()
-		t.Fatalf("dropped = %v, want exactly client 2", dropped)
-	}
-	mu.Unlock()
-
-	// Implicit renewal carried client 1 forward: still alive one more TTL
-	// later without any explicit renewal.
-	clk.advance(900 * time.Millisecond)
-	x.Poke()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(dropped) != 1 {
-		t.Fatalf("session-covered client dropped: %v", dropped)
 	}
 }

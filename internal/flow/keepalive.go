@@ -1,9 +1,6 @@
 package flow
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Keepalive is the dead-peer detector for one session. Any inbound frame
 // proves the peer alive — pongs are not special — so the session keeps a
@@ -16,12 +13,13 @@ import (
 // frame, and no clock read.
 type Keepalive struct {
 	interval time.Duration
-	token    atomic.Uint64
 
-	// Touched only by the Tick caller: the count the last tick saw, and
-	// how many ticks in a row have seen it unchanged.
+	// Touched only by the Tick caller: the count the last tick saw, how
+	// many ticks in a row have seen it unchanged, and the last probe's
+	// token.
 	seen  uint64
 	quiet int
+	token uint64
 }
 
 // NewKeepalive returns a detector pinging at interval.
@@ -31,11 +29,6 @@ func NewKeepalive(interval time.Duration) *Keepalive {
 
 // Interval returns the configured ping interval.
 func (k *Keepalive) Interval() time.Duration { return k.interval }
-
-// Probe allocates a fresh ping token outside the Tick schedule, for
-// callers that want to nudge an immediate probe onto the wire — a lease
-// renewal folding itself onto the keepalive exchange, for instance.
-func (k *Keepalive) Probe() uint64 { return k.token.Add(1) }
 
 // Tick advances the detector by one interval, given received, the
 // session's count of inbound traffic. dead reports that the peer has been
@@ -53,5 +46,6 @@ func (k *Keepalive) Tick(received uint64) (dead bool, ping bool, token uint64) {
 	if k.quiet >= KeepaliveMisses {
 		return true, false, 0
 	}
-	return false, true, k.token.Add(1)
+	k.token++
+	return false, true, k.token
 }

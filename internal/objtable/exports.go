@@ -519,25 +519,6 @@ func (e *Exports) Clients() map[wire.SpaceID][]string {
 	return out
 }
 
-// ClientsShard snapshots the dirty-set clients of shard i only, with the
-// endpoints each can be reached at. The lease expirer drives on this: it
-// sweeps one stripe per tick so a million-entry table is never walked in
-// one critical burst the way Clients() walks it.
-func (e *Exports) ClientsShard(i int) map[wire.SpaceID][]string {
-	out := make(map[wire.SpaceID][]string)
-	s := &e.shards[i&int(e.mask)]
-	e.lock(s)
-	for _, ent := range s.byIndex {
-		for id, ci := range ent.clients {
-			if ci.inSet && out[id] == nil {
-				out[id] = ci.endpoints
-			}
-		}
-	}
-	s.mu.Unlock()
-	return out
-}
-
 // CycleSuspect is one export whose only liveness is its remote dirty set:
 // not pinned, no reference in transit, at least one dirty member. Such an
 // entry can be a member of a cross-space garbage cycle — nothing local

@@ -562,24 +562,6 @@ func (im *Imports) Len() int {
 	return n
 }
 
-// OwnersSnapshot returns, for every owner this space currently holds live
-// entries from, a set of endpoints it can be reached at. The lease
-// renewal daemon drives on it.
-func (im *Imports) OwnersSnapshot() map[wire.SpaceID][]string {
-	out := make(map[wire.SpaceID][]string)
-	for i := range im.shards {
-		s := &im.shards[i]
-		im.lock(s)
-		for k, e := range s.entries {
-			if _, ok := out[k.Owner]; !ok && len(e.Endpoints) > 0 {
-				out[k.Owner] = append([]string(nil), e.Endpoints...)
-			}
-		}
-		s.mu.Unlock()
-	}
-	return out
-}
-
 // Snapshot dumps the table for the live debug page, sorted by owner then
 // index.
 func (im *Imports) Snapshot() []obs.ImportInfo {

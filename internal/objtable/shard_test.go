@@ -249,7 +249,7 @@ func TestImportsConcurrentAcquireReleaseAcrossShards(t *testing.T) {
 				}
 				im.Len()
 				im.Keys()
-				im.OwnersSnapshot()
+				im.Snapshot()
 			}
 		}()
 		var wg sync.WaitGroup

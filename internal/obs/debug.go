@@ -13,8 +13,6 @@ type DebugData struct {
 	Name string
 	// ID is the space identifier.
 	ID string
-	// Liveness names the client-liveness mode ("ping" or "lease").
-	Liveness string
 	// Endpoints are the endpoints the space listens on.
 	Endpoints []string
 	// Exports is the export table: one entry per concrete object this

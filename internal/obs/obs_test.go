@@ -261,7 +261,7 @@ func TestHandlerEndpoints(t *testing.T) {
 		Tracer:  ring,
 		Debug: func() DebugData {
 			return DebugData{
-				Name: "testspace", ID: "deadbeef", Liveness: "ping",
+				Name: "testspace", ID: "deadbeef",
 				Endpoints: []string{"tcp:127.0.0.1:1"},
 				Exports: []ExportInfo{{
 					Index: 7, Type: "*main.Thing<script>", Pins: 1,

@@ -47,11 +47,6 @@ type Metrics struct {
 	PingsServed      *Counter
 	PingFailures     *Counter
 	PingsSubsumed    *Counter
-	LeasesSent       *Counter
-	LeasesServed     *Counter
-	LeaseFailures    *Counter
-	LeasesSuppressed *Counter
-	LeasesImplicit   *Counter
 	ResultAcksSent   *Counter
 	ResultAcksWaited *Counter
 	StaleRejected    *Counter
@@ -198,11 +193,6 @@ func (s *metricsStore) build(defs *[]metricDef) {
 		PingsServed:      r.Counter("netobj_pings_served_total", "Liveness pings answered by this space."),
 		PingFailures:     r.Counter("netobj_ping_failures_total", "Ping probes that failed (one per client per round)."),
 		PingsSubsumed:    r.Counter("netobj_pings_subsumed_total", "Ping probes skipped because a healthy identified session already proved the client alive."),
-		LeasesSent:       r.Counter("netobj_leases_sent_total", "Lease renewals sent to owners."),
-		LeasesServed:     r.Counter("netobj_leases_served_total", "Lease renewals served by this owner."),
-		LeaseFailures:    r.Counter("netobj_lease_failures_total", "Lease renewals that failed to reach an owner."),
-		LeasesSuppressed: r.Counter("netobj_lease_renewals_suppressed_total", "Lease renewals skipped because a healthy identified session stands in for them."),
-		LeasesImplicit:   r.Counter("netobj_lease_implicit_renewals_total", "Owner-side lease renewals granted from session health instead of a renewal message."),
 		ResultAcksSent:   r.Counter("netobj_result_acks_sent_total", "Result acknowledgements sent for reference-bearing replies."),
 		ResultAcksWaited: r.Counter("netobj_result_acks_waited_total", "Reference-bearing replies this space held pinned awaiting an ack."),
 		StaleRejected:    r.Counter("netobj_stale_rejected_total", "Collector messages addressed to a previous space incarnation at a reused endpoint, refused."),

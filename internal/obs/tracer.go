@@ -37,10 +37,6 @@ const (
 	EvPingSend
 	// EvPingRecv: a liveness ping was answered.
 	EvPingRecv
-	// EvLeaseSend: a lease renewal completed.
-	EvLeaseSend
-	// EvLeaseRecv: a lease renewal was served.
-	EvLeaseRecv
 	// EvTransientDirty: a reference was pinned while in transit inside a
 	// call (the transient dirty entry of the formalisation).
 	EvTransientDirty
@@ -89,8 +85,6 @@ var eventNames = [...]string{
 	EvCleanRecv:         "clean.recv",
 	EvPingSend:          "ping.send",
 	EvPingRecv:          "ping.recv",
-	EvLeaseSend:         "lease.send",
-	EvLeaseRecv:         "lease.recv",
 	EvTransientDirty:    "transient.dirty",
 	EvTransientClean:    "transient.clean",
 	EvSurrogateMade:     "surrogate.made",

@@ -25,9 +25,6 @@ type Pool struct {
 	// localSpace is the space identity new sessions advertise in their
 	// hello (zero: anonymous).
 	localSpace wire.SpaceID
-	// onKeepalive is handed to new sessions (see
-	// SessionOptions.OnKeepalive).
-	onKeepalive func(wire.SpaceID)
 
 	mu       sync.Mutex
 	sessions map[string]*sessionSlot
@@ -69,20 +66,11 @@ func (p *Pool) SetFlow(fp *flow.Params) {
 }
 
 // SetLocalSpace installs the space identity new outbound sessions
-// advertise in their hello, letting peers fold their collector liveness
-// traffic for this space onto the session keepalives.
+// advertise in their hello, letting peers take a healthy session as proof
+// that this space is alive instead of pinging it.
 func (p *Pool) SetLocalSpace(id wire.SpaceID) {
 	p.mu.Lock()
 	p.localSpace = id
-	p.mu.Unlock()
-}
-
-// SetOnKeepalive installs the keepalive-exchange callback new outbound
-// sessions are created with: the collector's hook for stamping lease
-// renewals off keepalive traffic from identified peers.
-func (p *Pool) SetOnKeepalive(f func(wire.SpaceID)) {
-	p.mu.Lock()
-	p.onKeepalive = f
 	p.mu.Unlock()
 }
 
@@ -186,9 +174,9 @@ func (p *Pool) Session(ctx context.Context, endpoints []string) (*Session, strin
 		t.Emit(obs.Event{Kind: obs.EvPoolMiss, Time: time.Now(), Key: ep, Dur: dial})
 	}
 	p.mu.Lock()
-	fp, ls, oka := p.flow, p.localSpace, p.onKeepalive
+	fp, ls := p.flow, p.localSpace
 	p.mu.Unlock()
-	slot.s = NewSession(c, SessionOptions{Flow: fp, Metrics: m, LocalSpace: ls, OnKeepalive: oka})
+	slot.s = NewSession(c, SessionOptions{Flow: fp, Metrics: m, LocalSpace: ls})
 	slot.ep = ep
 	return slot.s, ep, nil
 }

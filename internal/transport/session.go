@@ -73,13 +73,6 @@ type SessionOptions struct {
 	// itself lets the collector treat this session's health as proof of
 	// that space's liveness.
 	LocalSpace wire.SpaceID
-	// OnKeepalive, when non-nil, is invoked with the peer's advertised
-	// space id on every keepalive exchange (inbound ping or pong) from an
-	// identified peer. The collector uses it to stamp lease renewals off
-	// the frames the session already sends, instead of minting renewal
-	// calls of its own. Called on the session's reader goroutine — it must
-	// not block.
-	OnKeepalive func(wire.SpaceID)
 }
 
 // Session multiplexes logical streams over one Conn. It assumes exclusive
@@ -148,10 +141,6 @@ type Session struct {
 	// the peer's completion table and one-way lane die with the session.
 	promiseIDs atomic.Uint64
 	onewaySeq  atomic.Uint64
-
-	// onKeepalive, when non-nil, fires on keepalive exchanges with an
-	// identified peer (see SessionOptions.OnKeepalive).
-	onKeepalive func(wire.SpaceID)
 }
 
 // SessionStats is a point-in-time snapshot of one session's load, for the
@@ -194,17 +183,16 @@ func newSession(c Conn, opts SessionOptions, version uint64) *Session {
 	}
 	p = p.WithDefaults()
 	s := &Session{
-		c:           c,
-		accept:      opts.Accept,
-		flow:        newFlowState(p, opts.Metrics),
-		wlock:       make(chan struct{}, 1),
-		hello:       helloFrame(version, opts.LocalSpace, p),
-		version:     version,
-		helloCh:     make(chan struct{}),
-		done:        make(chan struct{}),
-		streams:     make(map[uint64]*Stream),
-		work:        make(chan *Stream),
-		onKeepalive: opts.OnKeepalive,
+		c:       c,
+		accept:  opts.Accept,
+		flow:    newFlowState(p, opts.Metrics),
+		wlock:   make(chan struct{}, 1),
+		hello:   helloFrame(version, opts.LocalSpace, p),
+		version: version,
+		helloCh: make(chan struct{}),
+		done:    make(chan struct{}),
+		streams: make(map[uint64]*Stream),
+		work:    make(chan *Stream),
 	}
 	if opts.Metrics != nil {
 		s.mRejected = opts.Metrics.SessionHelloRejected
@@ -301,31 +289,6 @@ func (s *Session) KeepaliveHealthy() bool {
 	default:
 	}
 	return s.flow.ka != nil && s.peer.Load() != nil
-}
-
-// notifyKeepalive fires the OnKeepalive callback for an identified peer.
-// Anonymous peers have no space id to stamp a lease for.
-func (s *Session) notifyKeepalive() {
-	if s.onKeepalive == nil {
-		return
-	}
-	if peer := s.PeerSpace(); peer != 0 {
-		s.onKeepalive(peer)
-	}
-}
-
-// PokeKeepalive nudges an immediate keepalive probe onto a healthy
-// session, off the regular tick schedule, and reports whether one was
-// queued. The lease renewer uses it to fold a renewal into the keepalive
-// exchange: the pong's arrival stamps the peer's lease table without a
-// renewal call ever being sent.
-func (s *Session) PokeKeepalive() bool {
-	if !s.KeepaliveHealthy() {
-		return false
-	}
-	f := s.flow
-	f.queuePing(f.ka.Probe())
-	return true
 }
 
 // Open starts a new stream with a fresh process-wide unique id.
@@ -787,11 +750,9 @@ func (s *Session) readFlowFrame(frame []byte) bool {
 			return false
 		}
 		f.queuePong(token)
-		s.notifyKeepalive()
 	case wire.OpFlowPong:
 		// Its bytes already proved the peer alive; just count it.
 		f.mPongs.Inc()
-		s.notifyKeepalive()
 	default:
 		return false
 	}

@@ -44,9 +44,9 @@ const (
 var ErrNotFlow = errors.New("wire: frame is not a flow frame")
 
 // Version is the one protocol version this tree speaks. A Hello carrying
-// any other fails the session. Version 2 carries a pipelined call as a
-// Call answered by a Result, and every clean as a CleanBatch.
-const Version = 2
+// any other fails the session. Version 3 drops version 2's lease
+// renewal (ops 11 and 12), so a version-2 peer is refused at the hello.
+const Version = 3
 
 // Hello is the first frame each endpoint of a session sends. It settles
 // compatibility once, as the type fingerprint does at bind time, and

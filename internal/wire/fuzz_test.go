@@ -25,8 +25,6 @@ func FuzzUnmarshal(f *testing.F) {
 		&PingAck{From: 9},
 		&ResultAck{},
 		&CleanBatch{Client: 3, Objs: []uint64{1, 2, 9}, Seqs: []uint64{4, 5, 6}, Strongs: []bool{false, true, false}, Owner: 11},
-		&Lease{Client: 7, ClientEndpoints: []string{"tcp:a:1", "inmem:b"}, Owner: 11},
-		&LeaseAck{Status: StatusOK, GrantedMillis: 30000},
 		&Hello{Version: Version, Space: 11, StreamWindow: 256 << 10, SessionWindow: 1 << 20, ChunkSize: 64 << 10},
 		// Pipelined calls: the promise fields, alone and all together.
 		&Call{Obj: 5, Method: "M", Args: []byte("abc"), Promise: 3, ID: 42, DeadlineMillis: 250, Barrier: 2},
@@ -40,8 +38,16 @@ func FuzzUnmarshal(f *testing.F) {
 		&Result{Status: StatusOK, ResultSegs: [][]byte{nil, blob(100, 4)}},
 		&OneWay{Obj: 5, Method: "Log", ArgSegs: [][]byte{[]byte("ab"), []byte("c")}, Seq: 8},
 	}
+	frames := make([][]byte, 0, len(seeds)+2)
 	for _, m := range seeds {
-		frame := Marshal(nil, m)
+		frames = append(frames, Marshal(nil, m))
+	}
+	// The version-2 Lease and LeaseAck frames: ops 11 and 12 are retired,
+	// so a frame from a version-2 peer must fail cleanly.
+	frames = append(frames,
+		[]byte{11, 7, 2, 7, 't', 'c', 'p', ':', 'a', ':', '1', 7, 'i', 'n', 'm', 'e', 'm', ':', 'b', 11},
+		[]byte{12, 0, 0xb0, 0xea, 0x01})
+	for _, frame := range frames {
 		f.Add(frame)
 		// Truncated-mid-message corpora: every decoder must fail cleanly,
 		// never panic or over-read, when a frame is cut short.
@@ -82,8 +88,6 @@ func TestUnmarshalTruncationDeterministic(t *testing.T) {
 		&Result{Status: StatusOK, Results: []byte{1, 2, 3}, NeedAck: true},
 		&Dirty{Obj: 2, Client: 3, ClientEndpoints: []string{"tcp:host:1234"}, Seq: 4, Owner: 11},
 		&CleanBatch{Client: 3, Objs: []uint64{1, 2}, Seqs: []uint64{4, 5}, Strongs: []bool{true, false}, Owner: 11},
-		&Lease{Client: 7, ClientEndpoints: []string{"tcp:a:1"}, Owner: 11},
-		&LeaseAck{Status: StatusOK, GrantedMillis: 30000},
 		&CancelCall{ID: 42},
 		&CancelAck{Status: StatusNoSuchObject},
 		&Hello{Version: Version, Space: 11, StreamWindow: 256 << 10, SessionWindow: 1 << 20, ChunkSize: 64 << 10},

@@ -38,11 +38,10 @@ const (
 	// single key or several, the batching cost reduction of the paper.
 	// Answered with a CleanAck.
 	OpCleanBatch
-	// OpLease renews a client's liveness lease at an owner — the
-	// RMI-style alternative to owner-driven pinging.
-	OpLease
-	// OpLeaseAck acknowledges a lease renewal with the granted duration.
-	OpLeaseAck
+	// Ops 11 and 12 were version 2's Lease and LeaseAck; owners detect
+	// dead clients by pinging them.
+	_
+	_
 	// OpCancelCall forwards a caller's alert to the owner: the call
 	// identified by its id should stop as soon as it can (the paper's
 	// Thread.Alert propagated across the wire). Connections are lock-step,
@@ -86,7 +85,7 @@ const (
 	// and its receive windows. A session whose first inbound frame is
 	// anything else, or a Hello of another version, fails at once.
 	OpHello
-	// Ops 20 and 21 were version 1's PipeCall and PromiseResolve: a
+	// Ops 21 and 22 were version 1's PipeCall and PromiseResolve: a
 	// pipelined call is a Call answered by a Result now.
 	_
 	_
@@ -133,10 +132,6 @@ func (o Op) String() string {
 		return "result-ack"
 	case OpCleanBatch:
 		return "clean-batch"
-	case OpLease:
-		return "lease"
-	case OpLeaseAck:
-		return "lease-ack"
 	case OpCancelCall:
 		return "cancel-call"
 	case OpCancelAck:
@@ -547,58 +542,6 @@ func (m *CleanBatch) decode(d *Decoder) {
 	m.Owner = SpaceID(d.Uint())
 }
 
-// Lease renews the calling client's liveness lease at the receiving
-// owner, covering every dirty entry the owner holds for the client. In
-// lease mode an owner drops the entries of clients whose lease lapses —
-// the client-paced dual of the pinging design.
-type Lease struct {
-	// Client identifies the renewing space.
-	Client SpaceID
-	// ClientEndpoints refresh where the client can be reached.
-	ClientEndpoints []string
-	// Owner names the space the renewal is addressed to; a different
-	// receiver is a new incarnation that holds none of this client's
-	// dirty entries, and the renewal must fail rather than silently
-	// succeed against it.
-	Owner SpaceID
-}
-
-// Op returns OpLease.
-func (*Lease) Op() Op { return OpLease }
-
-func (m *Lease) encode(e *Encoder) {
-	e.Uint(uint64(m.Client))
-	e.StringSlice(m.ClientEndpoints)
-	e.Uint(uint64(m.Owner))
-}
-
-func (m *Lease) decode(d *Decoder) {
-	m.Client = SpaceID(d.Uint())
-	m.ClientEndpoints = d.StringSlice()
-	m.Owner = SpaceID(d.Uint())
-}
-
-// LeaseAck acknowledges a Lease with the granted duration.
-type LeaseAck struct {
-	// Status is StatusOK when the lease was renewed.
-	Status Status
-	// GrantedMillis is the renewed lease's time-to-live.
-	GrantedMillis uint64
-}
-
-// Op returns OpLeaseAck.
-func (*LeaseAck) Op() Op { return OpLeaseAck }
-
-func (m *LeaseAck) encode(e *Encoder) {
-	e.Uint(uint64(m.Status))
-	e.Uint(m.GrantedMillis)
-}
-
-func (m *LeaseAck) decode(d *Decoder) {
-	m.Status = Status(d.Uint())
-	m.GrantedMillis = d.Uint()
-}
-
 // CancelCall asks the receiving space to cancel an in-flight call it is
 // serving. It arrives on a separate connection from the call itself (the
 // call's connection is busy awaiting the Result) and is answered with a
@@ -746,10 +689,6 @@ func Unmarshal(b []byte) (Message, error) {
 		m = new(ResultAck)
 	case OpCleanBatch:
 		m = new(CleanBatch)
-	case OpLease:
-		m = new(Lease)
-	case OpLeaseAck:
-		m = new(LeaseAck)
 	case OpCancelCall:
 		m = new(CancelCall)
 	case OpCancelAck:

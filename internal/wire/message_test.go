@@ -88,10 +88,14 @@ func TestUnmarshalErrors(t *testing.T) {
 	if _, err := Unmarshal(nil); err == nil {
 		t.Error("empty payload: want error")
 	}
-	e := NewEncoder(nil)
-	e.Uint(200) // unknown op
-	if _, err := Unmarshal(e.Bytes()); !errors.Is(err, ErrUnknownOp) {
-		t.Errorf("unknown op: got %v", err)
+	// 200 was never an op; 5, 11, 12, 21 and 22 are retired ones (20 is
+	// OpHello).
+	for _, op := range []uint64{200, 5, 11, 12, 21, 22} {
+		e := NewEncoder(nil)
+		e.Uint(op)
+		if _, err := Unmarshal(e.Bytes()); !errors.Is(err, ErrUnknownOp) {
+			t.Errorf("op %d: got %v, want ErrUnknownOp", op, err)
+		}
 	}
 	// Truncated call.
 	b := Marshal(nil, &Call{Obj: 1, Method: "M", Args: []byte("aaaa")})

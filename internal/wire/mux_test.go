@@ -59,7 +59,6 @@ func TestPeekOpUnwrapsMux(t *testing.T) {
 		&Dirty{Obj: 2, Client: 3},
 		&CleanBatch{Client: 3, Objs: []uint64{2}, Seqs: []uint64{1}, Strongs: []bool{false}},
 		&Ping{From: 4},
-		&Lease{Client: 5},
 		&CancelCall{ID: 6},
 		&ResultAck{},
 	}

@@ -88,9 +88,6 @@ type (
 	// MemTransport is the in-process transport, for tests, examples and
 	// same-machine composition.
 	MemTransport = transport.Mem
-	// LivenessMode selects how owners detect dead clients (see
-	// Options.Liveness).
-	LivenessMode = core.LivenessMode
 	// Metrics is a space's live metrics set: atomic counters, gauges and
 	// latency histograms (see Options.Metrics and Space.Metrics).
 	Metrics = obs.Metrics
@@ -105,14 +102,6 @@ type (
 	// Observability bundles a space's metrics, tracer and live debug dump;
 	// its Handler serves /metrics and /debug/netobj.
 	Observability = obs.Observability
-)
-
-// Liveness modes.
-const (
-	// LivenessPing is the paper's design: owners ping clients.
-	LivenessPing = core.LivenessPing
-	// LivenessLease is the RMI-style design: clients renew leases.
-	LivenessLease = core.LivenessLease
 )
 
 // Sentinel errors re-exported for errors.Is.

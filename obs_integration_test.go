@@ -194,8 +194,6 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		{"CleanBatches", cs.CleanBatches, cm.CleanBatches.Load()},
 		{"CleanServed", cs.CleanServed, cm.CleanServed.Load()},
 		{"PingsSent", cs.PingsSent, cm.PingsSent.Load()},
-		{"LeasesSent", cs.LeasesSent, cm.LeasesSent.Load()},
-		{"LeasesServed", cs.LeasesServed, cm.LeasesServed.Load()},
 		{"ResultAcksSent", cs.ResultAcksSent, cm.ResultAcksSent.Load()},
 		{"ResultAcksWaited", cs.ResultAcksWaited, cm.ResultAcksWaited.Load()},
 		{"SurrogatesMade", cs.SurrogatesMade, cm.SurrogatesMade.Load()},
