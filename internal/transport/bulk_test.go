@@ -392,24 +392,30 @@ func overlaps(a, b []byte) bool {
 // holds are dropped.
 func TestBulkAssemblyOnData(t *testing.T) {
 	p := flow.Params{ChunkSize: 4 << 10, StreamWindow: 1 << 20, SessionWindow: 1 << 20}
-	served := make(chan *Stream, 4)
-	_, server := flowPair(t, p, nil, func(st *Stream) { served <- st; <-st.s.done })
+	_, server := flowPair(t, p, nil, func(st *Stream) { st.Close() })
 	whole := pattern(10_000)
 
 	// Mixed ownership and sizes, as one reader goroutine would deliver
-	// them. (onData is the read loop's; the test stands in for it on a
-	// stream id the real loop never sees.)
+	// them. (onData is the reader's; the test stands in for it on a stream
+	// id the real reader never sees, and serves what the chunks open.)
 	own := getChunkBuf(4 << 10)
 	*own = append(*own, whole[:3000]...)
-	if !server.onData(901, 0, *own, own) {
+	st, took := server.onData(901, 0, *own, own)
+	if st == nil {
+		t.Fatal("the first chunk of a message opened no stream")
+	}
+	if !took {
 		t.Fatal("onData left the reader its buffer with the chunk in it")
 	}
-	if server.onData(901, 0, whole[3000:3001], nil) {
+	again, took := server.onData(901, 0, whole[3000:3001], nil)
+	if took {
 		t.Fatal("onData claims a buffer it was not offered")
+	}
+	if again != nil {
+		t.Fatal("a later chunk opened its stream again")
 	}
 	server.onData(901, 0, nil, nil) // an empty chunk is legal
 	server.onData(901, wire.DataFlagLast, whole[3001:], nil)
-	st := <-served
 	b, err := st.Recv(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -420,8 +426,10 @@ func TestBulkAssemblyOnData(t *testing.T) {
 	st.Close()
 
 	// Reset mid-message.
-	server.onData(902, 0, whole[:4096], nil)
-	st = <-served
+	if st, _ = server.onData(902, 0, whole[:4096], nil); st == nil {
+		t.Fatal("the first chunk of a message opened no stream")
+	}
+	defer st.Close()
 	server.onData(902, wire.DataFlagReset, nil, nil)
 	if st.asm != nil {
 		t.Fatal("reset left the partial assembly in place")
@@ -431,11 +439,8 @@ func TestBulkAssemblyOnData(t *testing.T) {
 	}
 
 	// A reset for a stream nobody holds opens none.
-	server.onData(903, wire.DataFlagReset, nil, nil)
-	select {
-	case <-served:
+	if opened, _ := server.onData(903, wire.DataFlagReset, nil, nil); opened != nil {
 		t.Fatal("a bare reset opened a stream")
-	case <-time.After(20 * time.Millisecond):
 	}
 }
 

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,12 +18,13 @@ import (
 // checked a connection out of the pool for the duration of one call, so N
 // concurrent calls to a peer cost N connections. A Session instead owns a
 // single Conn and interleaves any number of logical exchanges on it:
-// senders write their own frames under the session's write lock, a
-// demux-reader goroutine routes inbound frames to waiting streams by the
-// id in their mux envelope (see wire.AppendMuxHeader), and responses
-// complete in whatever order the peer finishes them — no head-of-line
-// blocking on call completion. Head-of-line blocking on frame
-// *transmission* remains, as it must on a byte stream.
+// senders write their own frames under the session's write lock, the
+// goroutine holding the read role routes inbound frames to waiting streams
+// by the id in their mux envelope (see wire.AppendMuxHeader) and serves
+// those the peer opens (see worker), and responses complete in whatever
+// order the peer finishes them — no head-of-line blocking on call
+// completion. Head-of-line blocking on frame *transmission* remains, as
+// it must on a byte stream.
 //
 // A Stream is one logical exchange on a session and implements Conn, so
 // the runtime's call code (send request, await response, acknowledge) runs
@@ -54,8 +56,9 @@ const maxFreeStreams = 64
 
 // SessionOptions configures a Session.
 type SessionOptions struct {
-	// Accept, when non-nil, is invoked on a handler goroutine for every
-	// stream the peer opens (a frame with an unknown id). Server sessions
+	// Accept, when non-nil, is invoked for every stream the peer opens (a
+	// frame with an unknown id), on the goroutine that read the frame once
+	// it has handed the session's reading on to another. Server sessions
 	// set it to their dispatch entry; client sessions leave it nil, which
 	// makes unknown ids late responses to abandoned exchanges, dropped.
 	// Accept owns the stream as an opener owns one: it ends the exchange
@@ -77,8 +80,8 @@ type SessionOptions struct {
 
 // Session multiplexes logical streams over one Conn. It assumes exclusive
 // ownership of the connection: sends are serialized by the write lock and
-// exactly one goroutine (the demux reader) receives, which is the
-// concurrency contract every Conn implementation supports.
+// one goroutine at a time — the holder of the read role — receives, which
+// is the concurrency contract every Conn implementation supports.
 type Session struct {
 	c      Conn
 	accept func(*Stream)
@@ -125,12 +128,18 @@ type Session struct {
 	closed  bool
 	cause   error
 
-	// work hands a stream the peer opened to a parked handler goroutine;
-	// it is unbuffered, so a send succeeds only while one is parked.
-	work chan *Stream
+	// role hands the read role to a parked worker goroutine; it is
+	// unbuffered, so a send succeeds only while one is parked. scratch and
+	// own are the reader's receive buffers (see read); they travel with
+	// the role, and only its holder touches them.
+	role    chan struct{}
+	scratch []byte
+	own     *[]byte
+	// assembling counts the streams holding part of a chunked message
+	// (see worker); it changes under mu.
+	assembling atomic.Int32
 
-	loops    sync.WaitGroup
-	handlers sync.WaitGroup
+	loops sync.WaitGroup
 
 	bytesSent atomic.Uint64
 	bytesRecv atomic.Uint64
@@ -168,7 +177,7 @@ type SessionStats struct {
 	FlowStalls uint64
 }
 
-// NewSession wraps c in a session and starts its demux reader, chunk pump
+// NewSession wraps c in a session and starts its reader, chunk pump
 // and keepalive loop. It does no I/O itself. The session owns c from here
 // on: closing the session closes the connection, and a connection error
 // tears the session down.
@@ -192,7 +201,7 @@ func newSession(c Conn, opts SessionOptions, version uint64) *Session {
 		helloCh: make(chan struct{}),
 		done:    make(chan struct{}),
 		streams: make(map[uint64]*Stream),
-		work:    make(chan *Stream),
+		role:    make(chan struct{}),
 	}
 	if opts.Metrics != nil {
 		s.mRejected = opts.Metrics.SessionHelloRejected
@@ -210,7 +219,7 @@ func newSession(c Conn, opts SessionOptions, version uint64) *Session {
 	// The reader starts last: a go statement can cost its caller a thread
 	// start, and a server wants the session on its books before it serves.
 	s.loops.Add(1)
-	go s.readLoop()
+	go s.worker()
 	return s
 }
 
@@ -415,13 +424,10 @@ func (s *Session) Close() error {
 // Done is closed when the session is torn down.
 func (s *Session) Done() <-chan struct{} { return s.done }
 
-// Wait blocks until the session's goroutines — writer, demux reader, and
-// any accept handlers — have finished. Serving loops use it so a space's
-// shutdown can wait for inbound dispatches.
-func (s *Session) Wait() {
-	s.loops.Wait()
-	s.handlers.Wait()
-}
+// Wait blocks until the session's goroutines — chunk pump, keepalive,
+// reader and every goroutine serving a stream — have finished. Serving
+// loops use it so a space's shutdown can wait for inbound dispatches.
+func (s *Session) Wait() { s.loops.Wait() }
 
 // closeErrLocked renders the teardown cause as an error satisfying
 // errors.Is(err, ErrClosed).
@@ -649,36 +655,80 @@ func (s *Session) pumpLoop() {
 // make the rest long enough to tell from everything else.)
 var burstRest = 100 * time.Microsecond
 
-// readLoop demultiplexes inbound frames to their streams by envelope id.
-// The first frame must be the peer's hello. After it, a frame for an
-// unknown id either opens a server-side stream (Accept installed) or is a
-// late response to an abandoned exchange, dropped.
-func (s *Session) readLoop() {
+// worker is every goroutine a session reads or serves on. One at a time
+// holds the read role and reads (see read). A frame that opens a stream
+// ends its reading: it hands the role to a parked worker, or to a new one
+// if none is parked, and only then serves the stream itself, so a served
+// call runs on the goroutine that read its request and is never queued
+// behind a busy one, and a blocked call stalls no reading. Afterwards it
+// parks until it is handed the role again, or retires after handlerIdle.
+// A session without Accept opens no streams, so its reader reads for
+// good. Reusing workers spares each served call a goroutine start and the
+// regrowth of its stack; the hand-off is one channel send.
+func (s *Session) worker() {
 	defer s.loops.Done()
-	// scratch is the reader's receive buffer. Until a data chunk arrives it
-	// is whatever the connection grew it to; from then on it is own, a
-	// buffer with room for any chunk the peer may send, so that a chunk
-	// read into it can be handed to its stream as it lies and the reader
-	// take another (see onData).
-	var scratch []byte
-	var own *[]byte
-	defer func() {
-		if own != nil {
-			chunkBufs.Put(own)
-		}
-	}()
+	idle := time.NewTimer(handlerIdle)
+	defer idle.Stop()
 	for {
-		frame, err := s.c.Recv(scratch)
-		if err != nil {
-			s.fail(err)
+		st := s.read()
+		if st == nil {
 			return
 		}
-		// The frame is the reader's to give away when the connection read
-		// it into the pooled buffer; a connection that returns buffers of
-		// its own (inmem, chaos) keeps them, and chunks are copied out.
-		mine := own != nil && len(frame) > 0 && &frame[0] == &(*own)[:1][0]
-		if !mine {
-			scratch = frame
+		select {
+		case s.role <- struct{}{}:
+		default:
+			s.loops.Add(1)
+			go s.worker()
+		}
+		if s.assembling.Load() > 0 {
+			// A chunked message is arriving: let the new reader run before
+			// the serve, so that its chunks, and the credit reading them
+			// grants, wait for no small call.
+			runtime.Gosched()
+		}
+		s.accept(st)
+		idle.Reset(handlerIdle)
+		select {
+		case <-s.role:
+		case <-idle.C:
+			return
+		case <-s.done:
+			return
+		}
+	}
+}
+
+// handlerIdle is how long a worker goroutine stays parked without the
+// read role before it retires.
+const handlerIdle = time.Second
+
+// read demultiplexes inbound frames to their streams by envelope id until
+// a frame opens a stream, which it returns for its caller to serve; nil
+// means the session is over. The first frame must be the peer's hello.
+// After it, a frame for an unknown id either opens a server-side stream
+// (Accept installed) or is a late response to an abandoned exchange,
+// dropped.
+//
+// s.scratch is the receive buffer. Until a data chunk arrives it is
+// whatever the connection grew it to; from then on it is s.own, a buffer
+// with room for any chunk the peer may send, so that a chunk read into it
+// can be handed to its stream as it lies and the reader take another (see
+// onData).
+func (s *Session) read() *Stream {
+	for {
+		frame, err := s.c.Recv(s.scratch)
+		if err != nil {
+			s.fail(err)
+			break
+		}
+		// The frame is the reader's to give away, in own, when the
+		// connection read it into the pooled buffer; a connection that
+		// returns buffers of its own (inmem, chaos) keeps them, and chunks
+		// are copied out.
+		own := s.own
+		if own == nil || len(frame) == 0 || &frame[0] != &(*own)[:1][0] {
+			own = nil
+			s.scratch = frame
 		}
 		// Counting the bytes is also what proves the peer alive to the
 		// keepalive, which compares the count from one tick to the next.
@@ -686,7 +736,7 @@ func (s *Session) readLoop() {
 		if s.peer.Load() == nil {
 			if err := s.onHello(frame); err != nil {
 				s.rejectHello(err)
-				return
+				break
 			}
 			continue
 		}
@@ -694,28 +744,32 @@ func (s *Session) readLoop() {
 			id, payload, err := wire.SplitMux(frame)
 			if err != nil {
 				s.fail(fmt.Errorf("transport: bad mux frame on session: %w", err))
-				return
+				break
 			}
 			if id == 0 {
 				// Stream 0 carries the hello and nothing else.
 				s.fail(fmt.Errorf("transport: %v on stream 0 after the hello", wire.PeekOp(frame)))
-				return
+				break
 			}
-			s.dispatch(id, payload)
+			if st := s.dispatch(id, payload); st != nil {
+				return st
+			}
 			continue
 		}
 		if wire.PeekOp(frame) == wire.OpData {
 			id, flags, chunk, err := wire.SplitData(frame)
 			if err == nil {
-				if !mine {
-					s.onData(id, flags, chunk, nil)
-				} else if s.onData(id, flags, chunk, own) {
-					own = nil // the chunk went with the buffer it lay in
+				st, took := s.onData(id, flags, chunk, own)
+				if took {
+					s.own = nil // the chunk went with the buffer it lay in
 				}
-				if own == nil {
-					own = getChunkBuf(s.flow.params.ChunkSize + dataHeaderMax)
+				if s.own == nil {
+					s.own = getChunkBuf(s.flow.params.ChunkSize + dataHeaderMax)
 				}
-				scratch = *own
+				s.scratch = *s.own
+				if st != nil {
+					return st
+				}
 				continue
 			}
 		} else if s.readFlowFrame(frame) {
@@ -724,8 +778,13 @@ func (s *Session) readLoop() {
 		// A bare frame on a multiplexed connection means the peer lost
 		// track of the protocol; nothing on this link can be trusted.
 		s.fail(fmt.Errorf("transport: unexpected frame on session (op %v)", wire.PeekOp(frame)))
-		return
+		break
 	}
+	if s.own != nil {
+		chunkBufs.Put(s.own)
+		s.own = nil
+	}
+	return nil
 }
 
 // readFlowFrame handles one naked flow frame other than a data chunk,
@@ -760,10 +819,10 @@ func (s *Session) readFlowFrame(frame []byte) bool {
 }
 
 // dispatch routes one inbound payload to its stream, creating the stream
-// (and handing it to a handler) when the peer opened it. The delivery is
-// made under the session lock, so it reaches the exchange the id names
-// and no later user of the same stream.
-func (s *Session) dispatch(id uint64, payload []byte) {
+// when the peer opened it and returning it then, for the reader to serve.
+// The delivery is made under the session lock, so it reaches the exchange
+// the id names and no later user of the same stream.
+func (s *Session) dispatch(id uint64, payload []byte) *Stream {
 	bp := wire.GetBuf()
 	*bp = append((*bp)[:0], payload...)
 	s.mu.Lock()
@@ -773,44 +832,10 @@ func (s *Session) dispatch(id uint64, payload []byte) {
 	if !delivered {
 		wire.PutBuf(bp)
 	}
-	if fresh {
-		s.serve(st)
+	if !fresh {
+		return nil
 	}
-}
-
-// handlerIdle is how long a handler goroutine stays parked without a
-// stream before it retires.
-const handlerIdle = time.Second
-
-// serve runs the accept function on a stream the peer opened: on a parked
-// handler goroutine when there is one, on a new one otherwise — never
-// queued behind a busy handler, so a blocked exchange delays no other.
-// Reusing handlers spares each served call a goroutine start and the
-// regrowth of its stack.
-func (s *Session) serve(st *Stream) {
-	select {
-	case s.work <- st:
-	default:
-		s.handlers.Add(1)
-		go s.handlerLoop(st)
-	}
-}
-
-func (s *Session) handlerLoop(st *Stream) {
-	defer s.handlers.Done()
-	idle := time.NewTimer(handlerIdle)
-	defer idle.Stop()
-	for {
-		s.accept(st)
-		idle.Reset(handlerIdle)
-		select {
-		case st = <-s.work:
-		case <-idle.C:
-			return
-		case <-s.done:
-			return
-		}
-	}
+	return st
 }
 
 // Stream is one logical exchange on a session. It implements Conn: Send
@@ -964,8 +989,11 @@ func (st *Stream) deliverLocked(m inMsg) bool {
 func (st *Stream) endLocked() {
 	st.state.Store(streamEnded)
 	delete(st.s.streams, st.id)
-	st.asm.recycle()
-	st.asm = nil
+	if st.asm != nil {
+		st.asm.recycle()
+		st.asm = nil
+		st.s.assembling.Add(-1)
+	}
 }
 
 // left reports how long the stream's deadline leaves: zero when none is
@@ -1070,13 +1098,15 @@ func (st *Stream) Recv(scratch []byte) ([]byte, error) {
 	st.Release()
 	// Deliver a frame that arrived before teardown even if the stream or
 	// session has since closed, matching the drain behaviour of real
-	// connections.
+	// connections. The state is read first: a frame delivered before an
+	// end that has been seen is in the inbox by the poll (see below).
+	closed := st.isClosed()
 	select {
 	case m := <-st.in:
 		return st.take(m), nil
 	default:
 	}
-	if st.isClosed() {
+	if closed {
 		return nil, ErrClosed
 	}
 	wait, err := st.left()

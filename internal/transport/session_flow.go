@@ -246,20 +246,22 @@ func (f *flowState) writeData(s *Session) (bool, error) {
 // assemble: it keeps each chunk in the buffer it arrived in and hands the
 // lot to the consumer (see take). own is the chunkBufs buffer data lies
 // in when the reader may give that away, and onData reports whether it
-// took it; data in anyone else's buffer is copied into one.
-func (s *Session) onData(id, flags uint64, data []byte, own *[]byte) (took bool) {
+// took it; data in anyone else's buffer is copied into one. A chunk that
+// opens a stream returns the stream, for the reader to serve as it serves
+// any other (see dispatch).
+func (s *Session) onData(id, flags uint64, data []byte, own *[]byte) (opened *Stream, took bool) {
 	f := s.flow
 	if g := f.sessLedger.Chunk(len(data)); g > 0 {
 		f.queueGrant(0, g)
 	}
 	if id == 0 {
-		return false
+		return nil, false
 	}
 	if flags&wire.DataFlagReset != 0 {
 		// The sender abandoned the message mid-stream: the partial assembly
 		// goes, and the exchange ends so that a blocked handler unwedges.
 		s.Abort(id)
-		return false
+		return nil, false
 	}
 	c := chunk{bp: own, b: data}
 	if own == nil {
@@ -280,15 +282,15 @@ func (s *Session) onData(id, flags uint64, data []byte, own *[]byte) (took bool)
 		if own == nil {
 			chunkBufs.Put(c.bp)
 		}
-		return false // late chunks for an abandoned exchange: dropped
+		return nil, false // late chunks for an abandoned exchange: dropped
 	}
 	if grant > 0 {
 		f.queueGrant(id, grant)
 	}
-	if fresh {
-		s.serve(st)
+	if !fresh {
+		st = nil
 	}
-	return own != nil
+	return st, own != nil
 }
 
 // addChunkLocked adds a chunk to the stream's assembly, delivering the
@@ -297,6 +299,7 @@ func (s *Session) onData(id, flags uint64, data []byte, own *[]byte) (took bool)
 func (st *Stream) addChunkLocked(c chunk, last bool, window int64) (grant int64) {
 	if st.asm == nil {
 		st.asm = new(assembly)
+		st.s.assembling.Add(1)
 	}
 	st.asm.chunks = append(st.asm.chunks, c)
 	st.asm.n += len(c.b)
@@ -307,6 +310,7 @@ func (st *Stream) addChunkLocked(c chunk, last bool, window int64) (grant int64)
 	if last {
 		m := inMsg{asm: st.asm}
 		st.asm = nil
+		st.s.assembling.Add(-1)
 		st.ledger.Complete(m.asm.n)
 		if !st.deliverLocked(m) {
 			// Dropped, but count the bytes consumed so the sender's window

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"netobjects/internal/flow"
 	"netobjects/internal/obs"
 )
 
@@ -18,6 +20,13 @@ import (
 // The server session echoes every frame back on the same stream unless a
 // custom accept function is given.
 func sessionPair(t *testing.T, accept func(*Stream)) (client *Session, server *Session) {
+	t.Helper()
+	return wrappedPair(t, nil, accept)
+}
+
+// wrappedPair is sessionPair with the server's connection wrapped by wrap
+// when it is not nil.
+func wrappedPair(t *testing.T, wrap func(Conn) Conn, accept func(*Stream)) (client *Session, server *Session) {
 	t.Helper()
 	mem := NewMem()
 	l, err := mem.Listen("peer")
@@ -37,6 +46,9 @@ func sessionPair(t *testing.T, accept func(*Stream)) (client *Session, server *S
 		t.Fatalf("dial: %v", err)
 	}
 	sc := <-accepted
+	if wrap != nil {
+		sc = wrap(sc)
+	}
 	if accept == nil {
 		accept = func(st *Stream) {
 			defer st.Close()
@@ -781,18 +793,43 @@ func goroutineID() string {
 	return strings.Fields(string(b[:runtime.Stack(b, false)]))[1]
 }
 
-// TestSessionHandlerReuse pins that served streams are handed to parked
-// handler goroutines rather than each starting its own: a sequential
-// caller is served by at most two (the second covers a handler still on
-// its way back to the parking spot).
+// goroutineSet counts calls by goroutine.
+type goroutineSet struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (g *goroutineSet) add() {
+	id := goroutineID()
+	g.mu.Lock()
+	if g.n == nil {
+		g.n = map[string]int{}
+	}
+	g.n[id]++
+	g.mu.Unlock()
+}
+
+// recvRecorder notes every goroutine that receives on its connection.
+type recvRecorder struct {
+	Conn
+	readers *goroutineSet
+}
+
+func (c recvRecorder) Recv(scratch []byte) ([]byte, error) {
+	c.readers.add()
+	return c.Conn.Recv(scratch)
+}
+
+// TestSessionHandlerReuse pins that a session reads and serves on a few
+// reused goroutines rather than starting one per stream: a sequential
+// caller's exchanges are read and served by at most three — the holder of
+// the read role, the goroutine serving, and one more covering a server
+// still on its way back to the parking spot.
 func TestSessionHandlerReuse(t *testing.T) {
-	var mu sync.Mutex
-	handlers := map[string]int{}
-	client, _ := sessionPair(t, func(st *Stream) {
+	var readers, servers goroutineSet
+	client, _ := wrappedPair(t, func(c Conn) Conn { return recvRecorder{c, &readers} }, func(st *Stream) {
 		defer st.Close()
-		mu.Lock()
-		handlers[goroutineID()]++
-		mu.Unlock()
+		servers.add()
 		if frame, err := st.Recv(nil); err == nil {
 			_ = st.Send(frame)
 		}
@@ -813,15 +850,104 @@ func TestSessionHandlerReuse(t *testing.T) {
 		st.Release()
 		st.Close()
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	readers.mu.Lock()
+	defer readers.mu.Unlock()
+	servers.mu.Lock()
+	defer servers.mu.Unlock()
 	served := 0
-	for _, n := range handlers {
+	all := map[string]bool{}
+	for id, n := range servers.n {
 		served += n
+		all[id] = true
 	}
-	if served != streams || len(handlers) > 2 {
-		t.Fatalf("%d streams served by %d handler goroutines (%v), want %d by at most 2", served, len(handlers), handlers, streams)
+	for id := range readers.n {
+		all[id] = true
 	}
+	if served != streams || len(all) > 3 {
+		t.Fatalf("%d streams served; %d goroutines read or served (readers %v, servers %v), want %d by at most 3", served, len(all), readers.n, servers.n, streams)
+	}
+}
+
+// TestSessionBlockedServeStallsNothing pins that a served call that
+// blocks holds up nothing else on its session: the goroutine that read
+// its request hands the reading on before it serves, so further exchanges
+// and a chunked request are read and served while it blocks. Wait, once
+// the session is closed, waits for the blocked serve too; when that
+// returns, so does Wait, and no goroutine of the session is left.
+func TestSessionBlockedServeStallsNothing(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	blocked := make(chan struct{})
+	release := make(chan struct{})
+	client, server := sessionPair(t, func(st *Stream) {
+		defer st.Close()
+		frame, err := st.Recv(nil)
+		if err != nil {
+			return
+		}
+		if string(frame) == "block" {
+			close(blocked)
+			<-release
+		}
+		_ = st.Send(frame)
+	})
+	exchange := func(payload []byte) {
+		t.Helper()
+		st, err := client.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		_ = st.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := st.Send(payload); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+		got, err := st.Recv(nil)
+		if err != nil {
+			t.Fatalf("recv of a %d-byte exchange beside a blocked serve: %v", len(payload), err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("a %d-byte exchange came back as %d other bytes", len(payload), len(got))
+		}
+	}
+
+	held, err := client.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	if err := held.Send([]byte("block")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-blocked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the blocking exchange was never served")
+	}
+	for i := 0; i < 100; i++ {
+		exchange([]byte(fmt.Sprintf("exchange %d", i)))
+	}
+	exchange(pattern(4 * flow.DefaultChunkSize)) // a chunked request, and response
+
+	client.Close()
+	server.Close()
+	waited := make(chan struct{})
+	go func() {
+		client.Wait()
+		server.Wait()
+		close(waited)
+	}()
+	select {
+	case <-waited:
+		t.Fatal("Wait returned while a serve was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-waited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wait did not return once the serve did")
+	}
+	eventually(t, "session goroutines to exit", func() bool { return runtime.NumGoroutine() <= baseline })
 }
 
 // TestSessionHandlersUncapped pins the other half of handler reuse:
