@@ -7,7 +7,6 @@
 //
 //	netobjd [-listen tcp:127.0.0.1:7707] [-http 127.0.0.1:7708]
 //	        [-trace-out trace.jsonl] [-v]
-//	netobjd -peers tcp:h0:7707,tcp:h1:7707,tcp:h2:7707 -replica 0 [-join tcp:h1:7707]
 //
 // The daemon prints its endpoints on startup; pass one to naming.Lookup /
 // naming.Bind from other processes. With -http it also serves the
@@ -15,17 +14,8 @@
 // (live export/import tables, dirty sets, pool occupancy, recent trace
 // events). With -trace-out the buffered trace events are written to the
 // given file as JSON lines on shutdown (the live equivalent is
-// /debug/netobj/trace.jsonl).
-//
-// Without -peers the daemon runs the classic single-agent directory —
-// nothing about that mode changed. With -peers it instead joins the
-// replicated agent tier as member -replica of the listed cluster: writes
-// chain through the sequencer (the lowest live member), any replica
-// serves reads, and clients using registry.NewResolver cache lookups
-// under a lease and fail over between the replicas. -join names a
-// running replica to catch up from before serving, for adding a member
-// to a cluster that is already live. The member listens on its own entry
-// of -peers, so -listen is ignored in this mode.
+// /debug/netobj/trace.jsonl). The agent is not replicated: restarting
+// the daemon empties the directory, and owners bind their objects again.
 package main
 
 import (
@@ -41,16 +31,12 @@ import (
 
 	"netobjects"
 	"netobjects/internal/naming"
-	"netobjects/internal/registry"
 )
 
 func main() {
 	listen := flag.String("listen", "tcp:127.0.0.1:7707", "endpoint to listen on")
 	httpAddr := flag.String("http", "", "address for the /metrics and /debug/netobj endpoint (disabled when empty)")
 	traceOut := flag.String("trace-out", "", "write buffered trace events to this file as JSON lines on shutdown")
-	peers := flag.String("peers", "", "comma-separated endpoints of every member of a replicated agent tier (single-agent mode when empty)")
-	replicaIdx := flag.Int("replica", 0, "this member's index into -peers")
-	join := flag.String("join", "", "running replica to catch up from before serving (when joining a live cluster)")
 	verbose := flag.Bool("v", false, "log runtime events")
 	flag.Parse()
 
@@ -58,22 +44,9 @@ func main() {
 	if *verbose {
 		logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	}
-	var peerList []string
-	if *peers != "" {
-		peerList = strings.Split(*peers, ",")
-		if *replicaIdx < 0 || *replicaIdx >= len(peerList) {
-			fmt.Fprintf(os.Stderr, "netobjd: -replica %d out of range for %d peers\n", *replicaIdx, len(peerList))
-			os.Exit(1)
-		}
-		// A replica listens on its own peers entry and must run the
-		// weak-reference cleanup: references arriving on the write and
-		// replication paths are reclaimed through it.
-		*listen = peerList[*replicaIdx]
-	}
 	opts := netobjects.Options{
 		Name:            "netobjd",
 		ListenEndpoints: []string{*listen},
-		AutoRelease:     peerList != nil,
 		Logger:          logger,
 	}
 	var ring *netobjects.RingTracer
@@ -88,25 +61,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "netobjd:", err)
 		os.Exit(1)
 	}
-	var agent *naming.Agent
-	var rep *registry.Replica
-	if peerList != nil {
-		rep, err = registry.Serve(sp, registry.Options{
-			Peers:    peerList,
-			Self:     *replicaIdx,
-			JoinFrom: *join,
-			Logf: func(format string, args ...any) {
-				if logger != nil {
-					logger.Info(fmt.Sprintf(format, args...))
-				}
-			},
-		})
-		if err == nil {
-			agent = rep.Agent()
-		}
-	} else {
-		agent, err = naming.Serve(sp)
-	}
+	agent, err := naming.Serve(sp)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "netobjd:", err)
 		os.Exit(1)
@@ -116,12 +71,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "netobjd: no listening endpoints")
 		os.Exit(1)
 	}
-	if rep != nil {
-		fmt.Printf("netobjd: serving replica %d of %d at %s (space %v)\n",
-			*replicaIdx, len(peerList), strings.Join(eps, ", "), sp.ID())
-	} else {
-		fmt.Printf("netobjd: serving agent at %s (space %v)\n", strings.Join(eps, ", "), sp.ID())
-	}
+	fmt.Printf("netobjd: serving agent at %s (space %v)\n", strings.Join(eps, ", "), sp.ID())
 
 	if *httpAddr != "" {
 		o := sp.Observability()
@@ -132,9 +82,6 @@ func main() {
 			}
 			return fmt.Sprintf("%d names bound: %s", len(names), strings.Join(names, ", "))
 		})
-		if rep != nil {
-			o.SetDebugSection("registry", rep.StatusString)
-		}
 		srv := &http.Server{Addr: *httpAddr, Handler: o.Handler(), ReadHeaderTimeout: 5 * time.Second}
 		go func() {
 			fmt.Printf("netobjd: telemetry at http://%s/debug/netobj\n", *httpAddr)
@@ -149,9 +96,6 @@ func main() {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	fmt.Println("netobjd: shutting down")
-	if rep != nil {
-		rep.Close()
-	}
 	_ = sp.Close()
 
 	if *traceOut != "" && ring != nil {

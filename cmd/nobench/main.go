@@ -6,8 +6,8 @@
 //
 // Usage:
 //
-//	nobench [-t t1,t2,f1,t3,t4,t5,t6,e1,e2,e3,e4,e5,e6,e7|all] [-quick] [-obs] [-http addr]
-//	nobench -chaos [-chaos-profile loss|partition|crash|mixed|registry|distarray|none]
+//	nobench [-t t1,t2,f1,t3,t4,t5,t6,e1,e2,e3,e4,e6,e7|all] [-quick] [-obs] [-http addr]
+//	nobench -chaos [-chaos-profile loss|partition|crash|mixed|distarray|none]
 //	        [-chaos-transport inmem|tcp] [-chaos-seed N] [-chaos-spaces N]
 //	        [-chaos-ops N] [-obs] [-http addr]
 //
@@ -43,7 +43,6 @@ import (
 	"netobjects/internal/objtable"
 	"netobjects/internal/pickle"
 	"netobjects/internal/refmodel"
-	"netobjects/internal/registry"
 	"netobjects/internal/transport"
 	"netobjects/internal/wire"
 )
@@ -67,11 +66,11 @@ func withObs(o *netobjects.Options) {
 }
 
 func main() {
-	which := flag.String("t", "all", "comma-separated experiments: t1,t2,f1,t3,t4,t5,t6,e1,e2,e3,e4,e5,e6,e7")
+	which := flag.String("t", "all", "comma-separated experiments: t1,t2,f1,t3,t4,t5,t6,e1,e2,e3,e4,e6,e7")
 	obsFlag := flag.Bool("obs", false, "aggregate runtime metrics across experiments and print the digest")
 	httpAddr := flag.String("http", "", "serve live /metrics and /debug/netobj on this address during the run (implies -obs)")
 	chaosFlag := flag.Bool("chaos", false, "run the fault-injection soak instead of the benchmark tables")
-	chaosProfile := flag.String("chaos-profile", "mixed", "fault profile: loss, partition, crash, mixed, registry, distarray, none")
+	chaosProfile := flag.String("chaos-profile", "mixed", "fault profile: "+strings.Join(chaos.SoakProfiles, ", "))
 	chaosTransport := flag.String("chaos-transport", "inmem", "transport under the soak: inmem or tcp")
 	chaosSeed := flag.Uint64("chaos-seed", 1, "seed for the workload and fault schedule (same seed, same run)")
 	chaosSpaces := flag.Int("chaos-spaces", 4, "number of spaces in the soak")
@@ -131,7 +130,6 @@ func main() {
 	run("e2", runE2)
 	run("e3", runE3)
 	run("e4", runE4)
-	run("e5", runE5)
 	run("e6", runE6)
 	run("e7", runE7)
 
@@ -1456,274 +1454,6 @@ func runE4() error {
 		fmt.Println("single-CPU host: goroutines never overlap, the shard locks never contend")
 		fmt.Println("(counters above), and the >= 2x bound is unobservable; it is enforced on")
 		fmt.Println("multicore hosts only.")
-	}
-	return nil
-}
-
-// runE5 measures the replicated agent tier (internal/registry) from a
-// client's seat. Cell 1 is lookup latency with the leased cache on and
-// off against a 3-replica cluster: the cached path is a map hit under the
-// resolver's mutex, the uncached path is a full LookupV RPC at a replica,
-// so the gap is what the lease protocol buys on every read inside the
-// TTL. Cell 2 is the failover blip: a client reading through its home
-// replica and a client writing through the sequencer, with that replica
-// killed mid-stream — the blip is the gap from the crash to the next
-// successful operation, which covers failure detection (ProbeFailures
-// consecutive probes), the election, and the client's own retry. The
-// acceptance shape is blip ~ detection window (ProbeInterval x
-// ProbeFailures + one retry), not multiples of it.
-func runE5() error {
-	const (
-		replicas      = 3
-		probeInterval = 50 * time.Millisecond
-		probeFailures = 2
-	)
-	detection := time.Duration(probeFailures) * probeInterval
-	lookups := iters(20000)
-
-	fmt.Printf("E5: registry tier, %d replicas (inmem), lease-cached vs uncached lookups, failover blip\n", replicas)
-	fmt.Printf("membership: probe every %v, dead after %d misses (detection window %v)\n",
-		probeInterval, probeFailures, detection)
-
-	// One cluster serves the whole experiment.
-	tr := netobjects.NewMem()
-	addrs := make([]string, replicas)
-	peers := make([]string, replicas)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("e5-reg%d", i)
-		peers[i] = wire.JoinEndpoint("inmem", addrs[i])
-	}
-	mkSpace := func(name, addr string, auto bool) (*netobjects.Space, error) {
-		opts := netobjects.Options{
-			Name:            name,
-			Transports:      []netobjects.Transport{tr},
-			ListenEndpoints: []string{wire.JoinEndpoint("inmem", addr)},
-			Registry:        pickle.NewRegistry(),
-			AutoRelease:     auto,
-			CallTimeout:     5 * time.Second,
-			PingInterval:    time.Hour,
-		}
-		withObs(&opts)
-		return netobjects.New(opts)
-	}
-	regOpts := func(self int) registry.Options {
-		return registry.Options{
-			Peers:         peers,
-			Self:          self,
-			ProbeInterval: probeInterval,
-			ProbeTimeout:  3 * probeInterval,
-			ProbeFailures: probeFailures,
-		}
-	}
-	sps := make([]*netobjects.Space, replicas)
-	reps := make([]*registry.Replica, replicas)
-	start := func(i int) error {
-		sp, err := mkSpace(fmt.Sprintf("e5-replica%d", i), addrs[i], true)
-		if err != nil {
-			return err
-		}
-		rep, err := registry.Serve(sp, regOpts(i))
-		if err != nil {
-			_ = sp.Close()
-			return err
-		}
-		sps[i], reps[i] = sp, rep
-		return nil
-	}
-	for i := 0; i < replicas; i++ {
-		if err := start(i); err != nil {
-			return err
-		}
-	}
-	defer func() {
-		for i := range sps {
-			if sps[i] != nil {
-				reps[i].Close()
-				_ = sps[i].Close()
-			}
-		}
-	}()
-	waitLeader := func(want int) error {
-		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
-			ok := true
-			for _, r := range reps {
-				if r == nil {
-					continue
-				}
-				if !r.Ready() || r.Leader() != want {
-					ok = false
-				}
-			}
-			if ok {
-				return nil
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		return fmt.Errorf("replicas never agreed on sequencer %d", want)
-	}
-	if err := waitLeader(0); err != nil {
-		return err
-	}
-
-	owner, err := mkSpace("e5-owner", "e5-owner", false)
-	if err != nil {
-		return err
-	}
-	defer owner.Close()
-	svc, err := owner.Export(&benchService{})
-	if err != nil {
-		return err
-	}
-	wres, err := registry.NewResolver(owner, registry.ResolverOptions{Peers: peers})
-	if err != nil {
-		return err
-	}
-	defer wres.Close()
-	ctx := context.Background()
-	if _, err := wres.Bind(ctx, "e5-svc", svc); err != nil {
-		return err
-	}
-
-	// --- cell 1: lookup latency, cache on vs off ---
-	lookupCell := func(name string, disableCache bool) error {
-		sp, err := mkSpace("e5-"+name, "e5-"+name, false)
-		if err != nil {
-			return err
-		}
-		defer sp.Close()
-		res, err := registry.NewResolver(sp, registry.ResolverOptions{
-			Peers:        peers,
-			LeaseTTL:     time.Minute, // never expires inside the cell
-			DisableCache: disableCache,
-		})
-		if err != nil {
-			return err
-		}
-		defer res.Close()
-		if _, _, err := res.Resolve(ctx, "e5-svc"); err != nil { // warm
-			return err
-		}
-		lat := make([]time.Duration, lookups)
-		for i := range lat {
-			t0 := time.Now()
-			if _, _, err := res.Resolve(ctx, "e5-svc"); err != nil {
-				return err
-			}
-			lat[i] = time.Since(t0)
-		}
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		q := func(p float64) time.Duration {
-			return lat[min(int(float64(len(lat))*p), len(lat)-1)]
-		}
-		fmt.Printf("  %-14s %12s %12s %12s  (%d lookups)\n",
-			name, q(0.50).Round(time.Nanosecond), q(0.99).Round(time.Nanosecond),
-			q(0.999).Round(time.Nanosecond), len(lat))
-		return nil
-	}
-	fmt.Printf("lookup latency:\n  %-14s %12s %12s %12s\n", "cache", "p50", "p99", "p99.9")
-	if err := lookupCell("leased", false); err != nil {
-		return err
-	}
-	if err := lookupCell("uncached", true); err != nil {
-		return err
-	}
-
-	// --- cell 2: failover blip ---
-	// A reader whose home replica dies, and a writer whose sequencer dies
-	// (replica 0 is both here: reads subscribe at the first peer that
-	// answers, writes chase the sequencer). The blip is measured from the
-	// kill to the first operation that completes after it.
-	reader, err := mkSpace("e5-reader", "e5-reader", false)
-	if err != nil {
-		return err
-	}
-	defer reader.Close()
-	rres, err := registry.NewResolver(reader, registry.ResolverOptions{
-		Peers:                peers,
-		LeaseTTL:             time.Millisecond, // force every read remote
-		DisableInvalidations: true,
-	})
-	if err != nil {
-		return err
-	}
-	defer rres.Close()
-
-	type blip struct {
-		detect time.Duration // kill -> first post-kill success
-		worst  time.Duration // largest success-to-success gap
-	}
-	runBlip := func(op func() error) (blip, error) {
-		// Steady stream; kill replica 0 after 100 ops; stream until the
-		// ops have clearly recovered, tracking the largest gap.
-		var b blip
-		var killAt time.Time
-		last := time.Now()
-		for i := 0; ; i++ {
-			if i == 100 {
-				reps[0].Close()
-				sps[0].Abort()
-				sps[0], reps[0] = nil, nil
-				killAt = time.Now()
-			}
-			if err := op(); err != nil {
-				if time.Since(killAt) > 20*time.Second {
-					return b, fmt.Errorf("no recovery after kill: %w", err)
-				}
-				continue
-			}
-			now := time.Now()
-			if gap := now.Sub(last); gap > b.worst {
-				b.worst = gap
-			}
-			last = now
-			if !killAt.IsZero() {
-				if b.detect == 0 {
-					b.detect = now.Sub(killAt)
-				}
-				if now.Sub(killAt) > 2*detection+time.Second {
-					return b, nil
-				}
-			}
-		}
-	}
-
-	rb, err := runBlip(func() error {
-		opCtx, cancel := context.WithTimeout(ctx, 2*time.Second)
-		defer cancel()
-		_, _, err := rres.Resolve(opCtx, "e5-svc")
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("reader failover blip (home replica killed): first success %v after kill, worst gap %v\n",
-		rb.detect.Round(time.Millisecond), rb.worst.Round(time.Millisecond))
-
-	// Restore replica 0 for the writer cell and let it take the sequencer
-	// role back.
-	if err := start(0); err != nil {
-		return err
-	}
-	if err := waitLeader(0); err != nil {
-		return err
-	}
-	wb, err := runBlip(func() error {
-		opCtx, cancel := context.WithTimeout(ctx, 2*time.Second)
-		defer cancel()
-		_, err := wres.Rebind(opCtx, "e5-svc", svc)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("writer failover blip (sequencer killed): first success %v after kill, worst gap %v\n",
-		wb.detect.Round(time.Millisecond), wb.worst.Round(time.Millisecond))
-	fmt.Printf("shape check: the reader blip is client-side failover (next peer, no election) and sits\n")
-	fmt.Printf("well under the detection window; the writer blip spans detection (%v) plus the\n", detection)
-	fmt.Printf("election and the redirect chase, so ~1-3x the window is the expected band.\n")
-	if wb.detect > 10*detection+time.Second {
-		return fmt.Errorf("E5 acceptance failed: writer blip %v is far beyond the detection window %v",
-			wb.detect, detection)
 	}
 	return nil
 }

@@ -104,40 +104,18 @@ func TestSoakMixed(t *testing.T) {
 	}
 }
 
-// TestSoakRegistry soaks the replicated agent tier: three replicas under
-// a crash/restart schedule that takes down a follower and then the
-// sequencer while clients rebind and look up through leased resolvers.
-// The run fails on any stale-beyond-lease read, any op failing outside a
-// fault window, or any acknowledged write missing after convergence.
-func TestSoakRegistry(t *testing.T) {
-	for _, seed := range []uint64{1, 2} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rep, err := RunSoak(SoakConfig{
-				Spaces:      3,
-				Ops:         soakOps(t),
-				Seed:        seed,
-				Profile:     "registry",
-				HealTimeout: 30 * time.Second,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Log(rep)
-			if rep.Failed() {
-				t.Fatalf("registry soak failed:\nviolations: %v", rep.Violations)
-			}
-			if rep.Crashes != 2 {
-				t.Errorf("schedule ran %d crashes, want 2", rep.Crashes)
-			}
-			if rep.RegistryElections == 0 {
-				t.Error("killing the sequencer caused no election")
-			}
-			if rep.RegistryWrites == 0 || rep.RegistryLookups == 0 {
-				t.Errorf("workload too thin: %d writes, %d lookups",
-					rep.RegistryWrites, rep.RegistryLookups)
-			}
-		})
+// TestSoakRejectsUnknownProfile pins that a profile RunSoak does not know
+// — a typo, or one whose subsystem is gone — is an error naming the valid
+// profiles, not a quiet run under some default fault mix.
+func TestSoakRejectsUnknownProfile(t *testing.T) {
+	for _, profile := range []string{"registry", "mixd"} {
+		rep, err := RunSoak(SoakConfig{Ops: 10, Seed: 1, Profile: profile})
+		if err == nil {
+			t.Fatalf("profile %q: ran (%v), want an error", profile, rep)
+		}
+		if !strings.Contains(err.Error(), strings.Join(SoakProfiles, ", ")) {
+			t.Errorf("profile %q: error %q does not list the valid profiles", profile, err)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"netobjects/internal/core"
@@ -277,7 +278,7 @@ func (h *daHarness) violation(format string, args ...any) {
 // sortOnce runs one bounded sort attempt and enforces the termination
 // contract. mustSucceed marks the fault-free attempts (baseline and
 // post-heal) whose failure is itself a violation.
-func (h *daHarness) sortOnce(keys int64, seed uint64, mustSucceed bool) (*distarray.SortResult, time.Duration) {
+func (h *daHarness) sortOnce(keys int64, seed uint64, mustSucceed bool) *distarray.SortResult {
 	ctx, cancel := context.WithTimeout(context.Background(), daSortDeadline)
 	defer cancel()
 	start := time.Now()
@@ -300,19 +301,18 @@ func (h *daHarness) sortOnce(keys int64, seed uint64, mustSucceed bool) (*distar
 	case out = <-done:
 	case <-time.After(daSortDeadline + daHangSlack):
 		h.violation("sort (seed %d) hung past its deadline plus slack", seed)
-		return nil, time.Since(start)
+		return nil
 	}
-	elapsed := time.Since(start)
 	if out.err != nil {
-		h.cfg.Logger.Info("chaos: sort attempt failed", "seed", seed, "elapsed", elapsed, "err", out.err)
+		h.cfg.Logger.Info("chaos: sort attempt failed", "seed", seed, "elapsed", time.Since(start), "err", out.err)
 		if mustSucceed {
 			h.violation("fault-free sort (seed %d) failed: %v", seed, out.err)
 		}
-		return nil, elapsed
+		return nil
 	}
 	h.report.DistSorts++
 	h.report.DistShuffledBytes += uint64(out.res.ShuffledBytes)
-	return out.res, elapsed
+	return out.res
 }
 
 // mirrorOnce passes res's data array to one worker's replica service and
@@ -357,7 +357,7 @@ func (h *daHarness) run() {
 	}
 
 	// Round 0 — fault-free baseline: must complete, verify, and replicate.
-	res, baseline := h.sortOnce(keys, h.cfg.Seed, true)
+	res := h.sortOnce(keys, h.cfg.Seed, true)
 	if res != nil {
 		h.mirrorOnce(res, 0)
 		release(res)
@@ -375,33 +375,48 @@ func (h *daHarness) run() {
 	for _, n := range h.nodes {
 		n.ct.SetRules(rules)
 	}
-	res, _ = h.sortOnce(keys, h.cfg.Seed+1, false)
+	res = h.sortOnce(keys, h.cfg.Seed+1, false)
 	if res != nil {
 		h.mirrorOnce(res, 1%len(h.nodes))
 		release(res)
 	}
 
-	// Round 2 — crash one worker mid-shuffle, faults still on. The sort
-	// must terminate (almost always with an error); the host's cleanup
-	// releases whatever references the dead pass left behind.
+	// Round 2 — crash one worker mid-shuffle, faults still on. The crash
+	// is keyed to a protocol event, not a timer: the victim's first call
+	// to a peer worker, which is its first Gather pull of the shuffle (the
+	// host makes every other call of a sort). The sort must terminate
+	// (almost always with an error); the host's cleanup releases whatever
+	// references the dead pass left behind.
 	victim := h.nodes[int(h.cfg.Seed)%len(h.nodes)]
-	crashAfter := baseline / 2
-	if crashAfter <= 0 {
-		crashAfter = 20 * time.Millisecond
-	}
-	crashed := make(chan struct{})
-	timer := time.AfterFunc(crashAfter, func() {
-		h.cfg.Logger.Info("chaos: crashing worker mid-shuffle", "worker", victim.name)
-		if h.cfg.Tracer != nil {
-			h.cfg.Tracer.Emit(obs.Event{Kind: obs.EvChaosCrash, Time: time.Now(), Peer: victim.name})
+	peers := make(map[string]bool)
+	for _, n := range h.nodes {
+		if n != victim {
+			peers[n.addr] = true
 		}
-		victim.sp.Abort()
-		close(crashed)
+	}
+	var armed atomic.Bool
+	armed.Store(true)
+	crashed := make(chan struct{})
+	victim.ct.OnSend(func(addr string, op wire.Op) {
+		if op != wire.OpCall || !peers[addr] || !armed.CompareAndSwap(true, false) {
+			return
+		}
+		// Abort closes the sessions this frame is being sent on, so it
+		// runs off the sending goroutine.
+		go func() {
+			h.cfg.Logger.Info("chaos: crashing worker mid-shuffle", "worker", victim.name)
+			if h.cfg.Tracer != nil {
+				h.cfg.Tracer.Emit(obs.Event{Kind: obs.EvChaosCrash, Time: time.Now(), Peer: victim.name})
+			}
+			victim.sp.Abort()
+			close(crashed)
+		}()
 	})
-	res, _ = h.sortOnce(keys, h.cfg.Seed+2, false)
-	// Stop() reports false once the callback has been started; waiting on
-	// the channel publishes the Abort before we touch the victim again.
-	if !timer.Stop() {
+	res = h.sortOnce(keys, h.cfg.Seed+2, false)
+	victim.ct.OnSend(nil)
+	// A failed disarm means the hook fired; waiting on the channel
+	// publishes the Abort before we touch the victim again.
+	if !armed.CompareAndSwap(true, false) {
 		<-crashed
 		victim.down = true
 		h.report.Crashes++
@@ -421,7 +436,7 @@ func (h *daHarness) run() {
 			return
 		}
 	}
-	res, _ = h.sortOnce(keys, h.cfg.Seed+3, true)
+	res = h.sortOnce(keys, h.cfg.Seed+3, true)
 	if res != nil {
 		h.mirrorOnce(res, victim.idx)
 		release(res)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -32,7 +33,9 @@ type SoakConfig struct {
 	// Profile names the fault mix: "loss" (drop/duplicate/reorder),
 	// "partition" (scripted full and asymmetric partitions over light
 	// loss), "crash" (scripted crash/restart over light loss), "mixed"
-	// (all of the above), or "none" (no faults: the baseline).
+	// (all of the above), "none" (no faults: the baseline), or
+	// "distarray" (the bulk data plane; see runDistArraySoak). Anything
+	// else is rejected. Empty means "mixed".
 	Profile string
 	// Transport selects the links the spaces talk over: "inmem" (default,
 	// the in-process transport) or "tcp" (real loopback TCP, exercising
@@ -52,6 +55,9 @@ type SoakConfig struct {
 	// Logger receives harness progress; nil discards it.
 	Logger *slog.Logger
 }
+
+// SoakProfiles lists the fault profiles RunSoak accepts.
+var SoakProfiles = []string{"none", "loss", "partition", "crash", "mixed", "distarray"}
 
 // SoakReport is the outcome of one soak run.
 type SoakReport struct {
@@ -76,15 +82,6 @@ type SoakReport struct {
 	// TableLeaks are non-empty import/export tables after quiescence.
 	// Must be empty.
 	TableLeaks []string
-
-	// Registry-profile extras (Profile == "registry"): the replicated
-	// agent tier's workload counts. Its invariant breaches — stale reads
-	// beyond the lease, failed ops outside fault windows, lost acked
-	// writes — land in Violations like everything else.
-	RegistryWrites    int
-	RegistryLookups   int
-	RegistryFailovers uint64
-	RegistryElections uint64
 
 	// Distarray-profile extras (Profile == "distarray"): completed
 	// verified sorts, worker-to-worker shuffle volume, and completed
@@ -112,14 +109,6 @@ func (r *SoakReport) String() string {
 			r.Profile, r.Transport, r.Seed, r.Spaces,
 			r.DistSorts, r.DistShuffledBytes, r.DistMirrors, r.Crashes,
 			r.Faults.Faults(), r.Faults.Drops, r.Faults.Reorders,
-			r.Elapsed.Round(time.Millisecond), verdict)
-	}
-	if r.Profile == "registry" {
-		return fmt.Sprintf(
-			"chaos soak %s/%s seed=%d: %d replicas, %d ops (%d writes, %d lookups), %d crashes, %d elections, %d client failovers, %v — %s",
-			r.Profile, r.Transport, r.Seed, r.Spaces, r.Ops,
-			r.RegistryWrites, r.RegistryLookups, r.Crashes,
-			r.RegistryElections, r.RegistryFailovers,
 			r.Elapsed.Round(time.Millisecond), verdict)
 	}
 	return fmt.Sprintf(
@@ -239,11 +228,12 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
-	if cfg.Profile == "registry" {
-		// The registry profile soaks the replicated agent tier rather
-		// than the collector: replica crash/restart under a rebind and
-		// leased-lookup workload, with its own invariants.
-		return runRegistrySoak(cfg)
+	if cfg.Profile == "" {
+		cfg.Profile = "mixed"
+	}
+	if !slices.Contains(SoakProfiles, cfg.Profile) {
+		return nil, fmt.Errorf("chaos: unknown soak profile %q (want one of %s)",
+			cfg.Profile, strings.Join(SoakProfiles, ", "))
 	}
 	if cfg.Profile == "distarray" {
 		// The distarray profile soaks the bulk data plane: distributed
@@ -259,9 +249,6 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	}
 	if cfg.HealTimeout <= 0 {
 		cfg.HealTimeout = 30 * time.Second
-	}
-	if cfg.Profile == "" {
-		cfg.Profile = "mixed"
 	}
 	var inner transport.Transport
 	switch cfg.Transport {
@@ -516,8 +503,6 @@ func (h *harness) schedule() (Rules, []episode) {
 		rules = Rules{Drop: 0.10, Duplicate: 0.05, Reorder: 0.10, Reset: 0.05, Jitter: 2 * time.Millisecond}
 		addPartition(ops*3/10, ops/2, true)
 		addCrash(ops*3/5, ops*3/4)
-	default:
-		rules = Rules{Drop: 0.10}
 	}
 	return rules, eps
 }

@@ -38,6 +38,7 @@ type Transport struct {
 	seqs        map[seqKey]uint64
 	tracer      obs.Tracer
 	wrapAccepts bool
+	sendHook    atomic.Pointer[func(addr string, op wire.Op)]
 
 	messages   atomic.Uint64
 	drops      atomic.Uint64
@@ -161,6 +162,20 @@ func (t *Transport) SetObserver(tr obs.Tracer) {
 	t.mu.Lock()
 	t.tracer = tr
 	t.mu.Unlock()
+}
+
+// OnSend installs fn, called with the destination and op of every
+// outbound frame before the fault schedule sees it. A harness keys a
+// scripted fault to a protocol event with it (a crash at a worker's first
+// shuffle pull, say) instead of a wall-clock timer that may fire after
+// the event it aims at. fn runs on the sending goroutine and must not
+// block; nil removes it.
+func (t *Transport) OnSend(fn func(addr string, op wire.Op)) {
+	if fn == nil {
+		t.sendHook.Store(nil)
+		return
+	}
+	t.sendHook.Store(&fn)
 }
 
 // SetRules installs the default fault schedule, replacing the previous
@@ -415,6 +430,9 @@ func (c *conn) Send(payload []byte) error {
 		return fmt.Errorf("chaos: link to %q partitioned: %w", c.addr, transport.ErrClosed)
 	}
 	op := wire.PeekOp(payload)
+	if fn := t.sendHook.Load(); fn != nil {
+		(*fn)(c.addr, op)
+	}
 	seq := t.nextSeq(c.addr, op)
 	t.messages.Add(1)
 	r := t.rulesFor(c.addr)

@@ -428,12 +428,6 @@ func (sp *Space) Stats() Stats {
 // Metrics returns the space's live metrics set.
 func (sp *Space) Metrics() *obs.Metrics { return sp.metrics }
 
-// AutoReleasing reports whether the space reclaims unreachable surrogates
-// through weak references (Options.AutoRelease). Long-lived directory
-// tiers (internal/registry) require it so stray holds on decoded
-// references cannot accumulate.
-func (sp *Space) AutoReleasing() bool { return sp.opts.AutoRelease }
-
 // Observability bundles the space's metrics, tracer and live debug dump
 // for the HTTP telemetry endpoint.
 func (sp *Space) Observability() *obs.Observability { return sp.obsv }

@@ -22,8 +22,8 @@ import (
 // it, so a K-deep dependent chain costs one round trip: every Call frame
 // travels together and the owner chains them locally against its
 // per-session completion table. A promise with no session behind it — an
-// owner-local receiver's, or a FailedPromise — chains by resolve-then-call
-// instead: the dependent call awaits it before going anywhere.
+// owner-local receiver's — chains by resolve-then-call instead: the
+// dependent call awaits it before going anywhere.
 
 // Promise is the client's handle on the result of a pipelined call. It
 // resolves when the owner's Result arrives, when the chain is poisoned by
@@ -36,7 +36,8 @@ type Promise struct {
 	method string
 
 	// sess and id place the promise on one mux session; both are zero for
-	// a promise that never went to the wire (local receiver, FailedPromise).
+	// a promise that never went to the wire (a local receiver's, or one
+	// that failed before it could ship).
 	sess      *transport.Session
 	endpoints []string
 	id        uint64
@@ -73,16 +74,6 @@ func (p *Promise) breakWith(cause error) {
 
 // Done is closed once the promise has resolved (or broken).
 func (p *Promise) Done() <-chan struct{} { return p.done }
-
-// FailedPromise returns a promise already resolved with err. Callers
-// that fail before a pipelined call can ship — a registry handle whose
-// resolve failed, for instance — use it to keep the promise contract
-// instead of inventing a second error path.
-func (sp *Space) FailedPromise(method string, err error) *Promise {
-	p := newPromise(sp, method, nil)
-	p.resolve(nil, nil, err)
-	return p
-}
 
 // Await blocks until the promise resolves and returns the call's
 // dynamic results, following the Ref.Call error conventions. A promise

@@ -348,8 +348,9 @@ func TestOneWayThenTwoWayOrdering(t *testing.T) {
 
 // TestPipeChainOnSessionlessPromise pins the one place resolve-then-call
 // survives: a promise that never went to the wire — an owner-local
-// receiver's, or a FailedPromise — has no session for an owner to chain
-// against, so a call chained on it awaits it and calls what it resolved to.
+// receiver's — has no session for an owner to chain against, so a call
+// chained on it awaits it and calls what it resolved to, or breaks with
+// the failure it resolved to.
 func TestPipeChainOnSessionlessPromise(t *testing.T) {
 	tn := newTestNet(t)
 	back := tn.space("back", nil)
@@ -376,11 +377,15 @@ func TestPipeChainOnSessionlessPromise(t *testing.T) {
 		t.Fatalf("netobj_pipeline_fallbacks_total = %d, want the one chained call", got)
 	}
 
-	boom := errors.New("lookup failed")
-	_, err = front.FailedPromise("Lookup", boom).PipeCall(ctx, "Name").Await(ctx)
+	end, err := front.Export(&chainNode{name: "end"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = end.PipeCall(ctx, "Next").PipeCall(ctx, "Name").Await(ctx)
 	var ce *CallError
-	if !errors.As(err, &ce) || ce.Status != wire.StatusPromiseBroken || !errors.Is(err, boom) {
-		t.Fatalf("chain on a failed promise: %v, want a broken promise wrapping the cause", err)
+	if !errors.As(err, &ce) || ce.Status != wire.StatusPromiseBroken ||
+		ce.Cause == nil || ce.Cause.Error() != "end of chain" {
+		t.Fatalf("chain on a failed local promise: %v, want a broken promise wrapping the cause", err)
 	}
 }
 

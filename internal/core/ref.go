@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"time"
@@ -45,24 +44,6 @@ type Referencer interface {
 	// NetObjRef returns the underlying reference.
 	NetObjRef() *Ref
 }
-
-// Caller is the typed invocation surface generated stubs bind to. *Ref
-// implements it directly; values that locate their reference dynamically
-// — notably the registry's rebinding Handle, whose calls re-resolve a
-// name across owner restarts — implement it too, so one generated stub
-// type works over either a fixed reference or a registry name.
-type Caller interface {
-	// InvokeTyped performs a typed call under the space-wide timeout.
-	InvokeTyped(method string, fingerprint uint64, args []reflect.Value, resultTypes []reflect.Type) ([]reflect.Value, error)
-	// InvokeTypedCtx performs a typed call under ctx: its deadline
-	// travels to the owner and cancelling it alerts the remote dispatch.
-	InvokeTypedCtx(ctx context.Context, method string, fingerprint uint64, args []reflect.Value, resultTypes []reflect.Type) ([]reflect.Value, error)
-	// InvokeTypedPipe issues a typed pipelined call, returning its
-	// promise immediately.
-	InvokeTypedPipe(ctx context.Context, method string, fingerprint uint64, args []reflect.Value, resultTypes []reflect.Type) *Promise
-}
-
-var _ Caller = (*Ref)(nil)
 
 // IsOwner reports whether the reference is the owner's handle on a
 // concrete object (as opposed to a surrogate).

@@ -76,7 +76,7 @@ type Digest struct {
 // partitions and their lengths in bytes. The descriptor is plain data —
 // pickling it emits one wireRep per partition, each pinned transiently
 // dirty while in transit like any reference argument — so an Array can
-// travel in calls, inside other structures, or through the registry, and
+// travel in calls, inside other structures, or through the name agent, and
 // every receiver ends up holding direct references to the owners.
 type Array struct {
 	Parts []Partition

@@ -7,22 +7,15 @@
 // dedicated one. Importing by name needs only an endpoint string — the
 // agent call is bootstrapped by index, and the reference it returns
 // carries the full wireRep of the named object, after which the normal
-// registration path (dirty call, surrogate creation) applies.
-//
-// Every mutation carries a monotonically increasing version number and
-// unbinds leave versioned tombstones, so a replicated tier
-// (internal/registry) can chain-replicate the table and reconcile
-// divergent replicas by per-name version max-merge. The apply hook
-// (SetApplyHook) observes every applied mutation for replication and
-// lease invalidation.
+// registration path (dirty call, surrogate creation) applies. An agent
+// is one unreplicated directory, as in the paper: if its space dies, its
+// bindings die with it and owners bind again at a restarted agent.
 package naming
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 
@@ -38,333 +31,110 @@ var (
 	ErrExists = errors.New("naming: name already bound")
 )
 
-// Update describes one applied directory mutation, delivered to the apply
-// hook. Ref is borrowed: it is the directory's own reference, valid only
-// for the duration of the hook call — a consumer that keeps it must Dup.
-// Hook calls are made outside the directory lock, so under concurrent
-// writers they can arrive out of version order; consumers must guard with
-// the carried Version.
-type Update struct {
-	Name    string
-	Version uint64
-	Deleted bool
-	Ref     *core.Ref
-}
-
-// VersionedName pairs a bound (or tombstoned) name with its version, for
-// snapshots and replica anti-entropy.
-type VersionedName struct {
-	Name    string
-	Version uint64
-}
-
-// entry is one live binding.
-type entry struct {
-	ref     *core.Ref
-	version uint64
-}
-
 // Agent is the directory object. Bindings hold live references, so a
 // bound object stays in its owner's export table (the agent's space sits
 // in the dirty set) until unbound.
 //
-// Ownership convention: Bind/Rebind/ApplyBind take ownership of the
-// reference they are given — the directory's hold is the caller's
-// transferred hold. A caller that keeps using the reference independently
-// must Dup it first. Lookup returns a Dup'd reference the caller owns and
-// must Release; Binding returns the directory's own reference, borrowed.
+// Ownership convention: Bind/Rebind take ownership of the reference they
+// are given — the directory's hold is the caller's transferred hold. A
+// caller that keeps using the reference independently must Dup it first.
+// Lookup returns a Dup'd reference the caller owns and must Release.
 type Agent struct {
-	mu      sync.Mutex
-	entries map[string]*entry
-	// tombs records the version at which each currently-unbound name was
-	// last deleted, so replicated applies can order an unbind against a
-	// concurrent rebind.
-	tombs map[string]uint64
-	seq   uint64
-	hook  func(Update)
+	mu       sync.Mutex
+	bindings map[string]*core.Ref
 }
 
 // NewAgent returns an empty directory.
 func NewAgent() *Agent {
-	return &Agent{
-		entries: make(map[string]*entry),
-		tombs:   make(map[string]uint64),
-	}
-}
-
-// SetApplyHook installs fn, called after every applied mutation — local
-// bind/rebind/unbind and replicated applies alike. See Update for the
-// delivery contract. Install before the agent is shared; nil clears.
-func (a *Agent) SetApplyHook(fn func(Update)) {
-	a.mu.Lock()
-	a.hook = fn
-	a.mu.Unlock()
-}
-
-// fire delivers an update to the hook, outside the lock.
-func (a *Agent) fire(hook func(Update), u Update) {
-	if hook != nil {
-		hook(u)
-	}
+	return &Agent{bindings: make(map[string]*core.Ref)}
 }
 
 // Bind publishes ref under name, taking ownership of ref; it fails if the
-// name is taken. It returns the binding's version.
-func (a *Agent) Bind(name string, ref *core.Ref) (uint64, error) {
+// name is taken.
+func (a *Agent) Bind(name string, ref *core.Ref) error {
 	if name == "" || ref == nil {
-		return 0, errors.New("naming: empty name or nil reference")
+		return errors.New("naming: empty name or nil reference")
 	}
 	a.mu.Lock()
-	if _, ok := a.entries[name]; ok {
-		a.mu.Unlock()
-		return 0, fmt.Errorf("%w: %q", ErrExists, name)
+	defer a.mu.Unlock()
+	if _, ok := a.bindings[name]; ok {
+		return fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	a.seq++
-	v := a.seq
-	a.entries[name] = &entry{ref: ref, version: v}
-	delete(a.tombs, name)
-	hook := a.hook
-	a.mu.Unlock()
-	a.fire(hook, Update{Name: name, Version: v, Ref: ref})
-	return v, nil
+	a.bindings[name] = ref
+	return nil
 }
 
 // Rebind publishes ref under name, taking ownership of ref and replacing
 // (and releasing) any previous binding. Rebinding the same reference that
 // is already bound keeps the existing hold rather than double-releasing
-// it. It returns the binding's version.
-func (a *Agent) Rebind(name string, ref *core.Ref) (uint64, error) {
+// it.
+func (a *Agent) Rebind(name string, ref *core.Ref) error {
 	if name == "" || ref == nil {
-		return 0, errors.New("naming: empty name or nil reference")
+		return errors.New("naming: empty name or nil reference")
 	}
 	a.mu.Lock()
-	var old *core.Ref
-	if e, ok := a.entries[name]; ok {
-		old = e.ref
-		a.seq++
-		e.ref, e.version = ref, a.seq
-	} else {
-		a.seq++
-		a.entries[name] = &entry{ref: ref, version: a.seq}
-	}
-	v := a.seq
-	delete(a.tombs, name)
-	hook := a.hook
+	old := a.bindings[name]
+	a.bindings[name] = ref
 	a.mu.Unlock()
 	if old != nil && old != ref {
 		old.Release()
 	}
-	a.fire(hook, Update{Name: name, Version: v, Ref: ref})
-	return v, nil
+	return nil
 }
 
-// Unbind removes a binding, releases the directory's reference to the
-// object, and leaves a versioned tombstone. It returns the tombstone's
-// version.
-func (a *Agent) Unbind(name string) (uint64, error) {
+// Unbind removes a binding and releases the directory's reference to the
+// object.
+func (a *Agent) Unbind(name string) error {
 	a.mu.Lock()
-	e, ok := a.entries[name]
-	if !ok {
-		a.mu.Unlock()
-		return 0, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	delete(a.entries, name)
-	a.seq++
-	v := a.seq
-	a.tombs[name] = v
-	hook := a.hook
+	ref, ok := a.bindings[name]
+	delete(a.bindings, name)
 	a.mu.Unlock()
-	e.ref.Release()
-	a.fire(hook, Update{Name: name, Version: v, Deleted: true})
-	return v, nil
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrNotFound, name)
+	}
+	ref.Release()
+	return nil
 }
 
 // Lookup resolves name to its bound reference. The returned reference is
 // Dup'd: the caller owns it and must Release it when done — releasing it
 // does not disturb the directory's own hold on the binding.
 func (a *Agent) Lookup(name string) (*core.Ref, error) {
-	ref, _, err := a.LookupV(name)
-	return ref, err
-}
-
-// LookupV is Lookup plus the binding's version. The returned reference is
-// Dup'd; the caller owns it.
-func (a *Agent) LookupV(name string) (*core.Ref, uint64, error) {
-	a.mu.Lock()
-	e, ok := a.entries[name]
-	a.mu.Unlock()
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: %q", ErrNotFound, name)
+	bound, err := a.binding(name)
+	if err != nil {
+		return nil, err
 	}
-	ref, err := e.ref.Dup()
+	ref, err := bound.Dup()
 	if err != nil {
 		// The binding's reference died under us (owner crashed and the
 		// surrogate was withdrawn): report the name unbound.
-		return nil, 0, fmt.Errorf("%w: %q (binding unusable: %v)", ErrNotFound, name, err)
+		return nil, fmt.Errorf("%w: %q (binding unusable: %v)", ErrNotFound, name, err)
 	}
-	return ref, e.version, nil
+	return ref, nil
 }
 
-// Binding returns the directory's own reference for name, borrowed: it is
+// binding returns the directory's own reference for name, borrowed: it is
 // valid only while the binding persists and must not be Released by the
-// caller. The remote dispatch path uses it — a reply marshal pins the
-// reference for the duration of the send, so handing out the directory's
-// hold is safe there, whereas a Dup'd result would leak a hold per remote
-// lookup (nothing on the serve side releases results after marshaling).
-func (a *Agent) Binding(name string) (*core.Ref, uint64, bool) {
+// caller. The remote Lookup uses it — a reply marshal pins the reference
+// for the duration of the send, so handing out the directory's hold is
+// safe there, whereas a Dup'd result would leak a hold per remote lookup
+// (nothing on the serve side releases results after marshaling).
+func (a *Agent) binding(name string) (*core.Ref, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	e, ok := a.entries[name]
+	ref, ok := a.bindings[name]
 	if !ok {
-		return nil, 0, false
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	return e.ref, e.version, true
-}
-
-// Tomb reports the tombstone version for name, if the name is currently
-// deleted with a recorded unbind.
-func (a *Agent) Tomb(name string) (uint64, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	v, ok := a.tombs[name]
-	return v, ok
-}
-
-// ApplyBind installs a replicated binding at an assigned version, taking
-// ownership of ref. It applies only if version is newer than both the
-// current binding and any tombstone for the name; a stale apply releases
-// ref (unless it is the very reference already bound) and reports false.
-func (a *Agent) ApplyBind(name string, ref *core.Ref, version uint64) bool {
-	if name == "" || ref == nil {
-		return false
-	}
-	a.mu.Lock()
-	cur := a.entries[name]
-	if (cur != nil && version <= cur.version) || version <= a.tombs[name] {
-		bound := cur != nil && cur.ref == ref
-		a.mu.Unlock()
-		if !bound {
-			ref.Release()
-		}
-		return false
-	}
-	var old *core.Ref
-	if cur != nil {
-		old = cur.ref
-		cur.ref, cur.version = ref, version
-	} else {
-		a.entries[name] = &entry{ref: ref, version: version}
-	}
-	delete(a.tombs, name)
-	if version > a.seq {
-		a.seq = version
-	}
-	hook := a.hook
-	a.mu.Unlock()
-	if old != nil && old != ref {
-		old.Release()
-	}
-	a.fire(hook, Update{Name: name, Version: version, Ref: ref})
-	return true
-}
-
-// ApplyUnbind installs a replicated unbind at an assigned version,
-// releasing the current binding if the version is newer. It reports
-// whether the tombstone applied.
-func (a *Agent) ApplyUnbind(name string, version uint64) bool {
-	a.mu.Lock()
-	cur := a.entries[name]
-	if (cur != nil && version <= cur.version) || version <= a.tombs[name] {
-		a.mu.Unlock()
-		return false
-	}
-	var old *core.Ref
-	if cur != nil {
-		old = cur.ref
-		delete(a.entries, name)
-	}
-	a.tombs[name] = version
-	if version > a.seq {
-		a.seq = version
-	}
-	hook := a.hook
-	a.mu.Unlock()
-	if old != nil {
-		old.Release()
-	}
-	a.fire(hook, Update{Name: name, Version: version, Deleted: true})
-	return true
-}
-
-// Seq reports the highest version the directory has assigned or applied.
-func (a *Agent) Seq() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.seq
-}
-
-// SeqFloor raises the version counter to at least v. A replica that takes
-// over as sequencer bumps by an epoch stride so versions it assigns can
-// never collide with unreplicated assignments of a dead predecessor.
-func (a *Agent) SeqFloor(v uint64) {
-	a.mu.Lock()
-	if v > a.seq {
-		a.seq = v
-	}
-	a.mu.Unlock()
-}
-
-// Digest summarises the versioned table as an order-independent hash
-// over every (name, version) binding and tombstone. Two directories with
-// the same digest hold the same names at the same versions; replicas use
-// it to detect per-name divergence that the scalar version counter hides
-// (diverged tables can share the same high-water mark).
-func (a *Agent) Digest() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var d uint64
-	item := func(name string, version uint64, tomb bool) uint64 {
-		h := fnv.New64a()
-		_, _ = h.Write([]byte(name))
-		var b [9]byte
-		binary.BigEndian.PutUint64(b[:8], version)
-		if tomb {
-			b[8] = 1
-		}
-		_, _ = h.Write(b[:])
-		return h.Sum64()
-	}
-	for n, e := range a.entries {
-		d ^= item(n, e.version, false)
-	}
-	for n, v := range a.tombs {
-		d ^= item(n, v, true)
-	}
-	return d
-}
-
-// SnapshotV returns the versioned table: live bindings, tombstones, and
-// the version counter, each sorted by name. Replica anti-entropy diffs it.
-func (a *Agent) SnapshotV() (bindings, tombs []VersionedName, seq uint64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for n, e := range a.entries {
-		bindings = append(bindings, VersionedName{Name: n, Version: e.version})
-	}
-	for n, v := range a.tombs {
-		tombs = append(tombs, VersionedName{Name: n, Version: v})
-	}
-	sort.Slice(bindings, func(i, j int) bool { return bindings[i].Name < bindings[j].Name })
-	sort.Slice(tombs, func(i, j int) bool { return tombs[i].Name < tombs[j].Name })
-	return bindings, tombs, a.seq
+	return ref, nil
 }
 
 // List returns the bound names in sorted order.
 func (a *Agent) List() ([]string, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	names := make([]string, 0, len(a.entries))
-	for n := range a.entries {
+	names := make([]string, 0, len(a.bindings))
+	for n := range a.bindings {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -375,7 +145,7 @@ func (a *Agent) List() ([]string, error) {
 func (a *Agent) Len() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.entries)
+	return len(a.bindings)
 }
 
 // directory is the agent's remote face. It exists so the wire API can
@@ -388,34 +158,16 @@ type directory struct {
 
 // Bind publishes ref under name; the decoded argument surrogate becomes
 // the directory's hold.
-func (d *directory) Bind(name string, ref *core.Ref) (uint64, error) {
-	return d.a.Bind(name, ref)
-}
+func (d *directory) Bind(name string, ref *core.Ref) error { return d.a.Bind(name, ref) }
 
 // Rebind publishes ref under name, replacing any existing binding.
-func (d *directory) Rebind(name string, ref *core.Ref) (uint64, error) {
-	return d.a.Rebind(name, ref)
-}
+func (d *directory) Rebind(name string, ref *core.Ref) error { return d.a.Rebind(name, ref) }
 
 // Unbind removes a binding.
-func (d *directory) Unbind(name string) (uint64, error) {
-	return d.a.Unbind(name)
-}
+func (d *directory) Unbind(name string) error { return d.a.Unbind(name) }
 
 // Lookup resolves name for a remote client.
-func (d *directory) Lookup(name string) (*core.Ref, error) {
-	ref, _, err := d.LookupV(name)
-	return ref, err
-}
-
-// LookupV resolves name plus its binding version for a remote client.
-func (d *directory) LookupV(name string) (*core.Ref, uint64, error) {
-	ref, v, ok := d.a.Binding(name)
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	return ref, v, nil
-}
+func (d *directory) Lookup(name string) (*core.Ref, error) { return d.a.binding(name) }
 
 // List returns the bound names in sorted order.
 func (d *directory) List() ([]string, error) { return d.a.List() }
@@ -424,18 +176,10 @@ func (d *directory) List() ([]string, error) { return d.a.List() }
 // returns it. A space serves at most one agent.
 func Serve(sp *core.Space) (*Agent, error) {
 	a := NewAgent()
-	if err := ServeAgent(sp, a); err != nil {
+	if _, err := sp.ExportAgent(&directory{a: a}); err != nil {
 		return nil, err
 	}
 	return a, nil
-}
-
-// ServeAgent installs an existing agent's remote face on sp at the
-// well-known agent index. The registry tier uses it to serve a directory
-// it also mutates through the replication path.
-func ServeAgent(sp *core.Space, a *Agent) error {
-	_, err := sp.ExportAgent(&directory{a: a})
-	return err
 }
 
 // Lookup imports the object bound to name at the agent reachable via

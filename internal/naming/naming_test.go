@@ -171,12 +171,9 @@ func TestLookupDupSurvivesCallerRelease(t *testing.T) {
 
 	// In-process lookup at the agent's space: caller owns the result and
 	// releases it, as any well-behaved local client would.
-	got, v, err := agent.LookupV("held")
+	got, err := agent.Lookup("held")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if v == 0 {
-		t.Fatal("binding carries no version")
 	}
 	got.Release()
 
@@ -222,104 +219,6 @@ func TestCtxVariantsHonorDeadline(t *testing.T) {
 	}
 	if err := UnbindCtx(ctx, client, ep, "c"); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestVersionsAndTombstones(t *testing.T) {
-	a := NewAgent()
-	sp, err := core.NewSpace(core.Options{
-		Name:       "solo",
-		Transports: []transport.Transport{transport.NewMem()},
-		Registry:   pickle.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = sp.Close() })
-	r1, _ := sp.Export(&svc{})
-	r2, _ := sp.Export(&svc{})
-
-	v1, err := a.Bind("x", r1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := a.Rebind("x", r2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2 <= v1 {
-		t.Fatalf("versions not increasing: %d then %d", v1, v2)
-	}
-	v3, err := a.Unbind("x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tv, ok := a.Tomb("x"); !ok || tv != v3 {
-		t.Fatalf("tombstone %d %v, want %d", tv, ok, v3)
-	}
-	// Stale replicated applies must lose against the tombstone.
-	if a.ApplyBind("x", r1, v2) {
-		t.Fatal("stale ApplyBind won against a newer tombstone")
-	}
-	if _, _, err := a.LookupV("x"); err == nil {
-		t.Fatal("lookup after unbind succeeded")
-	}
-	// A newer apply wins and clears the tombstone.
-	r3, _ := sp.Export(&svc{})
-	if !a.ApplyBind("x", r3, v3+1) {
-		t.Fatal("fresh ApplyBind lost")
-	}
-	if _, ok := a.Tomb("x"); ok {
-		t.Fatal("tombstone survived a newer bind")
-	}
-	bindings, tombs, seq := a.SnapshotV()
-	if len(bindings) != 1 || bindings[0].Name != "x" || bindings[0].Version != v3+1 {
-		t.Fatalf("snapshot bindings %v", bindings)
-	}
-	if len(tombs) != 0 {
-		t.Fatalf("snapshot tombs %v", tombs)
-	}
-	if seq != v3+1 {
-		t.Fatalf("seq %d, want %d", seq, v3+1)
-	}
-}
-
-func TestApplyHookObservesMutations(t *testing.T) {
-	a := NewAgent()
-	sp, err := core.NewSpace(core.Options{
-		Name:       "solo",
-		Transports: []transport.Transport{transport.NewMem()},
-		Registry:   pickle.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = sp.Close() })
-
-	var mu sync.Mutex
-	var got []Update
-	a.SetApplyHook(func(u Update) {
-		mu.Lock()
-		got = append(got, u)
-		mu.Unlock()
-	})
-	r1, _ := sp.Export(&svc{})
-	if _, err := a.Bind("h", r1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Unbind("h"); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 2 {
-		t.Fatalf("hook fired %d times", len(got))
-	}
-	if got[0].Name != "h" || got[0].Deleted || got[0].Ref == nil {
-		t.Fatalf("bind update %+v", got[0])
-	}
-	if !got[1].Deleted || got[1].Version <= got[0].Version {
-		t.Fatalf("unbind update %+v", got[1])
 	}
 }
 

@@ -12,7 +12,8 @@ var update = flag.Bool("update", false, "rewrite testdata/metrics.prom from the 
 
 // TestMetricsExposition pins what /metrics renders for a metrics set —
 // every name, help text, type line and bucket, in order — including a
-// gauge function registered after construction the way a space registers
+// settable gauge set negative, a gauge function registered after
+// construction the way a space registers
 // its table sizes, and one registered after the first scrape. Regenerate
 // with -update only for a deliberate change to the exposition.
 func TestMetricsExposition(t *testing.T) {
@@ -20,9 +21,9 @@ func TestMetricsExposition(t *testing.T) {
 	m.CallsSent.Add(3)
 	m.CallLatency.Observe(1500 * time.Nanosecond)
 	m.DialLatency.Observe(3 * time.Millisecond)
-	m.RegistryReplLag.Set(-2)
 	m.Methods.Get("Ping").Calls.Inc()
 	r := m.Registry()
+	r.Gauge("netobj_test_gauge", "A settable gauge holding a negative value.").Set(-2)
 	r.GaugeFunc("netobj_export_entries", "Live export table entries.", func() int64 { return 7 })
 	r.GaugeFunc("netobj_export_entries", "Live export table entries.", func() int64 { return 5 })
 	var first bytes.Buffer

@@ -101,19 +101,6 @@ type Metrics struct {
 	DistShuffleRanges *Counter
 	DistShuffleBytes  *Counter
 	DistPhases        *Counter
-
-	// Replicated name service (internal/registry).
-	RegistryWrites       *Counter
-	RegistryReplicated   *Counter
-	RegistryElections    *Counter
-	RegistryCatchups     *Counter
-	RegistryInvalSent    *Counter
-	RegistryInvalRecv    *Counter
-	RegistryLookupHits   *Counter
-	RegistryLookupMisses *Counter
-	RegistryFailovers    *Counter
-	RegistryRebinds      *Counter
-	RegistryReplLag      *Gauge
 }
 
 // NewMetrics returns a fresh metrics set with every metric registered
@@ -128,15 +115,14 @@ func NewMetrics() *Metrics {
 }
 
 // metricsStore is a Metrics set together with everything it points to.
-// The arrays hold exactly the counters, gauges and histograms build
+// The arrays hold exactly the counters and histograms build
 // registers; one registered without growing them panics at the first
 // NewMetrics.
 type metricsStore struct {
 	m        Metrics
 	reg      Registry
 	methods  MethodMetrics
-	counters [75]Counter
-	gauges   [1]Gauge
+	counters [65]Counter
 	hists    [5]Histogram
 }
 
@@ -241,26 +227,14 @@ func (s *metricsStore) build(defs *[]metricDef) {
 		DistShuffleRanges: r.Counter("netobj_distarray_shuffle_ranges_total", "Contiguous ranges pulled from peer staging partitions during shuffles."),
 		DistShuffleBytes:  r.Counter("netobj_distarray_shuffle_bytes_total", "Bytes pulled worker-to-worker during shuffles."),
 		DistPhases:        r.Counter("netobj_distarray_phases_total", "Bulk-synchronous phases completed by drivers using this metrics set."),
-
-		RegistryWrites:       r.Counter("netobj_registry_writes_total", "Name-table writes (bind/rebind/unbind) sequenced by this replica."),
-		RegistryReplicated:   r.Counter("netobj_registry_replicated_total", "Replicated name-table updates applied by this replica."),
-		RegistryElections:    r.Counter("netobj_registry_elections_total", "Times this replica took over as sequencer."),
-		RegistryCatchups:     r.Counter("netobj_registry_catchups_total", "Snapshot/log-tail catch-up rounds this replica ran against a peer."),
-		RegistryInvalSent:    r.Counter("netobj_registry_invalidations_sent_total", "Lease invalidations pushed to subscribed resolvers."),
-		RegistryInvalRecv:    r.Counter("netobj_registry_invalidations_recv_total", "Lease invalidations received by this space's resolvers."),
-		RegistryLookupHits:   r.Counter("netobj_registry_lookup_hits_total", "Resolver lookups answered from the leased cache."),
-		RegistryLookupMisses: r.Counter("netobj_registry_lookup_misses_total", "Resolver lookups that went to a replica (cold, expired or invalidated)."),
-		RegistryFailovers:    r.Counter("netobj_registry_failovers_total", "Resolver operations that failed over to another replica."),
-		RegistryRebinds:      r.Counter("netobj_registry_rebinds_total", "Handle calls transparently re-resolved after a stale surrogate failed."),
-		RegistryReplLag:      r.Gauge("netobj_registry_repl_lag", "Versions this replica trails the highest applied version seen in the cluster."),
 	}
 }
 
 // storeBuilder hands out a store's metrics in registration order.
 type storeBuilder struct {
-	s          *metricsStore
-	defs       *[]metricDef
-	nc, ng, nh int
+	s      *metricsStore
+	defs   *[]metricDef
+	nc, nh int
 }
 
 func (b *storeBuilder) def(kind metricKind, name, help string, index int) {
@@ -273,12 +247,6 @@ func (b *storeBuilder) Counter(name, help string) *Counter {
 	b.def(kindCounter, name, help, b.nc)
 	b.nc++
 	return &b.s.counters[b.nc-1]
-}
-
-func (b *storeBuilder) Gauge(name, help string) *Gauge {
-	b.def(kindGauge, name, help, b.ng)
-	b.ng++
-	return &b.s.gauges[b.ng-1]
 }
 
 func (b *storeBuilder) Histogram(name, help string) *Histogram {
@@ -297,8 +265,6 @@ func (s *metricsStore) entries() []*metricEntry {
 		switch d.kind {
 		case kindCounter:
 			e.counter = &s.counters[d.index]
-		case kindGauge:
-			e.gauge = &s.gauges[d.index]
 		case kindHistogram:
 			e.hist = &s.hists[d.index]
 		}

@@ -7,9 +7,8 @@
 // embed the interface's fingerprint in every call (version checking), and
 // a RegisterAccount function that declares the interface remote and
 // installs the stub factory, so surrogates unmarshaled at Account
-// positions arrive as ready-to-call stubs. Stubs are constructed over any
-// netobjects.Caller: a *netobjects.Ref for a fixed reference, or a
-// registry Handle for a rebinding name.
+// positions arrive as ready-to-call stubs. A stub wraps one
+// *netobjects.Ref.
 //
 // Stub-able interfaces must follow the remote method conventions: no
 // variadic methods, no embedded interfaces, and an error as the final
@@ -314,23 +313,15 @@ func (g *generator) emitInterface(b *bytes.Buffer, d *ifaceDecl) {
 	fpVar := "stub" + name + "Fingerprint"
 
 	fmt.Fprintf(b, "// %s is the generated client stub for %s: every method\n", stub, name)
-	fmt.Fprintf(b, "// performs a typed remote invocation through the wrapped caller —\n")
-	fmt.Fprintf(b, "// a fixed *netobjects.Ref, or a rebinding registry handle whose calls\n")
-	fmt.Fprintf(b, "// re-resolve the name across owner restarts.\n")
-	fmt.Fprintf(b, "type %s struct{ ref netobjects.Caller }\n\n", stub)
-	fmt.Fprintf(b, "// New%s wraps a caller in a typed stub: pass a *netobjects.Ref to\n", stub)
-	fmt.Fprintf(b, "// bind a fixed reference, or a registry Handle to bind a name.\n")
-	fmt.Fprintf(b, "func New%s(ref netobjects.Caller) *%s { return &%s{ref: ref} }\n\n", stub, stub, stub)
-	fmt.Fprintf(b, "// NetObjRef returns the underlying reference, or nil when the stub is\n")
-	fmt.Fprintf(b, "// bound to a dynamic caller (a registry handle): such a stub marshals\n")
-	fmt.Fprintf(b, "// as a nil reference rather than pinning one resolution of the name.\n")
-	fmt.Fprintf(b, "func (s *%s) NetObjRef() *netobjects.Ref {\n", stub)
-	fmt.Fprintf(b, "\tr, _ := s.ref.(*netobjects.Ref)\n")
-	fmt.Fprintf(b, "\treturn r\n}\n\n")
-	fmt.Fprintf(b, "// Release releases the underlying reference; on a name-bound stub it\n")
-	fmt.Fprintf(b, "// is a no-op (the resolver cache owns the name's references).\n")
+	fmt.Fprintf(b, "// performs a typed remote invocation through the wrapped reference.\n")
+	fmt.Fprintf(b, "type %s struct{ ref *netobjects.Ref }\n\n", stub)
+	fmt.Fprintf(b, "// New%s wraps a reference in a typed stub.\n", stub)
+	fmt.Fprintf(b, "func New%s(ref *netobjects.Ref) *%s { return &%s{ref: ref} }\n\n", stub, stub, stub)
+	fmt.Fprintf(b, "// NetObjRef returns the underlying reference.\n")
+	fmt.Fprintf(b, "func (s *%s) NetObjRef() *netobjects.Ref { return s.ref }\n\n", stub)
+	fmt.Fprintf(b, "// Release releases the underlying reference, if the stub has one.\n")
 	fmt.Fprintf(b, "func (s *%s) Release() {\n", stub)
-	fmt.Fprintf(b, "\tif r := s.NetObjRef(); r != nil {\n\t\tr.Release()\n\t}\n}\n\n")
+	fmt.Fprintf(b, "\tif s.ref != nil {\n\t\ts.ref.Release()\n\t}\n}\n\n")
 	fmt.Fprintf(b, "var (\n")
 	fmt.Fprintf(b, "\t_ %s = (*%s)(nil)\n", name, stub)
 	fmt.Fprintf(b, "\t%s = netobjects.FingerprintOf[%s]()\n", fpVar, name)

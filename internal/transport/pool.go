@@ -181,25 +181,6 @@ func (p *Pool) Session(ctx context.Context, endpoints []string) (*Session, strin
 	return slot.s, ep, nil
 }
 
-// DropSession closes and forgets the cached session for endpoints, if
-// any. Callers use it when an exchange fails in a way that indicts the
-// whole link; the next call redials.
-func (p *Pool) DropSession(endpoints []string) {
-	key := sessionKey(endpoints)
-	p.mu.Lock()
-	slot := p.sessions[key]
-	p.mu.Unlock()
-	if slot == nil {
-		return
-	}
-	slot.mu.Lock()
-	if slot.s != nil {
-		slot.s.Close()
-		slot.s = nil
-	}
-	slot.mu.Unlock()
-}
-
 // SessionCount reports the number of live cached sessions.
 func (p *Pool) SessionCount() int {
 	p.mu.Lock()

@@ -63,11 +63,6 @@ type (
 	// Referencer is implemented by values carrying a network reference
 	// (stubs and *Ref itself).
 	Referencer = core.Referencer
-	// Caller is the typed invocation surface generated stubs bind to:
-	// *Ref implements it directly, and the registry's rebinding Handle
-	// implements it with re-resolve-and-retry, so a stub can wrap either
-	// a fixed reference or a registry name.
-	Caller = core.Caller
 	// Promise is the pending result of a pipelined invocation: it is
 	// returned immediately by Ref.PipeCall and generated ...Pipe stub
 	// methods, and dependent pipelined calls may target it before it
