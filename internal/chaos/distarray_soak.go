@@ -27,15 +27,30 @@ const (
 	// to return before the harness calls it hung.
 	daHangSlack = 10 * time.Second
 	// daMinKeysPerWorker keeps every partition above the flow layer's
-	// 64KB chunk threshold, so bulk pulls travel as OpData chunks — the
-	// frames the fault schedule targets.
+	// 64KB chunk threshold, so a replica's whole-partition fetch travels
+	// as OpData chunks. A shuffle never does: it pulls one (bucket,
+	// source) range per call, a few hundred bytes each, so the sort is
+	// hundreds of worker-to-worker Call and Result frames per pass.
 	daMinKeysPerWorker = 24_000
 )
 
+// daFaultRules is the schedule of the faulted rounds. It targets the
+// frames a sort really sends — the workers' shuffle pulls to each other
+// (Call) and every Result a worker returns, to a peer or to the host —
+// with faults that fail or delay at once: a reset fails the pull and
+// with it the pass, a reorder holds a frame back. Nothing is swallowed
+// silently, which would hold a sort to daSortDeadline.
+var daFaultRules = Rules{
+	Reset:         0.0002,
+	Reorder:       0.05,
+	ReorderWindow: 2 * time.Millisecond,
+	Ops:           []wire.Op{wire.OpCall, wire.OpResult},
+}
+
 // daMirror is the bulk-replica consumer: handed an Array, it pulls every
-// byte straight from the partition owners (whole-partition fetches, so
-// the responses ride chunked OpData frames) and digests the keys. The
-// host that passed the array never touches the data.
+// byte straight from the partition owners (one fetch per partition, whose
+// response rides chunked OpData frames) and digests the keys. The host
+// that passed the array never touches the data.
 type daMirror struct{}
 
 func (m *daMirror) Mirror(ctx context.Context, a distarray.Array) (int64, uint64, error) {
@@ -66,8 +81,9 @@ type daNode struct {
 }
 
 // daHarness drives the distarray soak: distributed sorts and bulk array
-// replicas under OpData drop/reorder, one worker crash-restarted
-// mid-shuffle, then heal, a clean verified sort, and a leak check.
+// replicas under call/result resets and reorders, one worker
+// crash-restarted mid-shuffle, then heal, a clean verified sort, and a
+// leak check.
 type daHarness struct {
 	cfg    SoakConfig
 	inner  transport.Transport
@@ -83,12 +99,13 @@ type daHarness struct {
 
 // runDistArraySoak is RunSoak's "distarray" profile: it soaks the bulk
 // data plane instead of the collector workload. Spaces is the worker
-// count; Ops scales the key volume. The fault schedule drops and
-// reorders OpData chunks — the frames bulk pulls ride — and crashes one
-// worker in the middle of a shuffle. Invariants: a baseline and a
-// post-heal sort complete and verify; every faulted attempt terminates
-// inside its deadline; replicas that do complete match the sort's
-// digests; and after heal nothing leaks — no surrogates, empty tables.
+// count; Ops scales the key volume. The fault schedule resets and
+// reorders the sort's call and result frames, then reorders them while
+// one worker crashes in the middle of a shuffle. Invariants: a baseline
+// and a post-heal sort complete and verify; every faulted attempt
+// terminates inside its deadline; replicas that do complete match the
+// sort's digests; and after heal nothing leaks — no surrogates, empty
+// tables.
 func runDistArraySoak(cfg SoakConfig) (*SoakReport, error) {
 	if cfg.Spaces == 0 {
 		cfg.Spaces = 3
@@ -315,6 +332,23 @@ func (h *daHarness) sortOnce(keys int64, seed uint64, mustSucceed bool) *distarr
 	return out.res
 }
 
+// faultedSort runs one sort attempt under the fault schedule and counts
+// the faults that landed while it ran: faults on sort traffic, since the
+// schedule matches only call and result frames and nothing else calls
+// during a sort.
+func (h *daHarness) faultedSort(keys int64, seed uint64) *distarray.SortResult {
+	faults := func() (n uint64) {
+		for _, nd := range h.nodes {
+			n += nd.ct.Stats().Faults()
+		}
+		return n
+	}
+	before := faults()
+	res := h.sortOnce(keys, seed, false)
+	h.report.DistSortFaults += faults() - before
+	return res
+}
+
 // mirrorOnce passes res's data array to one worker's replica service and
 // checks the pulled copy against the sort's digests. Failures under
 // faults are tolerated; a wrong answer never is.
@@ -363,30 +397,31 @@ func (h *daHarness) run() {
 		release(res)
 	}
 
-	// Round 1 — OpData drop/reorder on every worker link: the sort and
-	// the replica may fail, but only inside their deadlines, and any
-	// completed sort is still digest-verified by Sort itself.
-	rules := Rules{
-		Drop:          0.02,
-		Reorder:       0.10,
-		ReorderWindow: 5 * time.Millisecond,
-		Ops:           []wire.Op{wire.OpData},
-	}
+	// Round 1 — call/result resets and reorders on every worker link:
+	// the sort and the replica may fail, but only inside their deadlines,
+	// and any completed sort is still digest-verified by Sort itself.
 	for _, n := range h.nodes {
-		n.ct.SetRules(rules)
+		n.ct.SetRules(daFaultRules)
 	}
-	res = h.sortOnce(keys, h.cfg.Seed+1, false)
+	res = h.faultedSort(keys, h.cfg.Seed+1)
 	if res != nil {
 		h.mirrorOnce(res, 1%len(h.nodes))
 		release(res)
 	}
 
-	// Round 2 — crash one worker mid-shuffle, faults still on. The crash
-	// is keyed to a protocol event, not a timer: the victim's first call
-	// to a peer worker, which is its first Gather pull of the shuffle (the
-	// host makes every other call of a sort). The sort must terminate
-	// (almost always with an error); the host's cleanup releases whatever
-	// references the dead pass left behind.
+	// Round 2 — reorders only (a reset of a result the host awaits
+	// before the shuffle would end the sort before the crash), and one
+	// worker crashes mid-shuffle. The crash is keyed to a protocol event,
+	// not a timer: the victim's first call to a peer worker, which is its
+	// first Gather pull of the shuffle (the host makes every other call of
+	// a sort). The sort must terminate (almost always with an error); the
+	// host's cleanup releases whatever references the dead pass left
+	// behind.
+	reorders := daFaultRules
+	reorders.Reset = 0
+	for _, n := range h.nodes {
+		n.ct.SetRules(reorders)
+	}
 	victim := h.nodes[int(h.cfg.Seed)%len(h.nodes)]
 	peers := make(map[string]bool)
 	for _, n := range h.nodes {
@@ -412,7 +447,7 @@ func (h *daHarness) run() {
 			close(crashed)
 		}()
 	})
-	res = h.sortOnce(keys, h.cfg.Seed+2, false)
+	res = h.faultedSort(keys, h.cfg.Seed+2)
 	victim.ct.OnSend(nil)
 	// A failed disarm means the hook fired; waiting on the channel
 	// publishes the Abort before we touch the victim again.

@@ -84,11 +84,13 @@ type SoakReport struct {
 	TableLeaks []string
 
 	// Distarray-profile extras (Profile == "distarray"): completed
-	// verified sorts, worker-to-worker shuffle volume, and completed
-	// digest-checked bulk replicas.
+	// verified sorts, worker-to-worker shuffle volume, completed
+	// digest-checked bulk replicas, and the faults injected while the
+	// faulted sorts ran.
 	DistSorts         int
 	DistShuffledBytes uint64
 	DistMirrors       int
+	DistSortFaults    uint64
 }
 
 // Failed reports whether any invariant was violated.
@@ -105,10 +107,10 @@ func (r *SoakReport) String() string {
 	}
 	if r.Profile == "distarray" {
 		return fmt.Sprintf(
-			"chaos soak %s/%s seed=%d: %d workers, %d verified sorts (%d shuffle bytes), %d replicas, %d crashes, %d faults (%d drops, %d reorders), %v — %s",
+			"chaos soak %s/%s seed=%d: %d workers, %d verified sorts (%d shuffle bytes), %d replicas, %d crashes, %d faults (%d on sorts; %d resets, %d reorders), %v — %s",
 			r.Profile, r.Transport, r.Seed, r.Spaces,
 			r.DistSorts, r.DistShuffledBytes, r.DistMirrors, r.Crashes,
-			r.Faults.Faults(), r.Faults.Drops, r.Faults.Reorders,
+			r.Faults.Faults(), r.DistSortFaults, r.Faults.Resets, r.Faults.Reorders,
 			r.Elapsed.Round(time.Millisecond), verdict)
 	}
 	return fmt.Sprintf(

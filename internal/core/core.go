@@ -91,22 +91,6 @@ type Options struct {
 	// PingMaxFailures is how many consecutive failed pings a client
 	// survives before its dirty entries are dropped (default 3).
 	PingMaxFailures int
-	// CycleDetect enables the cross-space cycle detector: a trial-deletion
-	// pass, once a minute, over exports whose only liveness is their remote
-	// dirty sets, querying each dirty-set member for the back-references
-	// behind its surrogates (see NetRefHolder). Detected dead cycles are
-	// counted and logged; they are reclaimed only when CycleCollect is
-	// also set. The pass is one-round pairwise: it detects cycles spanning
-	// two spaces, and conservatively keeps longer rings alive.
-	CycleDetect bool
-	// CycleCollect additionally reclaims detected dead cycles by dropping
-	// the member spaces' dirty entries. Opt-in, because Go cannot see
-	// which local values reference a surrogate: an application that keeps
-	// a surrogate reachable alongside an exported holder object declaring
-	// the same reference must Dup() its copy, or collection of a dead-
-	// looking cycle invalidates it (subsequent calls fail with
-	// ErrNoSuchObject, exactly as if the owner had restarted).
-	CycleCollect bool
 	// CleanMaxAttempts bounds delivery attempts for one clean call
 	// (default 8).
 	CleanMaxAttempts int
@@ -157,8 +141,6 @@ type Space struct {
 	imports *objtable.Imports
 	cleaner *dgc.Cleaner
 	pinger  *dgc.Pinger
-
-	detector *dgc.Detector
 
 	listeners []transport.Listener
 	endpoints []string
@@ -368,10 +350,6 @@ func NewSpace(opts Options) (*Space, error) {
 		Obs:          sp.metrics,
 	})
 
-	if opts.CycleDetect {
-		sp.detector = dgc.NewDetector(dgc.DetectorConfig{Pass: sp.cyclePass, Logger: sp.log})
-	}
-
 	for _, l := range sp.listeners {
 		sp.wg.Add(1)
 		go sp.acceptLoop(l)
@@ -549,9 +527,6 @@ func (sp *Space) shutdown(graceful bool) error {
 	}
 	sp.serveCancel()
 	close(sp.closedCh)
-	if sp.detector != nil {
-		sp.detector.Close()
-	}
 	sp.cleaner.Close()
 	sp.pinger.Close()
 	sp.pool.Close()

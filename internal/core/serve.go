@@ -163,10 +163,6 @@ func (sp *Space) serveStream(st *transport.Stream) {
 			sp.tracer.Emit(obs.Event{Kind: obs.EvPingRecv, Time: time.Now(), Peer: m.From.String()})
 		}
 		reply = &wire.PingAck{From: sp.id}
-	case *wire.CycleQuery:
-		reply = sp.handleCycleQuery(m)
-	case *wire.CycleCollect:
-		reply = sp.handleCycleCollect(m)
 	case *wire.CancelCall:
 		reply = sp.handleCancel(m)
 	default:

@@ -519,124 +519,6 @@ func (e *Exports) Clients() map[wire.SpaceID][]string {
 	return out
 }
 
-// CycleSuspect is one export whose only liveness is its remote dirty set:
-// not pinned, no reference in transit, at least one dirty member. Such an
-// entry can be a member of a cross-space garbage cycle — nothing local
-// keeps it alive, and the spaces keeping it alive may themselves be held
-// only by it.
-type CycleSuspect struct {
-	// Index is the entry's slot in the export table.
-	Index uint64
-	// Obj is the concrete object (the detector asks it for its outbound
-	// network references).
-	Obj any
-	// Clients maps each dirty-set member to its endpoints.
-	Clients map[wire.SpaceID][]string
-}
-
-// Suspects snapshots the entries a cycle-detection pass should examine.
-// Pinned and in-transit entries are excluded at snapshot time and must be
-// re-checked at collection time — the snapshot is advisory, not a lock.
-func (e *Exports) Suspects() []CycleSuspect {
-	var out []CycleSuspect
-	for i := range e.shards {
-		s := &e.shards[i]
-		e.lock(s)
-		for _, ent := range s.byIndex {
-			if ent.Pinned || ent.pins > 0 {
-				continue
-			}
-			var cl map[wire.SpaceID][]string
-			for id, ci := range ent.clients {
-				if !ci.inSet {
-					continue
-				}
-				if cl == nil {
-					cl = make(map[wire.SpaceID][]string)
-				}
-				cl[id] = ci.endpoints
-			}
-			if cl != nil {
-				out = append(out, CycleSuspect{Index: ent.Index, Obj: ent.Obj, Clients: cl})
-			}
-		}
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// CycleExport is one export entry as the responder to a cycle query sees
-// it: the object (asked for its declared outbound references), whether
-// anything local roots it, and the spaces in its dirty set.
-type CycleExport struct {
-	// Index is the entry's slot in the export table.
-	Index uint64
-	// Obj is the concrete exported object.
-	Obj any
-	// Rooted reports local liveness beyond the dirty set: a pinned
-	// well-known export or a reference in transit.
-	Rooted bool
-	// Clients are the dirty-set members.
-	Clients []wire.SpaceID
-}
-
-// CycleExports snapshots every live export for the responder side of a
-// cycle query. Unlike Suspects it includes pinned and in-transit entries
-// — those may hold queried references too — marking them Rooted so the
-// querier's trial deletion keeps whatever they hold alive.
-func (e *Exports) CycleExports() []CycleExport {
-	var out []CycleExport
-	for i := range e.shards {
-		s := &e.shards[i]
-		e.lock(s)
-		for _, ent := range s.byIndex {
-			ce := CycleExport{
-				Index:  ent.Index,
-				Obj:    ent.Obj,
-				Rooted: ent.Pinned || ent.pins > 0,
-			}
-			for id, ci := range ent.clients {
-				if ci.inSet {
-					ce.Clients = append(ce.Clients, id)
-				}
-			}
-			out = append(out, ce)
-		}
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// Forget removes client from the dirty set of the object at index — the
-// cycle collector's reclamation primitive, scoped to one (entry, client)
-// edge where DropClient condemns a whole space. It refuses entries that
-// are pinned or have a reference in transit, so a cycle verdict that went
-// stale since the detection pass cannot free a live object. It reports
-// whether the entry was withdrawn as a result.
-func (e *Exports) Forget(index uint64, client wire.SpaceID) bool {
-	s := e.shardForIndex(index)
-	e.lock(s)
-	ent, ok := s.byIndex[index]
-	if !ok || ent.Pinned || ent.pins > 0 {
-		s.mu.Unlock()
-		return false
-	}
-	if _, ok := ent.clients[client]; !ok {
-		s.mu.Unlock()
-		return false
-	}
-	delete(ent.clients, client)
-	w := e.maybeWithdrawLocked(s, ent)
-	s.mu.Unlock()
-	if w != nil {
-		if e.OnWithdraw != nil {
-			e.OnWithdraw(w.Index, w.Obj)
-		}
-		return true
-	}
-	return false
-}
-
 // HoldsDirty reports whether client is in the dirty set of the object at
 // index; exposed for tests and the benchmark harness.
 func (e *Exports) HoldsDirty(index uint64, client wire.SpaceID) bool {

@@ -533,23 +533,6 @@ func (im *Imports) StateOf(key wire.Key) State {
 	return e.state
 }
 
-// HoldInfo is the cycle responder's view of a surrogate: how many
-// independent local claims it carries, how many references to it are in
-// transit, and its life-cycle state (StateNone when absent). A usable
-// surrogate whose only claims are accounted for by exported holder
-// objects, with nothing in transit, is a candidate cycle member; any
-// other state conservatively roots it.
-func (im *Imports) HoldInfo(key wire.Key) (holds, pins int, state State) {
-	s := im.shardFor(key)
-	im.lock(s)
-	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	if !ok {
-		return 0, 0, StateNone
-	}
-	return e.holds, e.pins, e.state
-}
-
 // Len reports the number of live import entries.
 func (im *Imports) Len() int {
 	n := 0

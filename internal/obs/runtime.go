@@ -51,12 +51,6 @@ type Metrics struct {
 	ResultAcksWaited *Counter
 	StaleRejected    *Counter
 
-	// Cross-space cycle detection.
-	CycleQueriesSent   *Counter
-	CycleQueriesServed *Counter
-	CyclesDetected     *Counter
-	CyclesCollected    *Counter
-
 	// Reference life cycle.
 	SurrogatesMade     *Counter
 	SurrogatesReleased *Counter
@@ -122,7 +116,7 @@ type metricsStore struct {
 	m        Metrics
 	reg      Registry
 	methods  MethodMetrics
-	counters [65]Counter
+	counters [56]Counter
 	hists    [5]Histogram
 }
 
@@ -182,11 +176,6 @@ func (s *metricsStore) build(defs *[]metricDef) {
 		ResultAcksSent:   r.Counter("netobj_result_acks_sent_total", "Result acknowledgements sent for reference-bearing replies."),
 		ResultAcksWaited: r.Counter("netobj_result_acks_waited_total", "Reference-bearing replies this space held pinned awaiting an ack."),
 		StaleRejected:    r.Counter("netobj_stale_rejected_total", "Collector messages addressed to a previous space incarnation at a reused endpoint, refused."),
-
-		CycleQueriesSent:   r.Counter("netobj_dgc_cycle_queries_sent_total", "Back-reference queries sent while running cycle-detection passes."),
-		CycleQueriesServed: r.Counter("netobj_dgc_cycle_queries_served_total", "Back-reference queries answered by this space."),
-		CyclesDetected:     r.Counter("netobj_dgc_cycles_detected_total", "Cross-space reference cycles detected by the trial-deletion pass."),
-		CyclesCollected:    r.Counter("netobj_dgc_cycles_collected_total", "Exported objects reclaimed as members of dead cross-space cycles."),
 
 		SurrogatesMade:     r.Counter("netobj_surrogates_made_total", "Surrogates created (first import of a reference)."),
 		SurrogatesReleased: r.Counter("netobj_surrogates_released_total", "Surrogates explicitly released."),

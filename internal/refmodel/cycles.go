@@ -2,29 +2,102 @@ package refmodel
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
-	"netobjects/internal/dgc"
 	"netobjects/internal/wire"
 )
 
 // This file models cross-space cycle collection: a small distributed
 // object graph where each space owns one object, applications and objects
 // hold references across spaces, and the only collectors are the local
-// one (withdraw an export nothing references) and the trial-deletion pass
-// (dgc.GarbageCycles — the very function the runtime's detector runs, so
-// the exhaustive exploration here validates the production decision
-// procedure, not a model of it).
+// one (withdraw an export nothing references) and a trial-deletion pass
+// (GarbageCycles below). The runtime has no cycle collector: like the
+// paper's, its reference-listing collector leaks a dead cycle that spans
+// spaces. The model keeps the decision procedure a runtime detector would
+// build on, and the exhaustive exploration here is its safety argument.
 //
 // Abstractions, stated honestly: the dirty/clean bookkeeping is taken as
 // exact (its correctness is established by the main refmodel machine, so
 // dirty sets here always equal the true holder sets), and a reference
-// transfer is atomic with its pin — in the runtime a reference in transit
-// keeps its export pinned, and the detector treats pinned exports as
-// rooted, which is the Pinned flag here. The detector itself runs
-// atomically over a snapshot; the runtime re-verifies pins before
-// collecting, and the pin/unpin transitions of this machine interleave
-// adversarially with detection to cover that window.
+// transfer is atomic with its pin — a reference in transit keeps its
+// export pinned, and trial deletion must treat pinned exports as rooted,
+// which is the Pinned flag here. The pass runs atomically over a
+// snapshot of the whole graph, which a runtime would have to assemble
+// with a multi-space snapshot protocol; the pin/unpin transitions of this
+// machine interleave adversarially with detection, so a collector that
+// re-verifies pins before it reclaims is covered.
+
+// CycleKey identifies one exported object in a detection graph.
+type CycleKey struct {
+	Space wire.SpaceID
+	Index uint64
+}
+
+// CycleNode is one exported object with the facts trial deletion needs.
+type CycleNode struct {
+	// Rooted marks a node that must stay alive for a reason other than
+	// being held by another node in the graph: an application reference,
+	// a pin (reference in transit), a pinned well-known export, or any
+	// holder that could not be accounted for. Rootedness is the
+	// conservative side — when in doubt, a node is rooted.
+	Rooted bool
+	// Holders are the exported objects holding a reference to this one.
+	// A holder absent from the graph is treated as a root for this node.
+	Holders []CycleKey
+}
+
+// GarbageCycles returns the nodes unreachable from any root: liveness
+// seeds at rooted nodes and flows from holder to held, and whatever it
+// never reaches is garbage — dead cross-space cycles (and any dead
+// acyclic debris snapshotted with them). The result is sorted for
+// deterministic reporting.
+func GarbageCycles(nodes map[CycleKey]*CycleNode) []CycleKey {
+	live := make(map[CycleKey]bool)
+	var stack []CycleKey
+	mark := func(k CycleKey) {
+		if !live[k] {
+			live[k] = true
+			stack = append(stack, k)
+		}
+	}
+	// held[h] lists the nodes h holds, inverting the Holders edges so
+	// liveness can propagate forward.
+	held := make(map[CycleKey][]CycleKey)
+	for k, n := range nodes {
+		if n.Rooted {
+			mark(k)
+		}
+		for _, h := range n.Holders {
+			if _, ok := nodes[h]; !ok {
+				// Unknown holder: conservatively a root.
+				mark(k)
+				continue
+			}
+			held[h] = append(held[h], k)
+		}
+	}
+	for len(stack) > 0 {
+		h := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, k := range held[h] {
+			mark(k)
+		}
+	}
+	var garbage []CycleKey
+	for k := range nodes {
+		if !live[k] {
+			garbage = append(garbage, k)
+		}
+	}
+	sort.Slice(garbage, func(i, j int) bool {
+		if garbage[i].Space != garbage[j].Space {
+			return garbage[i].Space < garbage[j].Space
+		}
+		return garbage[i].Index < garbage[j].Index
+	})
+	return garbage
+}
 
 // CycleConfig is one state of the machine: n spaces, space i owning
 // object i.
@@ -39,10 +112,10 @@ type CycleConfig struct {
 	// AppRef[i][j]: space i's application holds a surrogate for object j.
 	AppRef [][]bool
 	// ObjRef[i][j]: object i holds a surrogate for object j — the edges a
-	// cross-space cycle is made of (reported by RefHolder at runtime).
+	// cross-space cycle is made of.
 	ObjRef [][]bool
-	// Pinned[i]: a reference to object i is in transit; the detector must
-	// treat it as rooted.
+	// Pinned[i]: a reference to object i is in transit; trial deletion
+	// must treat it as rooted.
 	Pinned []bool
 	// CopyBudget bounds how many new application references the mutator
 	// may still create, keeping the state space finite.
@@ -157,10 +230,10 @@ func (c *CycleConfig) unsafe() bool {
 	return false
 }
 
-// detect runs a trial-deletion pass over the current graph using the
-// runtime's decision procedure and collects its verdicts.
+// detect runs a trial-deletion pass over the current graph and collects
+// its verdicts.
 func (c *CycleConfig) detect() {
-	nodes := make(map[dgc.CycleKey]*dgc.CycleNode)
+	nodes := make(map[CycleKey]*CycleNode)
 	for j := 0; j < c.N; j++ {
 		if !c.Exists[j] {
 			continue
@@ -171,15 +244,15 @@ func (c *CycleConfig) detect() {
 				rooted = true
 			}
 		}
-		n := &dgc.CycleNode{Rooted: rooted}
+		n := &CycleNode{Rooted: rooted}
 		for i := 0; i < c.N; i++ {
 			if i != j && c.Exists[i] && c.ObjRef[i][j] {
-				n.Holders = append(n.Holders, dgc.CycleKey{Space: wire.SpaceID(i + 1)})
+				n.Holders = append(n.Holders, CycleKey{Space: wire.SpaceID(i + 1)})
 			}
 		}
-		nodes[dgc.CycleKey{Space: wire.SpaceID(j + 1)}] = n
+		nodes[CycleKey{Space: wire.SpaceID(j + 1)}] = n
 	}
-	for _, k := range dgc.GarbageCycles(nodes) {
+	for _, k := range GarbageCycles(nodes) {
 		c.Exists[int(k.Space)-1] = false
 	}
 }
@@ -246,7 +319,7 @@ func (c *CycleConfig) enabled() []cycleTransition {
 			}
 		}
 	}
-	// The detector may run at any moment, from any interleaving.
+	// Detection may run at any moment, from any interleaving.
 	ts = append(ts, cycleTransition{name: "detect", apply: func(c *CycleConfig) { c.detect() }})
 	return ts
 }

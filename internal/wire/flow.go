@@ -44,9 +44,11 @@ const (
 var ErrNotFlow = errors.New("wire: frame is not a flow frame")
 
 // Version is the one protocol version this tree speaks. A Hello carrying
-// any other fails the session. Version 3 drops version 2's lease
-// renewal (ops 11 and 12), so a version-2 peer is refused at the hello.
-const Version = 3
+// any other fails the session. Version 3 dropped version 2's lease
+// renewal (ops 11 and 12); version 4 drops version 3's cycle query,
+// answer and collect (ops 24 to 26). An older peer is refused at the
+// hello.
+const Version = 4
 
 // Hello is the first frame each endpoint of a session sends. It settles
 // compatibility once, as the type fingerprint does at bind time, and

@@ -25,7 +25,7 @@ const (
 	// now. Retired numbers are not reused, so the ops that remain keep
 	// their numbers and a version-1 frame never decodes as another message.
 	_
-	// OpCleanAck acknowledges a CleanBatch or a CycleCollect.
+	// OpCleanAck acknowledges a CleanBatch.
 	OpCleanAck
 	OpPing
 	OpPingAck
@@ -94,22 +94,10 @@ const (
 	// executed in send order relative to each other, and a later pipelined
 	// call can fence on them via Call.Barrier.
 	OpOneWay
-	// OpCycleQuery asks a client space for the back-references behind its
-	// surrogates of the sender's objects — the cross-space cycle
-	// detector's probe. Answered with an OpCycleAnswer.
-	OpCycleQuery
-	// OpCycleAnswer reports, per queried key, whether the surrogate is
-	// rooted in the responding space's application and which of the
-	// responder's own exported objects hold it.
-	OpCycleAnswer
-	// OpCycleCollect instructs an owner to reclaim the dirty entries of
-	// exported objects that a completed trial-deletion pass proved to be
-	// members of a dead cross-space cycle. Answered with a CleanAck.
-	OpCycleCollect
 )
 
 // maxOp is the largest valid op, for PeekOp range checks.
-const maxOp = OpCycleCollect
+const maxOp = OpOneWay
 
 // String names the op for logs.
 func (o Op) String() string {
@@ -150,12 +138,6 @@ func (o Op) String() string {
 		return "hello"
 	case OpOneWay:
 		return "one-way"
-	case OpCycleQuery:
-		return "cycle-query"
-	case OpCycleAnswer:
-		return "cycle-answer"
-	case OpCycleCollect:
-		return "cycle-collect"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(o))
 	}
@@ -697,12 +679,6 @@ func Unmarshal(b []byte) (Message, error) {
 		m = new(Hello)
 	case OpOneWay:
 		m = new(OneWay)
-	case OpCycleQuery:
-		m = new(CycleQuery)
-	case OpCycleAnswer:
-		m = new(CycleAnswer)
-	case OpCycleCollect:
-		m = new(CycleCollect)
 	default:
 		if err := d.Err(); err != nil {
 			return nil, err

@@ -88,9 +88,9 @@ func TestUnmarshalErrors(t *testing.T) {
 	if _, err := Unmarshal(nil); err == nil {
 		t.Error("empty payload: want error")
 	}
-	// 200 was never an op; 5, 11, 12, 21 and 22 are retired ones (20 is
-	// OpHello).
-	for _, op := range []uint64{200, 5, 11, 12, 21, 22} {
+	// 200 was never an op; 5, 11, 12, 21, 22, 24, 25 and 26 are retired
+	// ones (20 is OpHello).
+	for _, op := range []uint64{200, 5, 11, 12, 21, 22, 24, 25, 26} {
 		e := NewEncoder(nil)
 		e.Uint(op)
 		if _, err := Unmarshal(e.Bytes()); !errors.Is(err, ErrUnknownOp) {

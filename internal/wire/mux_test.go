@@ -83,6 +83,14 @@ func TestPeekOpUnwrapsMux(t *testing.T) {
 	if got := PeekOp([]byte{byte(OpMux)}); got != OpInvalid {
 		t.Fatalf("PeekOp(truncated mux) = %v, want invalid", got)
 	}
+	// Op 24 was version 3's cycle query; retired ops above OpOneWay are
+	// out of range, plain or wrapped.
+	if got := PeekOp([]byte{24}); got != OpInvalid {
+		t.Fatalf("PeekOp(retired op 24) = %v, want invalid", got)
+	}
+	if got := PeekOp(append(AppendMuxHeader(nil, 1), 24)); got != OpInvalid {
+		t.Fatalf("PeekOp(muxed retired op 24) = %v, want invalid", got)
+	}
 }
 
 // TestMarshalAllocs is the buffer-reuse regression gate: encoding a call
