@@ -1,15 +1,18 @@
-// Nobench regenerates the evaluation tables and figures (see
-// EXPERIMENTS.md): invocation latency by argument type against the raw
-// RPC baseline (T1), marshaling costs (T2), throughput vs payload (F1),
-// collector protocol costs (T3), model-checking results (T4), the variant
-// ablation (T5), and fault-tolerance behaviour (T6).
+// Nobench regenerates the evaluation tables that no `go test -bench`
+// benchmark or bench/ workload measures (see EXPERIMENTS.md): collector
+// protocol costs (T3), model-checking results (T4), the variant ablation
+// (T5), fault-tolerance behaviour (T6), pipelining under a simulated
+// round trip (E3), object tables at a million exports (E4), liveness
+// traffic against importer count (E6) and the distributed sort (E7).
 //
 // Usage:
 //
-//	nobench [-t t1,t2,f1,t3,t4,t5,t6,e1,e2,e3,e4,e6,e7|all] [-quick] [-obs] [-http addr]
+//	nobench [-t t3,t4,t5,t6,e3,e4,e6,e7|all] [-quick] [-obs] [-http addr]
 //	nobench -chaos [-chaos-profile loss|partition|crash|mixed|distarray|none]
 //	        [-chaos-transport inmem|tcp] [-chaos-seed N] [-chaos-spaces N]
 //	        [-chaos-ops N] [-obs] [-http addr]
+//
+// An unknown -t name exits non-zero before any experiment runs.
 //
 // With -obs every space the experiments create shares one metrics set and
 // the aggregate digest is printed after the run; -http additionally serves
@@ -24,27 +27,22 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"netobjects"
-	"netobjects/internal/baseline/srcrpc"
 	"netobjects/internal/chaos"
 	"netobjects/internal/distarray"
-	"netobjects/internal/objtable"
-	"netobjects/internal/pickle"
 	"netobjects/internal/refmodel"
-	"netobjects/internal/transport"
-	"netobjects/internal/wire"
 )
 
 var (
@@ -58,6 +56,49 @@ var (
 	obsRing *netobjects.RingTracer
 )
 
+// experiment is one table -t can name.
+type experiment struct {
+	name string
+	run  func() error
+}
+
+// experiments lists every experiment, in the order a run prints them.
+var experiments = []experiment{
+	{"t3", runT3}, {"t4", runT4}, {"t5", runT5}, {"t6", runT6},
+	{"e3", runE3}, {"e4", runE4}, {"e6", runE6}, {"e7", runE7},
+}
+
+// experimentNames is the comma-separated list of names -t accepts,
+// besides "all".
+func experimentNames() string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return strings.Join(names, ",")
+}
+
+// selectExperiments resolves a -t list to the experiments it names, in
+// run order. Any name that is neither an experiment nor "all" is an
+// error that lists the valid names.
+func selectExperiments(list string) ([]experiment, error) {
+	want := map[string]bool{}
+	for _, t := range strings.Split(list, ",") {
+		t = strings.TrimSpace(t)
+		if t != "all" && !slices.ContainsFunc(experiments, func(e experiment) bool { return e.name == t }) {
+			return nil, fmt.Errorf("unknown experiment %q (want all or some of %s)", t, experimentNames())
+		}
+		want[t] = true
+	}
+	var out []experiment
+	for _, e := range experiments {
+		if want["all"] || want[e.name] {
+			out = append(out, e)
+		}
+	}
+	return out, nil
+}
+
 // withObs installs the shared metrics set on a space's options.
 func withObs(o *netobjects.Options) {
 	if obsMetrics != nil {
@@ -66,7 +107,7 @@ func withObs(o *netobjects.Options) {
 }
 
 func main() {
-	which := flag.String("t", "all", "comma-separated experiments: t1,t2,f1,t3,t4,t5,t6,e1,e2,e3,e4,e6,e7")
+	which := flag.String("t", "all", "comma-separated experiments ("+experimentNames()+") or all")
 	obsFlag := flag.Bool("obs", false, "aggregate runtime metrics across experiments and print the digest")
 	httpAddr := flag.String("http", "", "serve live /metrics and /debug/netobj on this address during the run (implies -obs)")
 	chaosFlag := flag.Bool("chaos", false, "run the fault-injection soak instead of the benchmark tables")
@@ -77,6 +118,14 @@ func main() {
 	chaosOps := flag.Int("chaos-ops", 400, "workload operations to run")
 	flag.Parse()
 
+	var selected []experiment
+	if !*chaosFlag {
+		var err error
+		if selected, err = selectExperiments(*which); err != nil {
+			fmt.Fprintln(os.Stderr, "nobench:", err)
+			os.Exit(2)
+		}
+	}
 	if *obsFlag || *httpAddr != "" {
 		obsMetrics = netobjects.NewMetrics()
 	}
@@ -98,41 +147,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, "chaos:", err)
 			os.Exit(1)
 		}
-		if obsMetrics != nil {
-			fmt.Printf("\n========== METRICS DIGEST ==========\n%s", obsMetrics.Registry().Summary())
-		}
-		return
 	}
-
-	want := map[string]bool{}
-	for _, t := range strings.Split(*which, ",") {
-		want[strings.TrimSpace(t)] = true
-	}
-	all := want["all"]
-	run := func(name string, f func() error) {
-		if !all && !want[name] {
-			return
-		}
-		fmt.Printf("\n========== %s ==========\n", strings.ToUpper(name))
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+	for _, e := range selected {
+		fmt.Printf("\n========== %s ==========\n", strings.ToUpper(e.name))
+		if err := e.run(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
 			os.Exit(1)
 		}
 	}
-	run("t1", runT1)
-	run("t2", runT2)
-	run("f1", runF1)
-	run("t3", runT3)
-	run("t4", runT4)
-	run("t5", runT5)
-	run("t6", runT6)
-	run("e1", runE1)
-	run("e2", runE2)
-	run("e3", runE3)
-	run("e4", runE4)
-	run("e6", runE6)
-	run("e7", runE7)
-
 	if obsMetrics != nil {
 		fmt.Printf("\n========== METRICS DIGEST ==========\n%s", obsMetrics.Registry().Summary())
 	}
@@ -165,30 +187,23 @@ func measure(n int, op func() error) (time.Duration, error) {
 	return samples[len(samples)/2], nil
 }
 
-// env is a connected owner/client pair plus raw-RPC counterparts.
+// nullObj is the object every experiment exports. The field keeps
+// instances distinct: zero-size values share one address and would
+// collide in the export table's identity map.
+type nullObj struct{ id int64 }
+
+func (o *nullObj) Null() error { return nil }
+
+// env is a connected owner/client pair: the client holds a surrogate for
+// one of the owner's objects.
 type env struct {
 	owner, client *netobjects.Space
 	ref           *netobjects.Ref
-	raw           *srcrpc.Client
-	rawEP         string
-	closers       []func()
 }
 
 func (e *env) close() {
-	for i := len(e.closers) - 1; i >= 0; i-- {
-		e.closers[i]()
-	}
-}
-
-type benchService struct{ held []*netobjects.Ref }
-
-func (s *benchService) Null() error                     { return nil }
-func (s *benchService) FourInts(a, b, c, d int64) error { return nil }
-func (s *benchService) Text(t string) (int64, error)    { return int64(len(t)), nil }
-func (s *benchService) Bytes(b []byte) (int64, error)   { return int64(len(b)), nil }
-func (s *benchService) TakeRef(r *netobjects.Ref) error {
-	s.held = append(s.held, r)
-	return nil
+	_ = e.client.Close()
+	_ = e.owner.Close()
 }
 
 func newEnv(proto string) (*env, error) {
@@ -199,7 +214,6 @@ func newEnv(proto string) (*env, error) {
 	case "tcp":
 		tr = netobjects.NewTCP()
 	}
-	e := &env{}
 	mk := func(name string) (*netobjects.Space, error) {
 		opts := netobjects.Options{
 			Name:         name,
@@ -207,196 +221,30 @@ func newEnv(proto string) (*env, error) {
 			PingInterval: time.Hour,
 		}
 		withObs(&opts)
-		sp, err := netobjects.New(opts)
-		if err != nil {
-			return nil, err
-		}
-		e.closers = append(e.closers, func() { _ = sp.Close() })
-		return sp, nil
+		return netobjects.New(opts)
 	}
+	e := &env{}
 	var err error
 	if e.owner, err = mk("owner"); err != nil {
 		return nil, err
 	}
 	if e.client, err = mk("client"); err != nil {
+		_ = e.owner.Close()
 		return nil, err
 	}
-	ref, err := e.owner.Export(&benchService{})
+	ref, err := e.owner.Export(&nullObj{})
+	var w netobjects.WireRep
+	if err == nil {
+		w, err = ref.WireRep()
+	}
+	if err == nil {
+		e.ref, err = e.client.Import(w)
+	}
 	if err != nil {
-		return nil, err
-	}
-	w, err := ref.WireRep()
-	if err != nil {
-		return nil, err
-	}
-	if e.ref, err = e.client.Import(w); err != nil {
-		return nil, err
-	}
-
-	reg := transport.NewRegistry(tr.(transport.Transport))
-	l, err := reg.Listen(proto + ":")
-	if err != nil {
-		return nil, err
-	}
-	srv := srcrpc.NewServer()
-	srv.Handle("null", func(p []byte) ([]byte, error) { return nil, nil })
-	srv.Handle("echo", func(p []byte) ([]byte, error) { return p, nil })
-	srv.Handle("sink", func(p []byte) ([]byte, error) { return nil, nil })
-	srv.Serve(l)
-	e.closers = append(e.closers, srv.Close)
-	e.raw = srcrpc.NewClient(reg, 30*time.Second)
-	e.closers = append(e.closers, e.raw.Close)
-	e.rawEP = l.Endpoint()
-	return e, nil
-}
-
-// --- T1 ------------------------------------------------------------------
-
-func runT1() error {
-	fmt.Println("T1: remote invocation latency by argument type (median)")
-	n := iters(2000)
-	type row struct {
-		name string
-		op   func(e *env) func() error
-	}
-	text1k := strings.Repeat("x", 1024)
-	text10k := strings.Repeat("x", 10*1024)
-	rows := []row{
-		{"null call (dynamic)", func(e *env) func() error {
-			return func() error { _, err := e.ref.Call("Null"); return err }
-		}},
-		{"null call (typed stub)", func(e *env) func() error {
-			return func() error { _, err := e.ref.InvokeTyped("Null", 0, nil, nil); return err }
-		}},
-		{"null call (raw RPC)", func(e *env) func() error {
-			return func() error { _, err := e.raw.Call(e.rawEP, "null", nil); return err }
-		}},
-		{"four int64 args", func(e *env) func() error {
-			return func() error {
-				_, err := e.ref.Call("FourInts", int64(1), int64(2), int64(3), int64(4))
-				return err
-			}
-		}},
-		{"1 KB text arg", func(e *env) func() error {
-			return func() error { _, err := e.ref.Call("Text", text1k); return err }
-		}},
-		{"10 KB text arg", func(e *env) func() error {
-			return func() error { _, err := e.ref.Call("Text", text10k); return err }
-		}},
-	}
-	fmt.Printf("%-26s %14s %14s\n", "argument shape", "inmem", "tcp-loopback")
-	for _, r := range rows {
-		var cells []string
-		for _, proto := range []string{"inmem", "tcp"} {
-			e, err := newEnv(proto)
-			if err != nil {
-				return err
-			}
-			med, err := measure(n, r.op(e))
-			e.close()
-			if err != nil {
-				return err
-			}
-			cells = append(cells, med.String())
-		}
-		fmt.Printf("%-26s %14s %14s\n", r.name, cells[0], cells[1])
-	}
-	fmt.Println("shape check: net objects null call should sit a small factor above raw RPC;")
-	fmt.Println("typed stubs at or below dynamic calls; latency grows with payload.")
-	return nil
-}
-
-// --- T2 ------------------------------------------------------------------
-
-func runT2() error {
-	fmt.Println("T2: pickle (marshaling) cost by value shape")
-	p := pickle.New(pickle.NewRegistry(), nil)
-	type sample struct {
-		name string
-		v    any
-	}
-	ints := make([]int, 1000)
-	for i := range ints {
-		ints[i] = i
-	}
-	m := map[string]int64{}
-	for i := 0; i < 100; i++ {
-		m[fmt.Sprintf("key-%03d", i)] = int64(i)
-	}
-	type node struct {
-		Name string
-		Next *node
-	}
-	p.Registry().Register(node{})
-	chain := &node{Name: "a", Next: &node{Name: "b", Next: &node{Name: "c"}}}
-	samples := []sample{
-		{"int64", int64(123456)},
-		{"string 1KB", strings.Repeat("s", 1024)},
-		{"[]byte 64KB", bytes.Repeat([]byte("b"), 64<<10)},
-		{"[]int 1000", ints},
-		{"map[string]int64 100", m},
-		{"linked struct x3", chain},
-	}
-	n := iters(5000)
-	fmt.Printf("%-22s %12s %12s %10s\n", "value", "marshal", "unmarshal", "bytes")
-	for _, s := range samples {
-		buf, err := p.Marshal(nil, s.v)
-		if err != nil {
-			return err
-		}
-		me, err := measure(n, func() error {
-			_, err := p.Marshal(buf[:0], s.v)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		var out any
-		ue, err := measure(n, func() error { return p.Unmarshal(buf, &out) })
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-22s %12s %12s %10d\n", s.name, me, ue, len(buf))
-	}
-	return nil
-}
-
-// --- F1 ------------------------------------------------------------------
-
-func runF1() error {
-	fmt.Println("F1: throughput vs payload size (tcp loopback; one round trip per op)")
-	n := iters(300)
-	fmt.Printf("%10s %16s %16s %8s\n", "payload", "netobj MB/s", "raw RPC MB/s", "ratio")
-	for _, size := range []int{64, 1 << 10, 16 << 10, 256 << 10, 1 << 20} {
-		e, err := newEnv("tcp")
-		if err != nil {
-			return err
-		}
-		payload := bytes.Repeat([]byte("p"), size)
-		no, err := measure(n, func() error {
-			_, err := e.ref.Call("Bytes", payload)
-			return err
-		})
-		if err != nil {
-			e.close()
-			return err
-		}
-		raw, err := measure(n, func() error {
-			_, err := e.raw.Call(e.rawEP, "sink", payload)
-			return err
-		})
 		e.close()
-		if err != nil {
-			return err
-		}
-		mbs := func(d time.Duration) float64 {
-			return float64(size) / d.Seconds() / (1 << 20)
-		}
-		fmt.Printf("%10d %16.1f %16.1f %8.2f\n", size, mbs(no), mbs(raw), no.Seconds()/raw.Seconds())
+		return nil, err
 	}
-	fmt.Println("shape check: the object-layer ratio shrinks toward 1 as payload grows")
-	fmt.Println("(fixed per-call cost amortized across the same one-way payload).")
-	return nil
+	return e, nil
 }
 
 // --- T3 ------------------------------------------------------------------
@@ -411,7 +259,7 @@ func runT3() error {
 		}
 		// Full life cycle: export, import (dirty call), release (clean).
 		cycle, err := measure(n, func() error {
-			obj := &benchService{}
+			obj := &nullObj{}
 			r, err := e.owner.Export(obj)
 			if err != nil {
 				return err
@@ -491,7 +339,7 @@ func runT3() error {
 	const nRefs = 32
 	refs := make([]*netobjects.Ref, nRefs)
 	for i := range refs {
-		r, err := owner.Export(&benchService{})
+		r, err := owner.Export(&nullObj{})
 		if err != nil {
 			return err
 		}
@@ -609,7 +457,7 @@ func runT6() error {
 	if err != nil {
 		return err
 	}
-	ref, err := owner.Export(&benchService{})
+	ref, err := owner.Export(&nullObj{})
 	if err != nil {
 		return err
 	}
@@ -643,7 +491,7 @@ func runT6() error {
 		return err
 	}
 	defer c2.Close()
-	ref2, err := o2.Export(&benchService{})
+	ref2, err := o2.Export(&nullObj{})
 	if err != nil {
 		return err
 	}
@@ -682,125 +530,6 @@ func runT6() error {
 	return nil
 }
 
-// --- E1 ------------------------------------------------------------------
-
-// runE1 measures concurrent-caller fan-out over loopback TCP: a client
-// that just reached a peer sprays N goroutines × K calls at it (a burst)
-// on the shared multiplexed session. Each burst starts from a fresh client
-// so connection establishment is part of the work; "dials" counts the
-// connections the client opened per burst (pool misses, including the one
-// the import's dirty call makes) and should stay at ~1 per peer regardless
-// of fan-out.
-//
-// (The two A/Bs this experiment has run — checkout vs mux, then writer
-// batching on vs off — were retired with the code they compared; their
-// final numbers are frozen in EXPERIMENTS.md.)
-func runE1() error {
-	fmt.Println("E1: concurrent-caller fan-out over loopback TCP (burst of 8 calls/caller)")
-	const burst = 8 // calls per caller per burst
-	rounds := iters(30)
-	payload1k := bytes.Repeat([]byte{'x'}, 1024)
-	type shape struct {
-		name string
-		call func(r *netobjects.Ref) error
-	}
-	shapes := []shape{
-		{"null", func(r *netobjects.Ref) error { _, err := r.Call("Null"); return err }},
-		{"1KB bytes", func(r *netobjects.Ref) error { _, err := r.Call("Bytes", payload1k); return err }},
-	}
-	fanouts := []int{1, 8, 64}
-
-	runCell := func(s shape, n int) (rate float64, mean time.Duration, dials float64, err error) {
-		tr := netobjects.NewTCP()
-		mk := func(name string, m *netobjects.Metrics) (*netobjects.Space, error) {
-			return netobjects.New(netobjects.Options{
-				Name:         name,
-				Transports:   []netobjects.Transport{tr},
-				PingInterval: time.Hour,
-				Metrics:      m,
-			})
-		}
-		owner, err := mk("e1-owner", nil)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		defer owner.Close()
-		// Each round is one burst from a fresh client against a freshly
-		// exported object (the owner reclaims an export once its last
-		// client cleans it); round 0 warms process-level caches and is
-		// discarded.
-		samples := make([]time.Duration, 0, rounds)
-		var dialSum uint64
-		for r := 0; r <= rounds; r++ {
-			oref, err := owner.Export(&benchService{})
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			w, err := oref.WireRep()
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			cm := netobjects.NewMetrics()
-			client, err := mk("e1-client", cm)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			ref, err := client.Import(w)
-			if err != nil {
-				client.Close()
-				return 0, 0, 0, err
-			}
-			errc := make(chan error, n)
-			var wg sync.WaitGroup
-			start := time.Now()
-			for g := 0; g < n; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < burst; i++ {
-						if err := s.call(ref); err != nil {
-							errc <- err
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			elapsed := time.Since(start)
-			client.Close()
-			select {
-			case err := <-errc:
-				return 0, 0, 0, err
-			default:
-			}
-			if r == 0 {
-				continue
-			}
-			samples = append(samples, elapsed)
-			dialSum += cm.PoolMisses.Load()
-		}
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		med := samples[len(samples)/2]
-		total := n * burst
-		rate = float64(total) / med.Seconds()
-		mean = med * time.Duration(n) / time.Duration(total)
-		return rate, mean, float64(dialSum) / float64(len(samples)), nil
-	}
-
-	fmt.Printf("%-10s %8s %14s %12s %8s\n", "payload", "callers", "calls/sec", "mean lat", "dials")
-	for _, s := range shapes {
-		for _, n := range fanouts {
-			rate, mean, dials, err := runCell(s, n)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%-10s %8d %14.0f %12s %8.0f\n", s.name, n, rate, mean.Round(time.Microsecond), dials)
-		}
-	}
-	fmt.Println("shape check: dials stay at ~1 per peer at every fan-out.")
-	return nil
-}
-
 // --- chaos ---------------------------------------------------------------
 
 // runChaos runs the fault-injection soak (internal/chaos) and prints the
@@ -836,186 +565,6 @@ func runChaos(profile, trans string, seed uint64, spaces, ops int) error {
 		return fmt.Errorf("invariants violated (profile=%s seed=%d: rerun with the same flags to reproduce)", profile, seed)
 	}
 	fmt.Println("invariants hold: no premature collection, no leaks, tables empty after heal.")
-	return nil
-}
-
-// --- E2 ------------------------------------------------------------------
-
-// runE2 measures head-of-line blocking on a multiplexed session: 64
-// concurrent null callers share one loopback-TCP link with a single 8MB
-// argument in flight. The bulk argument travels as credit-gated chunks
-// and the small calls overtake between chunks. Each cell runs the null
-// storm for the lifetime of one bulk call (the baseline for a matching
-// fixed window with no bulk at all); the acceptance bound is the shared
-// link's p99 within 3x of the no-bulk baseline. (The unchunked path this
-// was measured against is gone; its row is frozen in EXPERIMENTS.md.)
-// "stalls" is the client's writer-stall count (data queued, credit
-// exhausted) from netobj_flow_writer_stalls_total.
-func runE2() error {
-	fmt.Println("E2: null-call tail latency beside one 8MB-argument call (64 callers, loopback TCP)")
-	const callers = 64
-	bulk := bytes.Repeat([]byte{'B'}, 8<<20)
-
-	type cell struct {
-		p50, p99 time.Duration
-		nulls    int
-		bulkTime time.Duration
-		stalls   uint64
-	}
-	// window is how long the baseline cell's storm runs; the bulk cells
-	// run for exactly one 8MB call instead.
-	window := 2 * time.Second
-	if *quick {
-		window = 500 * time.Millisecond
-	}
-	runCell := func(withBulk, ownLink bool) (cell, error) {
-		tr := netobjects.NewTCP()
-		cm := netobjects.NewMetrics()
-		mk := func(name string, m *netobjects.Metrics) (*netobjects.Space, error) {
-			return netobjects.New(netobjects.Options{
-				Name:         name,
-				Transports:   []netobjects.Transport{tr},
-				PingInterval: time.Hour,
-				Metrics:      m,
-			})
-		}
-		owner, err := mk("e2-owner", nil)
-		if err != nil {
-			return cell{}, err
-		}
-		defer owner.Close()
-		client, err := mk("e2-client", cm)
-		if err != nil {
-			return cell{}, err
-		}
-		defer client.Close()
-		oref, err := owner.Export(&benchService{})
-		if err != nil {
-			return cell{}, err
-		}
-		w, err := oref.WireRep()
-		if err != nil {
-			return cell{}, err
-		}
-		ref, err := client.Import(w)
-		if err != nil {
-			return cell{}, err
-		}
-		if _, err := ref.Call("Null"); err != nil { // warm the session
-			return cell{}, err
-		}
-		// With ownLink the bulk call leaves from a second client space:
-		// same CPU churn, its own session — a control that isolates the
-		// shared-writer effect from plain compute contention.
-		bulkRef := ref
-		if ownLink {
-			client2, err := mk("e2-client2", nil)
-			if err != nil {
-				return cell{}, err
-			}
-			defer client2.Close()
-			if bulkRef, err = client2.Import(w); err != nil {
-				return cell{}, err
-			}
-			if _, err := bulkRef.Call("Null"); err != nil {
-				return cell{}, err
-			}
-		}
-
-		stop := make(chan struct{})
-		lats := make([][]time.Duration, callers)
-		errc := make(chan error, callers+1)
-		var wg sync.WaitGroup
-		for g := 0; g < callers; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				var ls []time.Duration
-				for {
-					select {
-					case <-stop:
-						lats[g] = ls
-						return
-					default:
-					}
-					t0 := time.Now()
-					if _, err := ref.Call("Null"); err != nil {
-						errc <- err
-						return
-					}
-					ls = append(ls, time.Since(t0))
-				}
-			}(g)
-		}
-		// Give the storm a beat to reach steady state, then start the
-		// clock: the bulk call's lifetime is the measurement window.
-		time.Sleep(100 * time.Millisecond)
-		var c cell
-		t0 := time.Now()
-		if withBulk {
-			if _, err := bulkRef.Call("Bytes", bulk); err != nil {
-				errc <- err
-			}
-		} else {
-			time.Sleep(window)
-		}
-		c.bulkTime = time.Since(t0)
-		close(stop)
-		wg.Wait()
-		select {
-		case err := <-errc:
-			return cell{}, err
-		default:
-		}
-		var all []time.Duration
-		for _, ls := range lats {
-			all = append(all, ls...)
-		}
-		if len(all) == 0 {
-			return cell{}, fmt.Errorf("no null calls completed")
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		q := func(p float64) time.Duration { return all[min(int(float64(len(all))*p), len(all)-1)] }
-		c.p50, c.p99, c.nulls = q(0.50), q(0.99), len(all)
-		c.stalls = cm.FlowWriterStalls.Load()
-		return c, nil
-	}
-
-	fmt.Printf("%-18s %12s %12s %8s %12s %8s\n", "mode", "null p50", "null p99", "nulls", "8MB time", "stalls")
-	var base, ctl, on cell
-	for _, m := range []struct {
-		name     string
-		withBulk bool
-		ownLink  bool
-	}{
-		{"no-bulk baseline", false, false},
-		{"bulk on own link", true, true},
-		{"flow on + bulk", true, false},
-	} {
-		c, err := runCell(m.withBulk, m.ownLink)
-		if err != nil {
-			return err
-		}
-		bt := "-"
-		if m.withBulk {
-			bt = c.bulkTime.Round(time.Millisecond).String()
-		}
-		fmt.Printf("%-18s %12s %12s %8d %12s %8d\n", m.name,
-			c.p50.Round(time.Microsecond), c.p99.Round(time.Microsecond), c.nulls, bt, c.stalls)
-		switch m.name {
-		case "no-bulk baseline":
-			base = c
-		case "bulk on own link":
-			ctl = c
-		case "flow on + bulk":
-			on = c
-		}
-	}
-	fmt.Printf("flow-on p99 is %.1fx the no-bulk baseline (acceptance bound: <= 3x)\n",
-		float64(on.p99)/float64(base.p99))
-	fmt.Printf("flow-on p99 is %.1fx the own-link control (the shared-session penalty flow control is answerable for;\n"+
-		"the rest of the tail is the 8MB call's compute churn, which hits every goroutine on a small CPU count)\n",
-		float64(on.p99)/float64(ctl.p99))
 	return nil
 }
 
@@ -1229,232 +778,113 @@ func runE3() error {
 
 // --- E4 ------------------------------------------------------------------
 
-// e4Obj is one of the million exported objects. The field keeps instances
-// distinct: zero-size values share one address and would collide in the
-// export table's identity map.
-type e4Obj struct{ id int64 }
-
-func (o *e4Obj) Null() error { return nil }
-
-// runE4 measures the striped object tables at scale: one million exports
-// (64k with -quick) under 256 concurrent callers, with the stripe count as
-// the A/B knob — TableShards=1 is the retired single-mutex table. The
-// first cell isolates the table itself: the serve path's per-call table
-// sequence (Lookup of the target, transient Pin, Unpin) against the raw
-// export table, 256 goroutines spread across the full index space. With
-// one stripe every acquisition contends and the mutex degrades to queued
-// handoffs; striped, concurrent callers land on distinct stripes and take
-// the uncontended fast path. The second cell runs the whole stack — 8
+// runE4 measures the striped object tables at a scale no bench workload
+// reaches: one million exports (64k with -quick) in one owner, and 8
 // client spaces x 32 goroutines calling Null() on refs spread across the
-// million objects, over the in-memory transport — reporting calls/sec and
-// p99 so the table's share of a real call is visible next to the
-// marshaling, dispatch and transport costs around it.
-//
-// The acceptance bound (>= 2x table ops/sec at 1M objects / 256 callers)
-// is checked on the isolated cell, and only where contention can exist:
-// on a single-CPU host the lock holder is never *running* concurrently
-// with a contender, so TryLock virtually never fails (watch the reported
-// contention counters read ~0) and the A/B degenerates to per-op overhead
-// plus scheduler noise. The bound is enforced when NumCPU > 1 and
-// reported informationally otherwise.
+// whole index space, over the in-memory transport. It reports calls/sec,
+// p99 and the owner's export-table contention counter, so the table's
+// share of a real call is visible next to the marshaling, dispatch and
+// transport costs around it.
 func runE4() error {
 	nObjs := 1 << 20
 	if *quick {
 		nObjs = 1 << 16
 	}
-	const callers = 256
-	fmt.Printf("E4: object tables at %d exports, %d concurrent callers (TableShards A/B)\n", nObjs, callers)
-	fmt.Printf("host: NumCPU=%d GOMAXPROCS=%d\n", runtime.NumCPU(), runtime.GOMAXPROCS(0))
-
-	defaultShards := objtable.NewExports().ShardCount()
-
-	// --- raw table cell ---
-	tableOps := iters(4000) // per goroutine
-	rawCell := func(shards int) (opsPerSec float64, contention uint64, fill time.Duration, err error) {
-		t := objtable.NewExportsSharded(shards)
-		t0 := time.Now()
-		idxs := make([]uint64, nObjs)
-		for i := range idxs {
-			idx, err := t.Export(&e4Obj{id: int64(i)}, nil)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			// A dirty client keeps Unpin from withdrawing the entry,
-			// exactly as a live importer does on the serve path.
-			if err := t.Dirty(idx, wire.SpaceID(1), 1, nil); err != nil {
-				return 0, 0, 0, err
-			}
-			idxs[i] = idx
-		}
-		fill = time.Since(t0)
-		errc := make(chan error, callers)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for g := 0; g < callers; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				pos := g * 7919 // spread the goroutines across the index space
-				for i := 0; i < tableOps; i++ {
-					idx := idxs[(pos+i*613)%nObjs]
-					if _, ok := t.Lookup(idx); !ok {
-						errc <- fmt.Errorf("entry %d vanished", idx)
-						return
-					}
-					if err := t.Pin(idx); err != nil {
-						errc <- err
-						return
-					}
-					t.Unpin(idx)
-				}
-			}(g)
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		select {
-		case err := <-errc:
-			return 0, 0, 0, err
-		default:
-		}
-		return float64(callers*tableOps) / elapsed.Seconds(), t.Contention(), fill, nil
-	}
-
-	fmt.Printf("raw table, %d x (Lookup+Pin+Unpin) per goroutine:\n", tableOps)
-	rates := map[int]float64{}
-	for _, shards := range []int{1, defaultShards} {
-		rate, cont, fill, err := rawCell(shards)
-		if err != nil {
-			return err
-		}
-		rates[shards] = rate
-		fmt.Printf("  shards=%-4d %14.0f table ops/sec   contention %-10d (fill %v)\n",
-			shards, rate, cont, fill.Round(time.Millisecond))
-	}
-	tableSpeedup := rates[defaultShards] / rates[1]
-	fmt.Printf("  sharding speedup: %.2fx\n", tableSpeedup)
-
-	// --- full stack cell ---
 	const (
 		clientSpaces = 8
 		perClient    = 32 // callers per client space
+		importsPer   = 128
 	)
-	importsPer := 128
 	callsPer := iters(500) // per caller
-	stackCell := func(tableShards int) (rate float64, p99 time.Duration, contention uint64, err error) {
-		tr := netobjects.NewMem()
-		mk := func(name string) (*netobjects.Space, error) {
-			opts := netobjects.Options{
-				Name:         name,
-				Transports:   []netobjects.Transport{tr},
-				PingInterval: time.Hour,
-				CallTimeout:  30 * time.Second,
-				TableShards:  tableShards,
-			}
-			withObs(&opts)
-			return netobjects.New(opts)
-		}
-		owner, err := mk("e4-owner")
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		defer owner.Close()
-		refs := make([]*netobjects.Ref, nObjs)
-		for i := range refs {
-			if refs[i], err = owner.Export(&e4Obj{id: int64(i)}); err != nil {
-				return 0, 0, 0, err
-			}
-		}
-		// Each client imports its own slice of refs, spread evenly across
-		// the index space so the callers exercise every stripe.
-		stride := nObjs / (clientSpaces * importsPer)
-		var clients []*netobjects.Space
-		defer func() {
-			for _, c := range clients {
-				_ = c.Close()
-			}
-		}()
-		imported := make([][]*netobjects.Ref, clientSpaces)
-		for c := 0; c < clientSpaces; c++ {
-			cl, err := mk(fmt.Sprintf("e4-client-%d", c))
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			clients = append(clients, cl)
-			for k := 0; k < importsPer; k++ {
-				w, err := refs[(c*importsPer+k)*stride].WireRep()
-				if err != nil {
-					return 0, 0, 0, err
-				}
-				r, err := cl.Import(w)
-				if err != nil {
-					return 0, 0, 0, err
-				}
-				imported[c] = append(imported[c], r)
-			}
-		}
-		lats := make([][]time.Duration, clientSpaces*perClient)
-		errc := make(chan error, clientSpaces*perClient)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for c := 0; c < clientSpaces; c++ {
-			for g := 0; g < perClient; g++ {
-				wg.Add(1)
-				go func(c, g int) {
-					defer wg.Done()
-					mine := imported[c]
-					ls := make([]time.Duration, 0, callsPer)
-					for i := 0; i < callsPer; i++ {
-						t0 := time.Now()
-						if _, err := mine[(g+i)%len(mine)].Call("Null"); err != nil {
-							errc <- err
-							return
-						}
-						ls = append(ls, time.Since(t0))
-					}
-					lats[c*perClient+g] = ls
-				}(c, g)
-			}
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		select {
-		case err := <-errc:
-			return 0, 0, 0, err
-		default:
-		}
-		var all []time.Duration
-		for _, ls := range lats {
-			all = append(all, ls...)
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		p99 = all[min(int(float64(len(all))*0.99), len(all)-1)]
-		return float64(len(all)) / elapsed.Seconds(), p99, owner.Exports().Contention(), nil
-	}
+	fmt.Printf("E4: object tables at %d exports, %d client spaces x %d callers (inmem)\n",
+		nObjs, clientSpaces, perClient)
+	fmt.Printf("host: NumCPU=%d GOMAXPROCS=%d\n", runtime.NumCPU(), runtime.GOMAXPROCS(0))
 
-	fmt.Printf("full stack (inmem, %d client spaces x %d callers, %d calls each):\n",
-		clientSpaces, perClient, callsPer)
-	fmt.Printf("  %-12s %14s %12s %16s\n", "shards", "calls/sec", "p99", "owner contention")
-	stackRates := map[int]float64{}
-	for _, shards := range []int{1, defaultShards} {
-		rate, p99, cont, err := stackCell(shards)
+	tr := netobjects.NewMem()
+	mk := func(name string) (*netobjects.Space, error) {
+		opts := netobjects.Options{
+			Name:         name,
+			Transports:   []netobjects.Transport{tr},
+			PingInterval: time.Hour,
+			CallTimeout:  30 * time.Second,
+		}
+		withObs(&opts)
+		return netobjects.New(opts)
+	}
+	owner, err := mk("e4-owner")
+	if err != nil {
+		return err
+	}
+	defer owner.Close()
+	t0 := time.Now()
+	refs := make([]*netobjects.Ref, nObjs)
+	for i := range refs {
+		if refs[i], err = owner.Export(&nullObj{id: int64(i)}); err != nil {
+			return err
+		}
+	}
+	fmt.Printf("fill: %v\n", time.Since(t0).Round(time.Millisecond))
+	// Each client imports its own slice of refs, spread evenly across the
+	// index space so the callers exercise every stripe.
+	stride := nObjs / (clientSpaces * importsPer)
+	imported := make([][]*netobjects.Ref, clientSpaces)
+	for c := range imported {
+		cl, err := mk(fmt.Sprintf("e4-client-%d", c))
 		if err != nil {
 			return err
 		}
-		stackRates[shards] = rate
-		fmt.Printf("  %-12d %14.0f %12s %16d\n", shards, rate, p99.Round(time.Microsecond), cont)
-	}
-	fmt.Printf("  full-stack speedup: %.2fx\n", stackRates[defaultShards]/stackRates[1])
-	fmt.Println("shape check: striping relieves the single-mutex queue on the table itself;")
-	fmt.Println("end to end the win is bounded by the table's share of a whole call.")
-	if tableSpeedup < 2 {
-		if runtime.NumCPU() > 1 {
-			return fmt.Errorf("E4 acceptance failed: table speedup %.2fx < 2x at %d objects / %d callers",
-				tableSpeedup, nObjs, callers)
+		defer cl.Close()
+		for k := 0; k < importsPer; k++ {
+			w, err := refs[(c*importsPer+k)*stride].WireRep()
+			if err != nil {
+				return err
+			}
+			r, err := cl.Import(w)
+			if err != nil {
+				return err
+			}
+			imported[c] = append(imported[c], r)
 		}
-		fmt.Println("single-CPU host: goroutines never overlap, the shard locks never contend")
-		fmt.Println("(counters above), and the >= 2x bound is unobservable; it is enforced on")
-		fmt.Println("multicore hosts only.")
 	}
+	lats := make([][]time.Duration, clientSpaces*perClient)
+	errc := make(chan error, clientSpaces*perClient)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for c := 0; c < clientSpaces; c++ {
+		for g := 0; g < perClient; g++ {
+			wg.Add(1)
+			go func(c, g int) {
+				defer wg.Done()
+				mine := imported[c]
+				ls := make([]time.Duration, 0, callsPer)
+				for i := 0; i < callsPer; i++ {
+					t0 := time.Now()
+					if _, err := mine[(g+i)%len(mine)].Call("Null"); err != nil {
+						errc <- err
+						return
+					}
+					ls = append(ls, time.Since(t0))
+				}
+				lats[c*perClient+g] = ls
+			}(c, g)
+		}
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	select {
+	case err := <-errc:
+		return err
+	default:
+	}
+	var all []time.Duration
+	for _, ls := range lats {
+		all = append(all, ls...)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	p99 := all[min(int(float64(len(all))*0.99), len(all)-1)]
+	fmt.Printf("%d calls each: %.0f calls/sec, p99 %v, owner contention %d\n",
+		callsPer, float64(len(all))/elapsed.Seconds(), p99.Round(time.Microsecond),
+		owner.Exports().Contention())
 	return nil
 }
 
@@ -1520,7 +950,7 @@ func runE6() error {
 			return err
 		}
 		defer owner.Close()
-		ref, err := owner.Export(&e4Obj{})
+		ref, err := owner.Export(&nullObj{})
 		if err != nil {
 			return err
 		}

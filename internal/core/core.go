@@ -96,12 +96,6 @@ type Options struct {
 	CleanMaxAttempts int
 	// CleanBackoff is the initial clean-call retry delay (default 10ms).
 	CleanBackoff time.Duration
-	// TableShards sets the stripe count of the export and import tables
-	// (rounded up to a power of two; 0 selects the default, 1 yields
-	// unsharded single-mutex tables for A/B comparison). At millions of
-	// live objects under many concurrent callers, more shards mean less
-	// lock contention on the call fast path.
-	TableShards int
 	// KeepaliveInterval paces session keepalive probes on mux links; a
 	// peer silent for two intervals fails the session. Zero selects the
 	// default (10s); negative disables keepalives. A healthy session whose
@@ -284,9 +278,9 @@ func NewSpace(opts Options) (*Space, error) {
 		sp.endpoints = append(sp.endpoints, l.Endpoint())
 	}
 
-	sp.exports = objtable.NewExportsSharded(opts.TableShards)
+	sp.exports = objtable.NewExports()
 	sp.exports.OnWithdraw = sp.onWithdraw
-	sp.imports = objtable.NewImportsSharded(opts.TableShards)
+	sp.imports = objtable.NewImports()
 	sp.pickler = pickle.New(opts.Registry, (*netRefs)(sp))
 
 	// Scrape-time gauges over the live tables; duplicate names sum, so a

@@ -11,7 +11,7 @@
 // state ("clean call in transit, reference wanted again") that the
 // formalisation showed is required for correctness.
 //
-// Both tables are striped across a power-of-two number of shards so that
+// Both tables are striped across numShards (128) shards so that
 // a space holding millions of live objects under hundreds of concurrent
 // callers never funnels every call through one mutex. Each entry lives
 // wholly inside one shard — the export table allocates indices per shard
@@ -37,10 +37,10 @@ import (
 	"netobjects/internal/wire"
 )
 
-// DefaultShards is the shard count tables are created with. Power of two;
-// sized so that 256 concurrent callers rarely collide on a shard while
-// the per-space footprint stays trivial (two small maps per shard).
-const DefaultShards = 128
+// numShards is the stripe count of every table. Power of two; sized so
+// that 256 concurrent callers rarely collide on a shard while the
+// per-space footprint stays trivial (two small maps per shard).
+const numShards = 128
 
 // Export table errors.
 var (
@@ -53,20 +53,6 @@ var (
 	// ErrIndexInUse reports an ExportAt collision on a well-known index.
 	ErrIndexInUse = errors.New("objtable: index already in use")
 )
-
-// normShards clamps a shard count to a power of two, defaulting when
-// non-positive. A count of 1 is a valid (unsharded) configuration, used
-// by benchmarks as the contention baseline.
-func normShards(n int) int {
-	if n <= 0 {
-		return DefaultShards
-	}
-	p := 1
-	for p < n && p < 1<<16 {
-		p <<= 1
-	}
-	return p
-}
 
 // objHash distributes an exportable object's identity word across shards.
 // Exportable kinds (pointer, chan, map, unsafe pointer) all carry their
@@ -145,7 +131,7 @@ type Exports struct {
 	mask   uint64
 
 	// contention counts lock acquisitions that found their shard already
-	// held — the signal that the shard count is too low for the load.
+	// held — the signal that the stripes are too few for the load.
 	contention atomic.Uint64
 
 	// OnWithdraw, if non-nil, is called (without any shard lock) after an
@@ -154,29 +140,20 @@ type Exports struct {
 	OnWithdraw func(index uint64, obj any)
 }
 
-// NewExports returns an empty export table with the default shard count.
-func NewExports() *Exports { return NewExportsSharded(DefaultShards) }
-
-// NewExportsSharded returns an empty export table striped across n shards
-// (rounded up to a power of two; n <= 1 yields a single-shard table, the
-// benchmark baseline).
-func NewExportsSharded(n int) *Exports {
-	n = normShards(n)
-	e := &Exports{shards: make([]exportShard, n), mask: uint64(n - 1)}
+// NewExports returns an empty export table.
+func NewExports() *Exports {
+	e := &Exports{shards: make([]exportShard, numShards), mask: numShards - 1}
 	for i := range e.shards {
 		s := &e.shards[i]
-		// The smallest index >= FirstUserIndex congruent to i (mod n), so
-		// every index this shard allocates hashes back to it.
+		// The smallest index >= FirstUserIndex congruent to i (mod
+		// numShards), so every index this shard allocates hashes back to it.
 		s.next = uint64(i)
 		for s.next < wire.FirstUserIndex {
-			s.next += uint64(n)
+			s.next += numShards
 		}
 	}
 	return e
 }
-
-// ShardCount reports the table's shard count.
-func (e *Exports) ShardCount() int { return len(e.shards) }
 
 // Contention reports how many lock acquisitions found their shard busy.
 func (e *Exports) Contention() uint64 { return e.contention.Load() }

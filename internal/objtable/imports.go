@@ -136,22 +136,14 @@ type Imports struct {
 	contention atomic.Uint64
 }
 
-// NewImports returns an empty import table with the default shard count.
-func NewImports() *Imports { return NewImportsSharded(DefaultShards) }
-
-// NewImportsSharded returns an empty import table striped across n shards
-// (rounded up to a power of two; n <= 1 yields a single-shard table).
-func NewImportsSharded(n int) *Imports {
-	n = normShards(n)
-	im := &Imports{shards: make([]importShard, n), mask: uint64(n - 1)}
+// NewImports returns an empty import table.
+func NewImports() *Imports {
+	im := &Imports{shards: make([]importShard, numShards), mask: numShards - 1}
 	for i := range im.shards {
 		im.shards[i].cond.L = &im.shards[i].mu
 	}
 	return im
 }
-
-// ShardCount reports the table's shard count.
-func (im *Imports) ShardCount() int { return len(im.shards) }
 
 // Contention reports how many lock acquisitions found their shard busy.
 func (im *Imports) Contention() uint64 { return im.contention.Load() }
