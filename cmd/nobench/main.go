@@ -351,6 +351,9 @@ func runT3() error {
 			return err
 		}
 	}
+	// Deltas, not totals: under -obs every space of the run counts into
+	// one shared metrics set.
+	before := clientB.Stats()
 	for _, r := range refs {
 		r.Release()
 	}
@@ -358,9 +361,9 @@ func runT3() error {
 	for owner.Exports().Len() > 0 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	st := clientB.Stats()
+	after := clientB.Stats()
 	fmt.Printf("  clean batching: %d cleans delivered via %d batched exchanges\n",
-		st.CleanSent, st.CleanBatches)
+		after.CleanSent-before.CleanSent, after.CleanBatches-before.CleanBatches)
 	return nil
 }
 

@@ -443,76 +443,3 @@ func TestBulkAssemblyOnData(t *testing.T) {
 		t.Fatal("a bare reset opened a stream")
 	}
 }
-
-// TestBulkBurstRest pins when the pump rests between a stream's bursts:
-// never on a session that carries only the bulk stream, and once per
-// spent window when other senders are using the write side. The rest is
-// stretched to 100 ms so that neither answer depends on how fast the
-// machine is: five windows alone must take less than one rest, and beside
-// a chattering stream at least one.
-func TestBulkBurstRest(t *testing.T) {
-	rest := burstRest
-	t.Cleanup(func() { burstRest = rest }) // runs after the sessions are closed
-	burstRest = 100 * time.Millisecond
-
-	p := flow.Params{ChunkSize: 4 << 10, StreamWindow: 8 << 10, SessionWindow: 32 << 10}
-	client, _ := flowPair(t, p, nil, func(st *Stream) {
-		defer st.Close()
-		for {
-			frame, err := st.Recv(nil)
-			if err != nil || st.Send(frame[:1]) != nil {
-				return
-			}
-		}
-	})
-	payload := pattern(40 << 10) // ten chunks, five windows
-	bulk := func() time.Duration {
-		st, err := client.Open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer st.Close()
-		_ = st.SetDeadline(time.Now().Add(10 * time.Second))
-		t0 := time.Now()
-		if err := st.Send(payload); err != nil {
-			t.Fatalf("chunked send: %v", err)
-		}
-		if _, err := st.Recv(nil); err != nil {
-			t.Fatalf("recv ack: %v", err)
-		}
-		return time.Since(t0)
-	}
-
-	if d := bulk(); d >= burstRest {
-		t.Fatalf("a bulk stream alone on its session took %v: it rested", d)
-	}
-
-	stop, stopped := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(stopped)
-		st, err := client.Open()
-		if err != nil {
-			return
-		}
-		defer st.Close()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if st.Send([]byte("x")) != nil {
-				return
-			}
-			if _, err := st.Recv(nil); err != nil {
-				return
-			}
-		}
-	}()
-	d := bulk()
-	close(stop)
-	<-stopped
-	if d < burstRest {
-		t.Fatalf("a bulk stream beside small calls took %v: it never rested", d)
-	}
-}

@@ -597,20 +597,14 @@ func (s *Session) writePending() error {
 // chunk: a cancel overtakes any queued bulk payload and waits at most one
 // chunk write.
 //
-// Between chunks the small frames are served; between bursts they are
-// left alone. A stream spends its window in one burst of chunks and then
-// waits for credit, and on a fast link the credit is back within tens of
-// microseconds, so a payload of many windows keeps the link busy from
-// its first chunk to its last and every small call made meanwhile queues
-// behind chunks in the peer's socket. So when the pump runs out of credit
-// with data still queued, and other senders have used the write side
-// since its last burst, it rests for burstRest before it looks for credit
-// again: the small calls get the link to themselves that long, once per
-// window. A session that carries nothing but the bulk stream never rests.
+// Credit alone paces a stream. It spends its window (the stream's, then
+// the session's) one chunk per hold of the lock and then waits for the
+// peer's grants, which come back as the peer's reader takes each chunk
+// in. The stream window is what keeps small frames quick beside it: it
+// bounds the bytes queued in the peer's socket ahead of a small frame.
 func (s *Session) pumpLoop() {
 	defer s.loops.Done()
 	f := s.flow
-	var seen uint64 // s.bytesSent as the pump's last write left it
 	for {
 		select {
 		case <-f.kick:
@@ -618,42 +612,23 @@ func (s *Session) pumpLoop() {
 		case <-s.done:
 			return
 		}
-		shared := false
 		for wrote := true; wrote; {
 			select {
 			case s.wlock <- struct{}{}:
 			case <-s.done:
 				return
 			}
-			if s.bytesSent.Load() != seen {
-				shared = true // someone else wrote in between
-			}
 			err := s.writePending()
 			if err == nil {
 				wrote, err = f.writeData(s)
 			}
-			seen = s.bytesSent.Load()
 			s.unlockWrite()
 			if err != nil {
 				return
 			}
 		}
-		if shared && f.sched.QueuedBytes() > 0 {
-			time.Sleep(burstRest)
-		}
 	}
 }
-
-// burstRest is how long a bulk stream that has spent its window leaves a
-// shared link to the small frames. Measured on bulk_tcp (1 MiB calls
-// beside a closed-loop null probe, loopback): at 50 µs the probe's median
-// is 14.6 µs, at 100 µs it is 12.5 µs — what it was before the bulk path
-// got four times faster and the link four times busier — and at 200 µs
-// it is no better (12.4 µs) while the stream loses another quarter. On a
-// link whose round trip is longer than this the credit is not back yet
-// when the rest ends, and it costs nothing. (A variable so that a test can
-// make the rest long enough to tell from everything else.)
-var burstRest = 100 * time.Microsecond
 
 // worker is every goroutine a session reads or serves on. One at a time
 // holds the read role and reads (see read). A frame that opens a stream

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -35,6 +36,11 @@ type flowState struct {
 	sendChunk atomic.Int64 // chunk size for sends: ours, then min(ours, peer's) on its hello
 
 	sessLedger *flow.RecvLedger // receive side of the session-level window
+	// sessOwed is the data the peer has sent against the session window
+	// and not yet been granted back. A grant counts once it is taken for
+	// the wire, before it can reach the peer, so a peer that keeps to its
+	// credit never takes this past the window it was advertised.
+	sessOwed atomic.Int64
 
 	// Pending protocol frames, materialized under the write lock at send
 	// time so the reader never blocks queueing them (a reader blocked on
@@ -171,6 +177,9 @@ func (f *flowState) popControl(bp *[]byte) bool {
 		for id, n := range f.grants {
 			buf = wire.AppendWindowUpdate(buf, id, uint64(n))
 			delete(f.grants, id)
+			if id == 0 {
+				f.sessOwed.Add(-n)
+			}
 			break
 		}
 		f.mGrantsSent.Inc()
@@ -241,8 +250,13 @@ func (f *flowState) writeData(s *Session) (bool, error) {
 	return true, nil
 }
 
+// errWindowOverrun is the cause of a session failed because its peer sent
+// more data than the session window it was advertised let it.
+var errWindowOverrun = errors.New("transport: peer overran the session window")
+
 // onData handles one inbound data chunk: session- and stream-level credit
-// accounting, and delivery of completed messages. The reader does not
+// accounting, and delivery of completed messages. A chunk that takes the
+// peer past the session window fails the session. The reader does not
 // assemble: it keeps each chunk in the buffer it arrived in and hands the
 // lot to the consumer (see take). own is the chunkBufs buffer data lies
 // in when the reader may give that away, and onData reports whether it
@@ -251,6 +265,10 @@ func (f *flowState) writeData(s *Session) (bool, error) {
 // any other (see dispatch).
 func (s *Session) onData(id, flags uint64, data []byte, own *[]byte) (opened *Stream, took bool) {
 	f := s.flow
+	if owed := f.sessOwed.Add(int64(len(data))); owed > f.params.SessionWindow {
+		s.fail(fmt.Errorf("%w: %d bytes ungranted against a window of %d", errWindowOverrun, owed, f.params.SessionWindow))
+		return nil, false
+	}
 	if g := f.sessLedger.Chunk(len(data)); g > 0 {
 		f.queueGrant(0, g)
 	}

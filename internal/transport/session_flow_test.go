@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -154,6 +155,42 @@ func (c *slowConn) Send(p []byte) error {
 	c.log = append(c.log, len(p))
 	c.mu.Unlock()
 	return c.Conn.Send(p)
+}
+
+// TestFlowSessionWindowOverrun feeds the reader's chunk handling
+// directly, as TestBulkAssemblyOnData does, while the test holds the
+// server's write lock so that no grant goes back: a peer may send the
+// whole session window it was advertised and not a byte more, and the
+// byte past it fails the session, naming the overrun.
+func TestFlowSessionWindowOverrun(t *testing.T) {
+	p := flow.Params{ChunkSize: 4 << 10, StreamWindow: 16 << 10, SessionWindow: 64 << 10}
+	_, server := flowPair(t, p, nil, func(st *Stream) { st.Close() })
+	server.wlock <- struct{}{} // the grants stay queued
+	defer func() { <-server.wlock }()
+
+	chunk := pattern(p.ChunkSize)
+	for sent := 0; sent < int(p.SessionWindow); sent += len(chunk) {
+		if st, _ := server.onData(911, 0, chunk, nil); st != nil {
+			defer st.Close()
+		}
+	}
+	select {
+	case <-server.Done():
+		t.Fatalf("a peer within the session window failed the session: %v", server.closeErr())
+	default:
+	}
+	server.onData(911, 0, chunk[:1], nil)
+	select {
+	case <-server.Done():
+	default:
+		t.Fatal("a peer one byte past the session window left the session up")
+	}
+	server.mu.Lock()
+	cause := server.cause
+	server.mu.Unlock()
+	if !errors.Is(cause, errWindowOverrun) {
+		t.Fatalf("session failed with %v, want the window overrun", cause)
+	}
 }
 
 // TestFlowSmallCallsOvertakeBulk pins the fairness property: with an 8MB
