@@ -1,9 +1,12 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
+	"net"
 	"os"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -187,5 +190,49 @@ func TestSoakTCP(t *testing.T) {
 				t.Errorf("profile %s injected no faults over tcp", profile)
 			}
 		})
+	}
+}
+
+// TestFirstStartTakesFreshPort: a node whose reserved port was bound by
+// someone else before its first start moves to a fresh port, at most
+// portAttempts starts in all, and names the address it gave up on; other
+// errors, and nodes not on TCP, are not retried.
+func TestFirstStartTakesFreshPort(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	addr := taken.Addr().String()
+	var started net.Listener
+	if err := firstStart(true, &addr, func() (err error) {
+		started, err = net.Listen("tcp", addr)
+		return err
+	}); err != nil {
+		t.Fatalf("first start on a taken port: %v", err)
+	}
+	started.Close()
+	if addr == taken.Addr().String() || started.Addr().String() != addr {
+		t.Fatalf("started at %v, address now %s; want a fresh port in the address", started.Addr(), addr)
+	}
+
+	inUse := func(calls *int, addr *string) func() error {
+		return func() error {
+			*calls++
+			return fmt.Errorf("listen %s: %w", *addr, syscall.EADDRINUSE)
+		}
+	}
+	calls, addr := 0, "127.0.0.1:1"
+	err = firstStart(true, &addr, inUse(&calls, &addr))
+	if calls != portAttempts || !errors.Is(err, syscall.EADDRINUSE) || !strings.Contains(err.Error(), "chaos: "+addr+" taken") {
+		t.Fatalf("always taken: %d starts, %v; want %d naming %s", calls, err, portAttempts, addr)
+	}
+	calls, addr = 0, "sp0"
+	if err := firstStart(false, &addr, inUse(&calls, &addr)); calls != 1 || addr != "sp0" || err == nil {
+		t.Fatalf("inmem: %d starts at %s, %v; want one, unretried", calls, addr, err)
+	}
+	calls = 0
+	if err := firstStart(true, &addr, func() error { calls++; return errors.New("other") }); calls != 1 || err == nil {
+		t.Fatalf("another error: %d starts, %v; want one, unretried", calls, err)
 	}
 }

@@ -162,7 +162,7 @@ func runDistArraySoak(cfg SoakConfig) (*SoakReport, error) {
 		h.nodes = append(h.nodes, n)
 	}
 	for _, n := range h.nodes {
-		if err := h.startWorker(n); err != nil {
+		if err := firstStart(cfg.Transport == "tcp", &n.addr, func() error { return h.startWorker(n) }); err != nil {
 			return nil, err
 		}
 	}
@@ -246,7 +246,11 @@ func (h *daHarness) startHost() error {
 			return err
 		}
 	}
-	sp, err := core.NewSpace(h.spaceOptions("da-host", h.inner, []string{wire.JoinEndpoint(h.inner.Proto(), addr)}))
+	var sp *core.Space
+	err := firstStart(h.cfg.Transport == "tcp", &addr, func() (err error) {
+		sp, err = core.NewSpace(h.spaceOptions("da-host", h.inner, []string{wire.JoinEndpoint(h.inner.Proto(), addr)}))
+		return err
+	})
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"netobjects/internal/core"
@@ -218,6 +220,32 @@ func reserveLoopbackAddr() (string, error) {
 	return addr, nil
 }
 
+// portAttempts bounds the ports a node's first start over TCP tries.
+const portAttempts = 5
+
+// firstStart runs start, a node's first start at *addr. A reserved port
+// is free again once reserveLoopbackAddr returns, and anything on the host
+// may bind it before the node does: over TCP a start that fails with
+// EADDRINUSE reserves a fresh port into *addr and tries again, up to
+// portAttempts starts in all. Restarts keep their address, the one their
+// peers know, and do not come here.
+func firstStart(tcp bool, addr *string, start func() error) error {
+	for i := 1; ; i++ {
+		err := start()
+		if err == nil || !tcp || !errors.Is(err, syscall.EADDRINUSE) {
+			return err
+		}
+		if i == portAttempts {
+			return fmt.Errorf("chaos: %s taken, as were the %d ports before it: %w", *addr, i-1, err)
+		}
+		next, rerr := reserveLoopbackAddr()
+		if rerr != nil {
+			return fmt.Errorf("chaos: %s taken, and no port to replace it: %w", *addr, rerr)
+		}
+		*addr = next
+	}
+}
+
 // RunSoak runs N spaces of the real runtime — core, dgc, objtable,
 // transport — through a seeded randomized workload under the configured
 // fault profile, then heals the network, drives the system to
@@ -290,7 +318,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		h.nodes = append(h.nodes, n)
 	}
 	for _, n := range h.nodes {
-		if err := h.startSpace(n); err != nil {
+		if err := firstStart(cfg.Transport == "tcp", &n.addr, func() error { return h.startSpace(n) }); err != nil {
 			h.stopAll()
 			return nil, err
 		}

@@ -217,6 +217,12 @@ func (c *memConn) Send(payload []byte) error {
 		// becomes deliverable one propagation delay from now.
 		msg.due = time.Now().Add(lat)
 	}
+	// The common case, room in the channel, needs no timer and no select.
+	select {
+	case c.out <- msg:
+		return nil
+	default:
+	}
 	timeout := c.deadlineTimer()
 	defer stopTimer(timeout)
 	var err error
@@ -242,28 +248,36 @@ func (c *memConn) Recv(scratch []byte) ([]byte, error) {
 	if c.isClosed() {
 		return nil, ErrClosed
 	}
-	timeout := c.deadlineTimer()
-	defer stopTimer(timeout)
+	var timeout *time.Timer // made only if Recv must wait
+	defer func() { stopTimer(timeout) }()
 	if c.held.payload == nil {
 		select {
-		case c.held = <-c.in:
-		case <-c.done:
-			return nil, ErrClosed
-		case <-c.peer.done:
-			// Drain any message already in flight before the peer closed.
+		case c.held = <-c.in: // the common case: a frame is waiting
+		default:
+			timeout = c.deadlineTimer()
 			select {
 			case c.held = <-c.in:
-			default:
-				return nil, errors.Join(ErrClosed, errPeerClosed)
+			case <-c.done:
+				return nil, ErrClosed
+			case <-c.peer.done:
+				// Drain any message already in flight before the peer closed.
+				select {
+				case c.held = <-c.in:
+				default:
+					return nil, errors.Join(ErrClosed, errPeerClosed)
+				}
+			case <-timerC(timeout):
+				return nil, ErrTimeout
 			}
-		case <-timerC(timeout):
-			return nil, ErrTimeout
 		}
 	}
 	// Hold delivery until the frame's due time. A deadline expiring
 	// mid-hold leaves the frame held for the next Recv — a late frame is
 	// slow, never lost.
 	if wait := c.held.wait(); wait > 0 {
+		if timeout == nil {
+			timeout = c.deadlineTimer()
+		}
 		hold := time.NewTimer(wait)
 		defer hold.Stop()
 		select {

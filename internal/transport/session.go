@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -35,12 +36,16 @@ import (
 // stop waiting without poisoning the link for its neighbours.
 //
 // Streams are recycled. The owner's Close hands its stream back to the
-// session, channels and timer included, for the next exchange to reuse.
+// session, channels included, for the next exchange to reuse.
 // That is safe because nothing but the owner holds a stream: the reader
 // reaches one only through the id map and under the session lock, which
 // the stream leaves before it is reused; Session.Abort, a reset from the
 // peer and the write-stall check name an exchange by its id, which is
 // never reused.
+//
+// One timer per session, the sweeper (see sweep), enforces every stream
+// deadline: no call arms a timer of its own. A waiting stream waits on
+// its own channel and its wake, and looks why when rung (see woken).
 
 // streamInbox is a stream's inbound frame buffer. Exchanges are short
 // (request, response, maybe an ack), so a small buffer suffices; a peer
@@ -91,23 +96,28 @@ type Session struct {
 
 	// wlock is the write lock: whoever has a token in this one-slot
 	// channel may call c.Send. A channel rather than a mutex so that a
-	// waiting sender can also select on its stream closing, the session
-	// dying and its deadline, and because blocked channel senders are
-	// served first come first served — a sender that arrives during a
-	// chunk write goes out before the pump's next chunk. wwait counts the
-	// senders waiting for it.
+	// waiting sender can also select on its stream's wake, and because
+	// blocked channel senders are served first come first served — a
+	// sender that arrives during a chunk write goes out before the pump's
+	// next chunk. wwait counts the senders waiting for it.
 	wlock chan struct{}
 	wwait atomic.Int32
 
 	// hello is the session's first frame, left for the first holder of
-	// the write lock to send (nil once sent). wdog bounds a sender's
-	// physical write by its stream's deadline: it fails the session when it
-	// fires, the only thing that unblocks a write on a stalled link. Both
-	// belong to the holder. writer is the id of the stream whose Send is
-	// inside the physical write (0: none), for the write-stall check.
-	hello  []byte
-	wdog   *time.Timer
-	writer atomic.Uint64
+	// the write lock to send (nil once sent). writer and writeDue are the
+	// id and deadline of the stream whose Send holds the lock (0: none),
+	// for the write-stall check and the sweeper, which fails the session
+	// under a write past its deadline: nothing else unblocks the write.
+	hello    []byte
+	writer   atomic.Uint64
+	writeDue atomic.Int64
+
+	// sweeper is the session's one deadline timer (see sweep). armed is
+	// the instant it is set to fire, in Unix nanoseconds (0: never); both
+	// change under sweepMu.
+	sweepMu sync.Mutex
+	sweeper *time.Timer
+	armed   atomic.Int64
 
 	// version is the protocol version this endpoint speaks and demands:
 	// wire.Version outside the handshake tests. peer is the hello the peer
@@ -206,6 +216,7 @@ func newSession(c Conn, opts SessionOptions, version uint64) *Session {
 	if opts.Metrics != nil {
 		s.mRejected = opts.Metrics.SessionHelloRejected
 	}
+	s.sweeper = time.AfterFunc(math.MaxInt64, s.sweep) // disarmed until a deadline is set
 	// Whoever first holds the write lock — the pump, woken at once — sends
 	// the hello ahead of its own frame, so it is the first frame the peer
 	// sees, as the peer demands.
@@ -292,12 +303,7 @@ func (s *Session) PeerSpace() wire.SpaceID {
 // liveness signal collector traffic may be subsumed by — Healthy() alone
 // cannot distinguish a hung peer process from a live one.
 func (s *Session) KeepaliveHealthy() bool {
-	select {
-	case <-s.done:
-		return false
-	default:
-	}
-	return s.flow.ka != nil && s.peer.Load() != nil
+	return !s.isDone() && s.flow.ka != nil && s.peer.Load() != nil
 }
 
 // Open starts a new stream with a fresh process-wide unique id.
@@ -364,11 +370,7 @@ func (s *Session) Abort(id uint64) {
 	st := s.streams[id]
 	if st != nil {
 		st.endLocked()
-		// Wake the owner, should it be blocked in Send or Recv.
-		select {
-		case st.wake <- struct{}{}:
-		default:
-		}
+		st.ring() // the owner may be blocked in Send or Recv
 	}
 	s.mu.Unlock()
 	if st == nil {
@@ -378,7 +380,8 @@ func (s *Session) Abort(id uint64) {
 	// writeStallGrace to come back before the session is failed to free
 	// it: a healthy link finishes the write at once, a stalled one has to
 	// be failed. The check names the exchange by id, not by its stream,
-	// which may be open again for another exchange by then.
+	// which may be open again for another exchange by then. A timer of its
+	// own, not the sweeper: only a cancel caught inside a write arms one.
 	if s.writer.Load() == id {
 		time.AfterFunc(writeStallGrace, func() {
 			if s.writer.Load() == id {
@@ -400,6 +403,8 @@ func (s *Session) dropQueued(id uint64) {
 
 // fail tears the session down once: every stream's pending Send and Recv
 // fails with ErrClosed (wrapping cause), and the connection is closed.
+// The streams are rung only after done is closed, so that a woken waiter
+// finds the session failed rather than a spurious wake to sleep on.
 func (s *Session) fail(cause error) {
 	s.mu.Lock()
 	if s.closed {
@@ -410,6 +415,14 @@ func (s *Session) fail(cause error) {
 	s.cause = cause
 	s.mu.Unlock()
 	close(s.done)
+	s.sweepMu.Lock()
+	s.sweeper.Stop()
+	s.sweepMu.Unlock()
+	s.mu.Lock()
+	for _, st := range s.streams {
+		st.ring()
+	}
+	s.mu.Unlock()
 	s.flow.sched.Fail(s.closeErr())
 	_ = s.c.Close()
 }
@@ -448,12 +461,15 @@ func (s *Session) closeErr() error {
 // session cache can decide between reuse and redial: it has not failed,
 // and its connection does not already know the peer is gone — which the
 // reader may be a moment from finding out.
-func (s *Session) Healthy() bool {
+func (s *Session) Healthy() bool { return !s.isDone() && Healthy(s.c) }
+
+// isDone reports whether the session has been torn down.
+func (s *Session) isDone() bool {
 	select {
 	case <-s.done:
-		return false
+		return true
 	default:
-		return Healthy(s.c)
+		return false
 	}
 }
 
@@ -499,64 +515,92 @@ func (s *Session) Stats() SessionStats {
 // lockWrite takes the write lock on behalf of st, waiting no longer than
 // the stream stays open, the session stays up and the stream's deadline
 // allows. The deadline goes on bounding the write the lock is taken for,
-// through the watchdog: the holder cannot be called back from c.Send.
+// through the sweeper: the holder cannot be called back from c.Send.
 func (s *Session) lockWrite(st *Stream) error {
-	select {
-	case <-s.done:
-		return s.closeErr()
-	default:
-	}
-	left, err := st.left()
-	if err != nil {
-		return err
-	}
 	select {
 	case s.wlock <- struct{}{}:
 	default:
-		if left, err = s.awaitWrite(st, left); err != nil {
+		if err := s.awaitWrite(st); err != nil {
 			return err
 		}
 	}
 	s.writer.Store(st.id)
-	if left > 0 {
-		if s.wdog == nil {
-			s.wdog = time.AfterFunc(left, func() { s.fail(errWriteStalled) })
-		} else {
-			s.wdog.Reset(left)
-		}
+	s.writeDue.Store(st.deadline.Load())
+	// After writeDue: a sweep before it expired st, one after sees the write.
+	if err := st.woken(); err != nil {
+		s.unlockWrite()
+		return err
 	}
 	return nil
 }
 
 // awaitWrite is lockWrite's slow path: the lock is taken, so wait for it.
-// It returns what is left of the deadline afterwards.
-func (s *Session) awaitWrite(st *Stream, left time.Duration) (time.Duration, error) {
-	tc := st.arm(left)
-	defer st.disarm()
+func (s *Session) awaitWrite(st *Stream) error {
 	s.wwait.Add(1)
 	defer s.wwait.Add(-1)
-	select {
-	case s.wlock <- struct{}{}:
-	case <-st.wake:
-		return 0, ErrClosed
-	case <-s.done:
-		return 0, s.closeErr()
-	case <-tc:
-		return 0, ErrTimeout
+	for {
+		if err := st.woken(); err != nil {
+			return err
+		}
+		select {
+		case s.wlock <- struct{}{}:
+			return nil
+		case <-st.wake:
+		}
 	}
-	left, err := st.left()
-	if err != nil {
-		<-s.wlock
-	}
-	return left, err
 }
 
 func (s *Session) unlockWrite() {
-	if s.wdog != nil {
-		s.wdog.Stop()
-	}
 	s.writer.Store(0)
+	s.writeDue.Store(0)
 	<-s.wlock
+}
+
+// armSweep makes sure the sweeper fires no later than d, a deadline in
+// Unix nanoseconds. A deadline at or after the armed one costs one atomic
+// load: calls carry deadlines a CallTimeout away, so the sweeper is reset
+// about once per CallTimeout, not once per call.
+func (s *Session) armSweep(d int64) {
+	if a := s.armed.Load(); a != 0 && a <= d {
+		return
+	}
+	s.sweepMu.Lock()
+	defer s.sweepMu.Unlock()
+	if a := s.armed.Load(); a != 0 && a <= d || s.isDone() {
+		return // armed in time, or stopped for good by fail
+	}
+	s.armed.Store(d)
+	s.sweeper.Reset(time.Until(time.Unix(0, d)))
+}
+
+// sweep is the sweeper firing. Every open stream past its deadline is
+// marked expired and rung, a write that outlived its deadline fails the
+// session, and the sweeper is armed for the earliest deadline to come.
+// It disarms before it looks: a deadline set after that arms it anew.
+func (s *Session) sweep() {
+	s.sweepMu.Lock()
+	s.armed.Store(0)
+	s.sweepMu.Unlock()
+	now := time.Now().UnixNano()
+	var next int64
+	s.mu.Lock()
+	for _, st := range s.streams {
+		if d := st.deadline.Load(); d != 0 && d <= now {
+			st.expire(d)
+		} else if d != 0 && (next == 0 || d < next) {
+			next = d
+		}
+	}
+	s.mu.Unlock()
+	if d := s.writeDue.Load(); d != 0 && d <= now {
+		s.fail(errWriteStalled)
+		return
+	} else if d != 0 && (next == 0 || d < next) {
+		next = d
+	}
+	if next != 0 {
+		s.armSweep(next)
+	}
 }
 
 // errWriteStalled is the cause of a session failed under a write that
@@ -636,9 +680,9 @@ func (s *Session) pumpLoop() {
 // if none is parked, and only then serves the stream itself, so a served
 // call runs on the goroutine that read its request and is never queued
 // behind a busy one, and a blocked call stalls no reading. Afterwards it
-// parks until it is handed the role again, or retires after handlerIdle.
-// A session without Accept opens no streams, so its reader reads for
-// good. Reusing workers spares each served call a goroutine start and the
+// parks until it is handed the role again, or retires (see park). A
+// session without Accept opens no streams, so its reader reads for good.
+// Reusing workers spares each served call a goroutine start and the
 // regrowth of its stack; the hand-off is one channel send.
 func (s *Session) worker() {
 	defer s.loops.Done()
@@ -662,19 +706,33 @@ func (s *Session) worker() {
 			runtime.Gosched()
 		}
 		s.accept(st)
-		idle.Reset(handlerIdle)
-		select {
-		case <-s.role:
-		case <-idle.C:
-			return
-		case <-s.done:
+		if !s.park(idle) {
 			return
 		}
 	}
 }
 
-// handlerIdle is how long a worker goroutine stays parked without the
-// read role before it retires.
+// park waits for the read role to come back, reporting false when the
+// worker is to retire: the session is over, or a tick of the idle timer,
+// which runs free and is not reset per call, finds no serve since the last.
+func (s *Session) park(idle *time.Timer) bool {
+	for served := true; ; served = false {
+		select {
+		case <-s.role:
+			return true
+		case <-idle.C:
+			if !served {
+				return false
+			}
+			idle.Reset(handlerIdle)
+		case <-s.done:
+			return false
+		}
+	}
+}
+
+// handlerIdle is the tick of a worker goroutine's idle timer: a parked
+// worker retires after one to two of them without the read role.
 const handlerIdle = time.Second
 
 // read demultiplexes inbound frames to their streams by envelope id until
@@ -831,14 +889,13 @@ type Stream struct {
 	// streamClosed once the owner closed it. It changes under the session
 	// lock; the owner reads it without.
 	state atomic.Int32
-	// wake is rung when the exchange is ended from outside, so that an
-	// owner blocked in Send or Recv looks at state again. One slot: only
-	// the owner waits on it.
+	// wake is rung when the exchange is ended from outside, its deadline
+	// passes or the session fails, so that an owner blocked in Send or
+	// Recv looks again (see woken). One slot: only the owner waits on it.
 	wake chan struct{}
-	// timer bounds the owner's blocking waits by the deadline. It is made
-	// on the stream's first such wait and kept across reuses, each wait
-	// resetting it and stopping it again (arm, disarm).
-	timer *time.Timer
+	// expired is set by the sweeper once the deadline has passed, and
+	// cleared with the deadline.
+	expired atomic.Bool
 
 	// chunked is set once a chunked send of the exchange has been queued:
 	// the flow scheduler then keeps state for the id until the stream ends.
@@ -846,7 +903,8 @@ type Stream struct {
 
 	// deadline is the exchange deadline in Unix nanoseconds (0 = none).
 	// It bounds the local waits — for the write lock and for the response
-	// — the way a connection deadline bounds socket I/O.
+	// — the way a connection deadline bounds socket I/O; the session's
+	// sweeper enforces it.
 	deadline atomic.Int64
 
 	// last is the pooled buffer returned by the previous Recv, recycled
@@ -960,10 +1018,15 @@ func (st *Stream) deliverLocked(m inMsg) bool {
 
 // endLocked ends an open stream's exchange, under the session lock: the
 // id leaves the map, so no frame reaches the stream from here on, and a
-// partial chunked message is dropped.
+// partial chunked message and the count of what it owes are dropped.
 func (st *Stream) endLocked() {
 	st.state.Store(streamEnded)
 	delete(st.s.streams, st.id)
+	if f := st.s.flow; st.ledger != nil {
+		f.gmu.Lock()
+		delete(f.streamOwed, st.id)
+		f.gmu.Unlock()
+	}
 	if st.asm != nil {
 		st.asm.recycle()
 		st.asm = nil
@@ -971,37 +1034,40 @@ func (st *Stream) endLocked() {
 	}
 }
 
-// left reports how long the stream's deadline leaves: zero when none is
-// set, ErrTimeout when it already passed.
-func (st *Stream) left() (time.Duration, error) {
-	d := st.deadline.Load()
-	if d == 0 {
-		return 0, nil
+// ring wakes the owner, should it be waiting.
+func (st *Stream) ring() {
+	select {
+	case st.wake <- struct{}{}:
+	default:
 	}
-	if wait := time.Until(time.Unix(0, d)); wait > 0 {
-		return wait, nil
-	}
-	return 0, ErrTimeout
 }
 
-// arm starts the stream's timer for d and returns its channel; for d = 0,
-// a wait with no deadline, it returns nil. The waiter disarms it after.
-func (st *Stream) arm(d time.Duration) <-chan time.Time {
-	if d == 0 {
-		return nil
+// expire marks the stream past deadline d and rings it, under the session
+// lock; the flag is taken back if the owner has set another deadline.
+func (st *Stream) expire(d int64) {
+	st.expired.Store(true)
+	if st.deadline.Load() != d {
+		st.expired.Store(false)
+		return
 	}
-	if st.timer == nil {
-		st.timer = time.NewTimer(d)
-	} else {
-		st.timer.Reset(d)
-	}
-	return st.timer.C
+	st.ring()
 }
 
-func (st *Stream) disarm() {
-	if st.timer != nil {
-		st.timer.Stop()
+// woken reports why a wait on the stream must end (nil: it need not):
+// ErrTimeout past the deadline, the session's failure, or ErrClosed once
+// the exchange was ended from outside. A wait looks before it blocks and
+// after each ring, which may be spurious or left over from an earlier one.
+func (st *Stream) woken() error {
+	if st.expired.Load() {
+		return ErrTimeout
 	}
+	if st.s.isDone() {
+		return st.s.closeErr()
+	}
+	if st.isClosed() {
+		return ErrClosed
+	}
+	return nil
 }
 
 // Send wraps payload in the stream's mux envelope and writes it to the
@@ -1056,10 +1122,8 @@ func (st *Stream) send(payload []byte, more [][]byte) error {
 	if err == nil {
 		err = s.write(*bp)
 	}
-	if err != nil {
-		if _, late := st.left(); late != nil {
-			return late // the watchdog cut the write short at our deadline
-		}
+	if err != nil && st.expired.Load() {
+		return ErrTimeout // the sweeper cut the write short at our deadline
 	}
 	return err
 }
@@ -1071,42 +1135,25 @@ func (st *Stream) send(payload []byte, more [][]byte) error {
 // (see take and RecvSlab).
 func (st *Stream) Recv(scratch []byte) ([]byte, error) {
 	st.Release()
-	// Deliver a frame that arrived before teardown even if the stream or
-	// session has since closed, matching the drain behaviour of real
-	// connections. The state is read first: a frame delivered before an
-	// end that has been seen is in the inbox by the poll (see below).
-	closed := st.isClosed()
-	select {
-	case m := <-st.in:
-		return st.take(m), nil
-	default:
-	}
-	if closed {
-		return nil, ErrClosed
-	}
-	wait, err := st.left()
-	if err != nil {
-		return nil, err
-	}
-	tc := st.arm(wait)
-	defer st.disarm()
-	select {
-	case m := <-st.in:
-		return st.take(m), nil
-	case <-st.wake:
-		err = ErrClosed
-	case <-st.s.done:
-		err = st.s.closeErr()
-	case <-tc:
-		return nil, ErrTimeout
-	}
-	// Frames are delivered under the session lock, the lock the stream is
-	// ended under, so one that arrived before the end is in the inbox now.
-	select {
-	case m := <-st.in:
-		return st.take(m), nil
-	default:
-		return nil, err
+	for {
+		// Deliver a frame that arrived before teardown even if the stream or
+		// session has since closed, as real connections drain. The end is
+		// looked at first: frames are delivered under the lock the stream is
+		// ended under, so one delivered before a seen end is in the inbox.
+		err := st.woken()
+		select {
+		case m := <-st.in:
+			return st.take(m), nil
+		default:
+		}
+		if err != nil {
+			return nil, err
+		}
+		select {
+		case m := <-st.in:
+			return st.take(m), nil
+		case <-st.wake:
+		}
 	}
 }
 
@@ -1162,10 +1209,14 @@ func (st *Stream) Release() {
 // removes the bound. The deadline is local to this stream — it never
 // touches the shared connection.
 func (st *Stream) SetDeadline(t time.Time) error {
-	if t.IsZero() {
-		st.deadline.Store(0)
-	} else {
-		st.deadline.Store(t.UnixNano())
+	var d int64
+	if !t.IsZero() {
+		d = t.UnixNano()
+	}
+	st.deadline.Store(d)
+	st.expired.Store(false)
+	if d != 0 {
+		st.s.armSweep(d)
 	}
 	return nil
 }
@@ -1223,6 +1274,7 @@ func (st *Stream) reset() {
 	st.slab = 0
 	st.ledger = nil
 	st.deadline.Store(0)
+	st.expired.Store(false)
 }
 
 // RemoteLabel describes the peer and the stream for logs.

@@ -40,7 +40,10 @@ type flowState struct {
 	// and not yet been granted back. A grant counts once it is taken for
 	// the wire, before it can reach the peer, so a peer that keeps to its
 	// credit never takes this past the window it was advertised.
-	sessOwed atomic.Int64
+	// streamOwed is the same per stream, against the stream window, under
+	// gmu: kept from a stream's first chunk until the stream ends.
+	sessOwed   atomic.Int64
+	streamOwed map[uint64]int64
 
 	// Pending protocol frames, materialized under the write lock at send
 	// time so the reader never blocks queueing them (a reader blocked on
@@ -69,6 +72,7 @@ func newFlowState(p flow.Params, m *obs.Metrics) *flowState {
 		sched:      flow.NewScheduler(p.ChunkSize, p.StreamWindow, p.SessionWindow),
 		sessLedger: flow.NewRecvLedger(p.SessionWindow),
 		grants:     make(map[uint64]int64),
+		streamOwed: make(map[uint64]int64),
 		kick:       make(chan struct{}, 1),
 	}
 	f.sendChunk.Store(int64(p.ChunkSize))
@@ -119,26 +123,15 @@ func (f *flowState) chunkThreshold() int { return int(f.sendChunk.Load()) }
 // windows to send against. Only the stream's deadline, its abort and the
 // session's death cut the wait short.
 func (s *Session) awaitHello(st *Stream) error {
-	select {
-	case <-s.helloCh:
-		return nil
-	default:
-	}
-	wait, err := st.left()
-	if err != nil {
-		return err
-	}
-	tc := st.arm(wait)
-	defer st.disarm()
-	select {
-	case <-s.helloCh:
-		return nil
-	case <-tc:
-		return ErrTimeout
-	case <-st.wake:
-		return ErrClosed
-	case <-s.done:
-		return s.closeErr()
+	for {
+		if err := st.woken(); err != nil {
+			return err
+		}
+		select {
+		case <-s.helloCh:
+			return nil
+		case <-st.wake:
+		}
 	}
 }
 
@@ -179,6 +172,8 @@ func (f *flowState) popControl(bp *[]byte) bool {
 			delete(f.grants, id)
 			if id == 0 {
 				f.sessOwed.Add(-n)
+			} else if _, open := f.streamOwed[id]; open {
+				f.streamOwed[id] -= n // a stream that has ended owes nothing
 			}
 			break
 		}
@@ -251,22 +246,32 @@ func (f *flowState) writeData(s *Session) (bool, error) {
 }
 
 // errWindowOverrun is the cause of a session failed because its peer sent
-// more data than the session window it was advertised let it.
-var errWindowOverrun = errors.New("transport: peer overran the session window")
+// more data than a window it was advertised, the session's or a
+// stream's, let it.
+var errWindowOverrun = errors.New("transport: peer overran its window")
+
+// owe counts n bytes received on stream id, returning what the stream
+// owes now: its bytes not yet granted back.
+func (f *flowState) owe(id uint64, n int) int64 {
+	f.gmu.Lock()
+	defer f.gmu.Unlock()
+	f.streamOwed[id] += int64(n)
+	return f.streamOwed[id]
+}
 
 // onData handles one inbound data chunk: session- and stream-level credit
 // accounting, and delivery of completed messages. A chunk that takes the
-// peer past the session window fails the session. The reader does not
-// assemble: it keeps each chunk in the buffer it arrived in and hands the
-// lot to the consumer (see take). own is the chunkBufs buffer data lies
-// in when the reader may give that away, and onData reports whether it
-// took it; data in anyone else's buffer is copied into one. A chunk that
-// opens a stream returns the stream, for the reader to serve as it serves
-// any other (see dispatch).
+// peer past the session window, or its stream past the stream window,
+// fails the session. The reader does not assemble: it keeps each chunk in
+// the buffer it arrived in and hands the lot to the consumer (see take).
+// own is the chunkBufs buffer data lies in when the reader may give that
+// away, and onData reports whether it took it; data in anyone else's
+// buffer is copied into one. A chunk that opens a stream returns the
+// stream, for the reader to serve as it serves any other (see dispatch).
 func (s *Session) onData(id, flags uint64, data []byte, own *[]byte) (opened *Stream, took bool) {
 	f := s.flow
 	if owed := f.sessOwed.Add(int64(len(data))); owed > f.params.SessionWindow {
-		s.fail(fmt.Errorf("%w: %d bytes ungranted against a window of %d", errWindowOverrun, owed, f.params.SessionWindow))
+		s.fail(fmt.Errorf("%w: %d bytes ungranted against a session window of %d", errWindowOverrun, owed, f.params.SessionWindow))
 		return nil, false
 	}
 	if g := f.sessLedger.Chunk(len(data)); g > 0 {
@@ -291,14 +296,21 @@ func (s *Session) onData(id, flags uint64, data []byte, own *[]byte) (opened *St
 	// any delivery, so that it cannot land in a later exchange's.
 	s.mu.Lock()
 	st, fresh := s.routeLocked(id)
-	var grant int64
+	var grant, owed int64
 	if st != nil {
-		grant = st.addChunkLocked(c, flags&wire.DataFlagLast != 0, f.params.StreamWindow)
+		if owed = f.owe(id, len(data)); owed > f.params.StreamWindow {
+			st = nil
+		} else {
+			grant = st.addChunkLocked(c, flags&wire.DataFlagLast != 0, f.params.StreamWindow)
+		}
 	}
 	s.mu.Unlock()
 	if st == nil {
 		if own == nil {
 			chunkBufs.Put(c.bp)
+		}
+		if owed > f.params.StreamWindow {
+			s.fail(fmt.Errorf("%w: %d bytes ungranted on stream %d against a stream window of %d", errWindowOverrun, owed, id, f.params.StreamWindow))
 		}
 		return nil, false // late chunks for an abandoned exchange: dropped
 	}
@@ -350,25 +362,16 @@ func (st *Stream) sendChunked(payload []byte, more [][]byte) error {
 	f := st.s.flow
 	st.chunked.Store(true)
 	it := f.sched.Enqueue(st.id, payload, more...)
-	wait, derr := st.left()
-	if derr != nil {
-		st.abortChunked(it, derr)
-		return derr
-	}
-	tc := st.arm(wait)
-	defer st.disarm()
-	select {
-	case err := <-it.Done():
-		return err
-	case <-st.wake:
-		st.abortChunked(it, ErrClosed)
-		return ErrClosed
-	case <-st.s.done:
-		st.abortChunked(it, ErrClosed)
-		return st.s.closeErr()
-	case <-tc:
-		st.abortChunked(it, ErrTimeout)
-		return ErrTimeout
+	for {
+		if err := st.woken(); err != nil {
+			st.abortChunked(it, err)
+			return err
+		}
+		select {
+		case err := <-it.Done():
+			return err
+		case <-st.wake:
+		}
 	}
 }
 

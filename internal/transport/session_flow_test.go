@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -161,35 +162,53 @@ func (c *slowConn) Send(p []byte) error {
 // directly, as TestBulkAssemblyOnData does, while the test holds the
 // server's write lock so that no grant goes back: a peer may send the
 // whole session window it was advertised and not a byte more, and the
-// byte past it fails the session, naming the overrun.
+// byte past it fails the session, naming the overrun. Each stream gets
+// one stream window of it, which the stream may take.
 func TestFlowSessionWindowOverrun(t *testing.T) {
 	p := flow.Params{ChunkSize: 4 << 10, StreamWindow: 16 << 10, SessionWindow: 64 << 10}
+	testWindowOverrun(t, p, func(sent int) uint64 { return 911 + uint64(sent/int(p.StreamWindow)) }, "session", p.SessionWindow)
+}
+
+// TestFlowStreamWindowOverrun is TestFlowSessionWindowOverrun for the
+// stream window: one stream may take the whole stream window it was
+// advertised, and the byte past it fails the session.
+func TestFlowStreamWindowOverrun(t *testing.T) {
+	p := flow.Params{ChunkSize: 4 << 10, StreamWindow: 16 << 10, SessionWindow: 64 << 10}
+	testWindowOverrun(t, p, func(int) uint64 { return 911 }, "stream", p.StreamWindow)
+}
+
+// testWindowOverrun feeds the server window bytes in chunks, then one
+// byte more, each on the stream id names for the bytes sent before it,
+// and checks that the byte fails the session naming the kind of window.
+func testWindowOverrun(t *testing.T, p flow.Params, id func(sent int) uint64, kind string, window int64) {
+	t.Helper()
 	_, server := flowPair(t, p, nil, func(st *Stream) { st.Close() })
 	server.wlock <- struct{}{} // the grants stay queued
 	defer func() { <-server.wlock }()
 
 	chunk := pattern(p.ChunkSize)
-	for sent := 0; sent < int(p.SessionWindow); sent += len(chunk) {
-		if st, _ := server.onData(911, 0, chunk, nil); st != nil {
+	sent := 0
+	for ; sent < int(window); sent += len(chunk) {
+		if st, _ := server.onData(id(sent), 0, chunk, nil); st != nil {
 			defer st.Close()
 		}
 	}
 	select {
 	case <-server.Done():
-		t.Fatalf("a peer within the session window failed the session: %v", server.closeErr())
+		t.Fatalf("a peer within the window failed the session: %v", server.closeErr())
 	default:
 	}
-	server.onData(911, 0, chunk[:1], nil)
+	server.onData(id(sent), 0, chunk[:1], nil)
 	select {
 	case <-server.Done():
 	default:
-		t.Fatal("a peer one byte past the session window left the session up")
+		t.Fatal("a peer one byte past the window left the session up")
 	}
 	server.mu.Lock()
 	cause := server.cause
 	server.mu.Unlock()
-	if !errors.Is(cause, errWindowOverrun) {
-		t.Fatalf("session failed with %v, want the window overrun", cause)
+	if !errors.Is(cause, errWindowOverrun) || !strings.Contains(cause.Error(), kind+" window") {
+		t.Fatalf("session failed with %v, want the %s window overrun", cause, kind)
 	}
 }
 
