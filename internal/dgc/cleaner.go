@@ -12,6 +12,7 @@ package dgc
 import (
 	"errors"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -55,6 +56,10 @@ type CleanerConfig struct {
 	Logger *slog.Logger
 	// Obs, when non-nil, counts retries and abandonments.
 	Obs *obs.Metrics
+
+	// pace replaces cleanPace when set; package tests stretch it so the
+	// pacing shows at a test's time scale.
+	pace time.Duration
 }
 
 type cleanItem struct {
@@ -81,24 +86,40 @@ type CleanItem struct {
 // in capped rounds instead.
 const maxCleanBatch = 128
 
+// cleanPace is the least time between the starts of two exchanges to one
+// owner. A clean for an owner with no exchange started in the last
+// cleanPace goes out at once, so a lone release is not delayed; cleans
+// queued while the owner is paced ride its next batch. A space that
+// releases references as fast as it calls the same owner thus sends that
+// owner one CleanBatch a millisecond rather than one per release, and
+// the collector's round trips stop interleaving with its calls there.
+const cleanPace = time.Millisecond
+
 // Cleaner is the cleaning daemon: queued clean calls drained by one
 // background worker, matching the single "cleaning demon" of the paper.
 // Cleans are queued per owner so one exchange batches same-owner cleans
 // without rescanning a global queue, and owners are served round-robin so
 // a space releasing a million references to one owner cannot starve the
-// parting clean of another.
+// parting clean of another. Each owner is paced (cleanPace): the worker
+// serves the owners that are due and sleeps until the earliest that is
+// not.
 type Cleaner struct {
 	cfg CleanerConfig
 
 	mu     sync.Mutex
-	cond   *sync.Cond
 	queues map[wire.SpaceID][]cleanItem // per-owner FIFO; present iff non-empty
 	rr     []wire.SpaceID               // round-robin rotation of owners with queued work
-	queued int                          // total items across queues
+	// due holds, per owner, the instant before which its next exchange
+	// may not start: the start of its previous one plus the pace. Instants
+	// that have passed are dropped whenever the queue empties.
+	due    map[wire.SpaceID]time.Time
+	queued int // total items across queues
 	closed bool
 	idle   bool
 
-	wg sync.WaitGroup
+	wake chan struct{} // one slot: enqueue nudges the worker
+	stop chan struct{} // closed by Close
+	wg   sync.WaitGroup
 }
 
 // NewCleaner starts a cleaning daemon.
@@ -112,8 +133,16 @@ func NewCleaner(cfg CleanerConfig) *Cleaner {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
-	c := &Cleaner{cfg: cfg, queues: make(map[wire.SpaceID][]cleanItem)}
-	c.cond = sync.NewCond(&c.mu)
+	if cfg.pace <= 0 {
+		cfg.pace = cleanPace
+	}
+	c := &Cleaner{
+		cfg:    cfg,
+		queues: make(map[wire.SpaceID][]cleanItem),
+		due:    make(map[wire.SpaceID]time.Time),
+		wake:   make(chan struct{}, 1),
+		stop:   make(chan struct{}),
+	}
 	c.wg.Add(1)
 	go c.run()
 	return c
@@ -144,17 +173,22 @@ func (c *Cleaner) enqueue(it cleanItem) {
 		c.queued++
 	}
 	c.mu.Unlock()
-	c.cond.Signal()
+	select {
+	case c.wake <- struct{}{}:
+	default: // a nudge is already pending
+	}
 }
 
-// Close stops the daemon after the current delivery attempt. Queued cleans
-// are dropped; the process is terminating and owners will reclaim via
-// their ping daemons.
+// Close stops the daemon after the current delivery attempt, ending a
+// paced wait at once. Queued cleans are dropped; the process is
+// terminating and owners will reclaim via their ping daemons.
 func (c *Cleaner) Close() {
 	c.mu.Lock()
-	c.closed = true
+	if !c.closed {
+		c.closed = true
+		close(c.stop)
+	}
 	c.mu.Unlock()
-	c.cond.Broadcast()
 	c.wg.Wait()
 }
 
@@ -180,36 +214,73 @@ func (c *Cleaner) Drain(timeout time.Duration) bool {
 
 func (c *Cleaner) run() {
 	defer c.wg.Done()
+	sleep := time.NewTimer(time.Hour)
+	sleep.Stop()
 	for {
-		c.mu.Lock()
-		c.idle = true
-		for c.queued == 0 && !c.closed {
-			c.cond.Wait()
+		batch, wait := c.take()
+		if batch != nil {
+			c.processBatch(batch)
+			continue
 		}
-		if c.closed {
-			c.mu.Unlock()
+		var paced <-chan time.Time
+		if wait > 0 {
+			sleep.Reset(wait)
+			paced = sleep.C
+		}
+		select {
+		case <-c.wake:
+		case <-paced:
+		case <-c.stop:
 			return
 		}
-		// Round-robin over owners: take the next owner in rotation and up
-		// to maxCleanBatch of its queued cleans in one exchange. An owner
-		// with work left goes to the back of the rotation, so every owner
-		// gets a turn between its rounds.
-		owner := c.rr[0]
-		c.rr = c.rr[1:]
+	}
+}
+
+// take picks the next exchange: the first owner in the rotation whose
+// pace has run out, and up to maxCleanBatch of its queued cleans. An
+// owner with work left goes to the back of the rotation, so every owner
+// gets a turn between its rounds. With cleans queued but no owner due,
+// take returns how long until the earliest is; with none queued, zero.
+func (c *Cleaner) take() ([]cleanItem, time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.idle = true
+	if c.closed {
+		return nil, 0
+	}
+	now := time.Now()
+	if c.queued == 0 {
+		for owner, t := range c.due {
+			if !now.Before(t) {
+				delete(c.due, owner)
+			}
+		}
+		return nil, 0
+	}
+	var wait time.Duration
+	for i, owner := range c.rr {
+		if d := c.due[owner].Sub(now); d > 0 {
+			if wait == 0 || d < wait {
+				wait = d
+			}
+			continue
+		}
+		c.rr = slices.Delete(c.rr, i, i+1)
 		q := c.queues[owner]
-		take := min(len(q), maxCleanBatch)
-		batch := append([]cleanItem(nil), q[:take]...)
-		if take == len(q) {
+		n := min(len(q), maxCleanBatch)
+		batch := append([]cleanItem(nil), q[:n]...)
+		if n == len(q) {
 			delete(c.queues, owner)
 		} else {
-			c.queues[owner] = q[take:]
+			c.queues[owner] = q[n:]
 			c.rr = append(c.rr, owner)
 		}
-		c.queued -= take
+		c.queued -= n
+		c.due[owner] = now.Add(c.cfg.pace)
 		c.idle = false
-		c.mu.Unlock()
-		c.processBatch(batch)
+		return batch, 0
 	}
+	return nil, wait
 }
 
 // processBatch delivers the cleans taken for one owner in a single

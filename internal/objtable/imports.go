@@ -106,24 +106,13 @@ type ImportEntry struct {
 
 // importShard is one stripe of the import table. Each key lives wholly in
 // one shard; the shard's condition variable carries the state-change
-// broadcasts for the keys it guards. The maps are made at their first
-// insert: most shards of most tables never see one, and a table is built
-// for every space.
+// broadcasts for the keys it guards. The map is made at its first insert:
+// most shards of most tables never see one, and a table is built for
+// every space.
 type importShard struct {
 	mu      sync.Mutex
 	cond    sync.Cond // L is &mu
 	entries map[wire.Key]*ImportEntry
-	// lastSeq survives entry deletion: Birrell's sequence numbers must
-	// increase across successive lifecycles of the same reference at the
-	// same client, or the owner would discard a re-registration as stale.
-	lastSeq map[wire.Key]uint64
-	// lastGen survives entry deletion for the same reason lastSeq does,
-	// but for the surrogate generation counter: a finalizer-driven cleanup
-	// armed in one lifecycle may fire after the reference has been
-	// released and re-imported, and generations must keep increasing or
-	// the stale cleanup would match the fresh entry and release it out
-	// from under live users.
-	lastGen map[wire.Key]uint64
 }
 
 // Imports is the import (surrogate) table of one space. Construct with
@@ -131,6 +120,19 @@ type importShard struct {
 type Imports struct {
 	shards []importShard
 	mask   uint64
+
+	// seq numbers every dirty and clean call, and gen every surrogate
+	// incarnation, across all keys. Each therefore rises across the
+	// successive lifecycles of one key without a record of the key kept
+	// once its entry is gone. Birrell's rule needs exactly that of seq:
+	// the owner ignores a call numbered at or below the client's last one
+	// for the object, so a re-registration must outnumber the previous
+	// lifecycle's calls. gen needs it because a finalizer-driven cleanup
+	// armed in one lifecycle may fire after the reference was released
+	// and re-imported; it must not match the fresh entry and release it
+	// out from under live users.
+	seq atomic.Uint64
+	gen atomic.Uint64
 
 	// contention counts lock acquisitions that found their shard held.
 	contention atomic.Uint64
@@ -171,34 +173,11 @@ func (im *Imports) lock(s *importShard) {
 	}
 }
 
-// nextSeqLocked allocates the next dirty/clean sequence number for key.
-func (s *importShard) nextSeqLocked(key wire.Key) uint64 {
-	if s.lastSeq == nil {
-		s.lastSeq = make(map[wire.Key]uint64)
-	}
-	s.lastSeq[key]++
-	return s.lastSeq[key]
-}
-
-// dropLocked removes key's entry, banking its generation counter so the
-// next lifecycle of the same key resumes from it rather than from zero.
-func (s *importShard) dropLocked(key wire.Key, e *ImportEntry) {
-	if e.gen > 0 {
-		if s.lastGen == nil {
-			s.lastGen = make(map[wire.Key]uint64)
-		}
-		s.lastGen[key] = e.gen
-	}
-	delete(s.entries, key)
-}
-
-// NextSeq allocates a sequence number outside any entry lifecycle; the
-// runtime uses it for strong cleans after a failed dirty call.
+// NextSeq allocates a sequence number for key outside any entry
+// lifecycle; the runtime uses it for strong cleans after a failed dirty
+// call. It draws on the table's one counter, as every lifecycle does.
 func (im *Imports) NextSeq(key wire.Key) uint64 {
-	s := im.shardFor(key)
-	im.lock(s)
-	defer s.mu.Unlock()
-	return s.nextSeqLocked(key)
+	return im.seq.Add(1)
 }
 
 // Acquire is the receive_copy transition: a wireRep for key has arrived.
@@ -210,14 +189,12 @@ func (im *Imports) Acquire(key wire.Key, endpoints []string) (ent *ImportEntry, 
 	defer s.mu.Unlock()
 	e, ok := s.entries[key]
 	if !ok {
-		// gen resumes where the previous lifecycle left off (see lastGen),
-		// so a cleanup armed before the entry died can never match again.
-		e = &ImportEntry{Key: key, Endpoints: endpoints, state: StateNil, gen: s.lastGen[key]}
+		e = &ImportEntry{Key: key, Endpoints: endpoints, state: StateNil}
 		if s.entries == nil {
 			s.entries = make(map[wire.Key]*ImportEntry)
 		}
 		s.entries[key] = e
-		return e, ActionRegister, s.nextSeqLocked(key)
+		return e, ActionRegister, im.seq.Add(1)
 	}
 	if len(endpoints) > 0 {
 		e.Endpoints = endpoints
@@ -264,11 +241,11 @@ func (im *Imports) FinishRegister(key wire.Key, surrogate any, err error) (gen u
 	if err != nil {
 		e.dead = true
 		e.err = fmt.Errorf("%w: %v", ErrRegistration, err)
-		s.dropLocked(key, e)
+		delete(s.entries, key)
 	} else {
 		e.state = StateOK
 		e.surrogate = surrogate
-		e.gen++
+		e.gen = im.gen.Add(1)
 		e.holds = 1
 		gen = e.gen
 	}
@@ -298,7 +275,7 @@ func (im *Imports) UseOrRebind(key wire.Key, revive func(old any) (replacement a
 	}
 	if ns := revive(e.surrogate); ns != nil {
 		e.surrogate = ns
-		e.gen++
+		e.gen = im.gen.Add(1)
 		// A fresh strong surrogate exists: cancel any release queued for
 		// the dead incarnation (the cleanup may have fired between the
 		// caller's Acquire and this rebind), exactly like receive_copy's
@@ -472,7 +449,7 @@ func (im *Imports) BeginClean(key wire.Key) (seq uint64, endpoints []string, ok 
 		return 0, nil, false
 	}
 	e.state = StateCcit
-	return s.nextSeqLocked(key), e.Endpoints, true
+	return im.seq.Add(1), e.Endpoints, true
 }
 
 // FinishClean is the receive_clean_ack transition. With err == nil:
@@ -492,19 +469,19 @@ func (im *Imports) FinishClean(key wire.Key, err error) (redo bool, seq uint64) 
 	if err != nil {
 		e.dead = true
 		e.err = fmt.Errorf("%w: clean call abandoned: %v", ErrRegistration, err)
-		s.dropLocked(key, e)
+		delete(s.entries, key)
 		s.cond.Broadcast()
 		return false, 0
 	}
 	switch e.state {
 	case StateCcit:
-		s.dropLocked(key, e)
+		delete(s.entries, key)
 		s.cond.Broadcast()
 		return false, 0
 	case StateCcitNil:
 		e.state = StateNil
 		s.cond.Broadcast()
-		return true, s.nextSeqLocked(key)
+		return true, im.seq.Add(1)
 	default:
 		// BeginClean put the entry in StateCcit; only receive_copy can
 		// move it (to StateCcitNil), so anything else is a logic error.

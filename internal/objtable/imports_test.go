@@ -343,3 +343,45 @@ func TestGenerationSurvivesRelifecycle(t *testing.T) {
 		t.Fatal("live generation refused to release")
 	}
 }
+
+// TestRelifecycleAfterOtherKeys: the table keeps no record of a key once
+// its entry is gone, yet a key re-imported after other keys' traffic
+// still gets a sequence number and a generation above every one of its
+// previous lifecycle.
+func TestRelifecycleAfterOtherKeys(t *testing.T) {
+	im := NewImports()
+	lifecycle := func(key wire.Key) (seqs []uint64, gen uint64) {
+		t.Helper()
+		_, act, dirty := im.Acquire(key, []string{"ep"})
+		if act != ActionRegister {
+			t.Fatalf("%v: action %v, want register", key, act)
+		}
+		gen = im.FinishRegister(key, &surrogate{}, nil)
+		if !im.Release(key) {
+			t.Fatalf("%v: release did not queue a clean", key)
+		}
+		clean, _, ok := im.BeginClean(key)
+		if !ok {
+			t.Fatalf("%v: clean not begun", key)
+		}
+		if redo, _ := im.FinishClean(key, nil); redo {
+			t.Fatalf("%v: unexpected redo", key)
+		}
+		return []uint64{dirty, clean}, gen
+	}
+
+	seqs1, gen1 := lifecycle(testKey)
+	for i := uint64(1); i <= 50; i++ {
+		lifecycle(wire.Key{Owner: testKey.Owner, Index: testKey.Index + i})
+	}
+	if im.Len() != 0 {
+		t.Fatalf("%d entries left after every lifecycle ended", im.Len())
+	}
+	seqs2, gen2 := lifecycle(testKey)
+	if seqs2[0] <= seqs1[1] {
+		t.Fatalf("re-import dirty seq %d not above the previous lifecycle's %v", seqs2[0], seqs1)
+	}
+	if gen2 <= gen1 {
+		t.Fatalf("re-import generation %d not above the previous lifecycle's %d", gen2, gen1)
+	}
+}
